@@ -38,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
-SETUP_REPEATS = 9
+SETUP_REPEATS = 15
 TAIL_BEYOND = 10   # operations beyond the tail percentile
 TAIL_MIN_OPS = 40  # fewer operations than this per round: no tail reported
 
@@ -86,23 +86,47 @@ def main(argv=None) -> int:
     tiny = args.size == "tiny"
     tracer = Tracer() if args.trace else None
 
-    # Set-up, several times: fresh goldmankit import, inputs from the seed,
-    # warm-up.  The last one is kept (and traced in a traced run).
-    setups = []
-    for rep in range(SETUP_REPEATS):
+    def set_up(traced=False):
+        """One set-up: fresh goldmankit import, inputs from the seed, warm-up."""
         gc.collect()  # no collection of earlier imports' garbage inside the timing
         t0 = time.perf_counter()
         gk = workloads.load_goldmankit()
         if not Path(gk.package.__file__).resolve().is_relative_to(SRC):
             print(f"error: imported goldmankit from {gk.package.__file__}, not {SRC}",
                   file=sys.stderr)
-            return 2
-        if tracer is not None and rep == SETUP_REPEATS - 1:
+            sys.exit(2)
+        if traced:
             tracer.install()
             tracer.phase = SETUP
         workload = make(gk, args.seed, tiny)
         workloads.warm_up(gk)
-        setups.append(time.perf_counter() - t0)
+        return time.perf_counter() - t0, workload
+
+    def set_up_aside():
+        """A timed set-up whose modules are dropped again, so that the
+        operations and their lazy imports keep using the run's own modules."""
+        saved = workloads.goldmankit_modules()
+        try:
+            return set_up()[0]
+        finally:
+            for name in workloads.goldmankit_modules():
+                del sys.modules[name]
+            sys.modules.update(saved)
+
+    # Set-up, SETUP_REPEATS times.  A traced run traces the last of them,
+    # all before the rounds.  An untraced run keeps the first and spreads the
+    # others over the rounds (outside their timing), so that the median
+    # samples the machine's speed over the whole run, not over its first
+    # seconds.
+    if tracer is not None:
+        for _ in range(SETUP_REPEATS - 1):
+            set_up()
+        spread = 0
+        dt, workload = set_up(traced=True)
+    else:
+        dt, workload = set_up()
+        spread = SETUP_REPEATS - 1
+    setups = [dt]
     age_at_first_op = process_age()
 
     ops = workload.ops
@@ -113,7 +137,14 @@ def main(argv=None) -> int:
     mc_trials = 0          # Monte-Carlo trials per round
     is_mc = [False] * len(ops)
     spent = 0.0
+    # Each round runs pinned to the next of the CPUs this process may use.
+    # The vCPUs of a shared host slow down one at a time, each for seconds
+    # to minutes (README, "Steadiness"); taking turns lets every operation
+    # meet a CPU in its fast phase during the run.
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     while not rounds or spent < args.seconds:
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, {cpus[len(rounds) % len(cpus)]})
         lat = []
         for k, op in enumerate(ops):
             if tracer is not None:
@@ -147,6 +178,12 @@ def main(argv=None) -> int:
                 mismatched += 1
         rounds.append(lat)
         spent += sum(lat)
+        while len(setups) <= spread and spent >= args.seconds * len(setups) / (spread + 1):
+            setups.append(set_up_aside())
+    while len(setups) <= spread:
+        setups.append(set_up_aside())
+    if len(cpus) > 1:
+        os.sched_setaffinity(0, cpus)
 
     errors = workload.check(results)
     if mismatched:

@@ -1,8 +1,10 @@
-"""The four benchmark workloads.
+"""The two benchmark workloads, each made of two parts.
 
-Each workload builds its inputs from the seed, exposes a fixed list of
-operations (one round), and checks the results of a round against the
-references in ``refs``.  An operation is one call into goldmankit's public
+``numeric`` runs the Monte-Carlo identities and the exotic observables,
+``symbolic`` the closure sweep and the tied normalization.  Each part builds
+its inputs from the seed, contributes a fixed list of operations to the
+workload's round, and checks its own results against the references in
+``refs``.  An operation is one call into goldmankit's public
 API whose result is then checked.  Every round runs the same operations on
 the same inputs, so the seed changes values but not the amount of work.
 
@@ -29,9 +31,14 @@ MODULES = ("bases", "casimir", "cli", "goldman", "linalg", "observables", "octon
            "symbolic", "symbolic.closure")
 
 
+def goldmankit_modules() -> dict:
+    """The goldmankit modules now in ``sys.modules``, by name."""
+    return {n: m for n, m in sys.modules.items() if n == "goldmankit" or n.startswith("goldmankit.")}
+
+
 def load_goldmankit() -> SimpleNamespace:
     """Import goldmankit afresh (dropping any earlier import) and return its modules."""
-    for name in [n for n in sys.modules if n == "goldmankit" or n.startswith("goldmankit.")]:
+    for name in goldmankit_modules():
         del sys.modules[name]
     gk = SimpleNamespace(package=importlib.import_module("goldmankit"))
     for name in MODULES:
@@ -131,6 +138,8 @@ class McIdentities(Workload):
     Sampling (expm plus membership) and the Kronecker contraction carry the
     load; small groups are bound by per-trial overhead, sides 10-12 by the
     contraction.  The symbolic layers stay idle apart from `verify all`.
+    Trial counts are small (10 per `verify all` check, 20 per grid cell) so
+    that a round stays short and each operation gets many tries in a run.
     """
 
     name = "mc-identities"
@@ -144,25 +153,27 @@ class McIdentities(Workload):
     ALL_CELLS = (("gl", 2), ("gl", 3), ("u", 2), ("u", 3), ("sl", 2), ("sl", 3),
                  ("su", 2), ("su", 3), ("sp", 1), ("sp", 2), ("so", 3), ("so", 5), ("g2", 1))
     ALL_REPORTS = 68
+    ALL_TRIALS = 10
+    GRID_TRIALS = 20
 
     def __init__(self, gk, seed, tiny):
         super().__init__(gk, seed, tiny)
         rng = _rng(seed, 1)
-        calls, trials = (1, 4) if tiny else (4, 50)
+        trials = 4 if tiny else self.GRID_TRIALS
         bracket = self.BRACKET[:4] if tiny else self.BRACKET
         defect = (("so", 4),) if tiny else self.DEFECT
         symplectic = (2,) if tiny else self.SYMPLECTIC
         cli_seed = _seeds(rng, 1)[0]
-        argv = ["--json", "verify", "all", "--seed", str(cli_seed)]
+        argv = ["--json", "verify", "all", "--seed", str(cli_seed),
+                "--trials", str(self.ALL_TRIALS)]
         self.ops.append(Op("cli", "verify all", lambda: self._cli(argv)))
         grid = ([("bracket", fam, n) for fam, n in bracket]
                 + [("defect", fam, n) for fam, n in defect]
                 + [("symplectic", "sp", n) for n in symplectic])
-        for kind, fam, n in grid:
-            for s in _seeds(rng, calls):
-                self.ops.append(Op(kind, f"{kind} {fam}{n}",
-                                   lambda k=kind, f=fam, n=n, s=s: self._verify(k, f, n, trials, s),
-                                   family=fam, n=n, seed=s, trials=trials))
+        for (kind, fam, n), s in zip(grid, _seeds(rng, len(grid))):
+            self.ops.append(Op(kind, f"{kind} {fam}{n}",
+                               lambda k=kind, f=fam, n=n, s=s: self._verify(k, f, n, trials, s),
+                               family=fam, n=n, seed=s, trials=trials))
 
     def _verify(self, kind, family, n, trials, seed):
         g = self.gk.goldman
@@ -281,23 +292,25 @@ class SymbolicClosure(Workload):
 
     Split enumeration in `recognize`, einsum planning in `evaluate_monomial`
     and G2 sampling carry the load; tie groups are tiny, so the
-    canonical-encoding search stays nearly idle.  A round takes every
-    fourth spec of each enumerated (r, n1, s, n2, t) group, and every
-    twelfth of the n1 = 3 groups, whose specs cost about twice as much: every
-    group is covered, a round stays short enough for several rounds per run,
-    and the median operation sits inside the cheaper half instead of on the
-    gap between the two halves.  The full 261-spec sweep is a reference
-    figure (figures.py).
+    canonical-encoding search stays nearly idle.  A round takes the first
+    spec of twelve of the enumerated (r, n1, s, n2, t) groups, covering
+    every weight n1 + 2 n2 = 1..3, n1 = 0..3, s = 0, 1 and t = 1..3, so
+    that a round stays short enough for many rounds per run.  Every group
+    is enumerated and counted in the check; the full 261-spec sweep is a
+    reference figure (figures.py).
     """
 
     name = "symbolic-closure"
+    TUPLES = ((0, 0, 0, 1, 2), (0, 0, 1, 1, 2), (0, 1, 0, 0, 1), (1, 1, 0, 0, 1),
+              (0, 1, 0, 1, 3), (1, 1, 1, 1, 2), (1, 1, 0, 1, 2), (0, 2, 0, 0, 2),
+              (2, 2, 0, 0, 1), (2, 3, 0, 0, 1), (1, 3, 0, 0, 2), (3, 3, 0, 0, 3))
 
     def __init__(self, gk, seed, tiny):
         super().__init__(gk, seed, tiny)
         sym = gk.symbolic
         self.groups = _closure_specs(gk.observables, 1 if tiny else 3)
-        specs = [spec for tup, group in self.groups
-                 for spec in group[::12 if tup[1] == 3 else 4]]
+        specs = [group[0] for tup, group in self.groups
+                 if group and (tiny or tup in self.TUPLES)]
         rng = _rng(seed, 2)
         self.canon = sym.parse_expr("tr(z)")
         for spec, s in zip(specs, _seeds(rng, len(specs))):
@@ -314,7 +327,7 @@ class SymbolicClosure(Workload):
             if len(group) != want or len(set(group)) != want:
                 errors.append(f"enumerate_specs{(r, n1, s, n2, t)}: {len(group)} specs "
                               f"({len(set(group))} distinct), closed form {want}")
-        errors += _closure_errors(self.gk, self.ops, results, stride=13)
+        errors += _closure_errors(self.gk, self.ops, results, stride=3)
         errors += _plain_bracket_errors(self.gk, self.check_seed)
         return errors
 
@@ -380,14 +393,11 @@ class TiedNormalize(Workload):
 
     name = "tied-normalize"
     # (pairs k, classes m in each sum, copies of each class, normalize operations).
-    # Each 5-pair class gets its own operation: short operations get more
-    # tries per run, which keeps their best times steady.
-    NORMALIZE = ((3, (0, 1), 3, 24), (4, (0, 1, 2), 2, 12),
-                 (5, (0,), 2, 1), (5, (1,), 2, 1), (5, (2,), 2, 1))
-    # (pairs k, class m) bracketed with tr(c).  A 5-pair bracket alone
-    # takes longer than the rest of a round, which would leave too few
-    # rounds per run for a steady figure; 5 pairs are normalized above.
-    BRACKET = ((3, 0), (3, 1), (4, 0), (4, 1), (4, 2))
+    NORMALIZE = ((3, (0, 1), 3, 25), (4, (0, 1, 2), 2, 2), (5, (1,), 2, 1))
+    # (pairs k, class m) bracketed with tr(c).  A 5-pair bracket (about
+    # 2.5 s) would take several times as long as the rest of a round; it is
+    # a reference figure (figures.py).
+    BRACKET = ((3, 0),)
 
     def __init__(self, gk, seed, tiny):
         super().__init__(gk, seed, tiny)
@@ -506,17 +516,16 @@ class ExoticObservables(Workload):
     single-word specs of length 5-6, plus invariance tests.
 
     `observables.evaluate` and `word_trace_table` carry the load; the
-    length-6 words build 7^6 * 49-entry tables, which set the peak memory.
+    length-6 word builds a 7^6 * 49-entry table, which sets the peak memory.
     The brute-force oracle runs only in the untimed check.
     """
 
     name = "exotic-observables"
-    LONG = ((1, 1, 0, 2, 1), (0, 1, 0, 2, 1), (0, 0, 0, 3, 1), (2, 2, 0, 2, 1))
+    LONG = ((1, 1, 0, 2, 1), (0, 1, 0, 2, 1), (0, 0, 0, 3, 1))
     # (spec tuple, K, Q, trials)
-    INVARIANCE = (((1, 1, 0, 0, 1), [[1]], [], 50),
-                  ((2, 2, 0, 1, 2), [[1, 0], [0, 1]], [[1, 0], [0, 1]], 50),
-                  ((0, 2, 0, 1, 1), [[1, 1]], [[1, 1]], 50),
-                  ((1, 1, 0, 2, 1), [[1]], [[1, 1, 1, 1]], 10))
+    INVARIANCE = (((1, 1, 0, 0, 1), [[1]], [], 10),
+                  ((2, 2, 0, 1, 2), [[1, 0], [0, 1]], [[1, 0], [0, 1]], 10),
+                  ((0, 2, 0, 1, 1), [[1, 1]], [[1, 1]], 10))
 
     def __init__(self, gk, seed, tiny):
         super().__init__(gk, seed, tiny)
@@ -591,4 +600,50 @@ def _columns_legal(spec) -> bool:
             and list(k.sum(axis=0)) == [1] * spec.n1 and list(q.sum(axis=0)) == want_q)
 
 
-WORKLOADS = {w.name: w for w in (McIdentities, SymbolicClosure, TiedNormalize, ExoticObservables)}
+# --------------------------------------------------------------------------
+class Combined(Workload):
+    """The operations of several parts in one round; each part checks its own."""
+
+    parts: tuple = ()
+
+    def __init__(self, gk, seed, tiny):
+        super().__init__(gk, seed, tiny)
+        self.members = [part(gk, seed, tiny) for part in self.parts]
+        for member in self.members:
+            for op in member.ops:
+                op.part = member
+                self.ops.append(op)
+
+    def body(self, op, result):
+        return op.part.body(op, result)
+
+    def op_failed(self, op, result):
+        return op.part.op_failed(op, result)
+
+    def trials(self, op, result):
+        return op.part.trials(op, result)
+
+    def check(self, results):
+        errors, start = [], 0
+        for member in self.members:
+            part = results[start:start + len(member.ops)]
+            start += len(member.ops)
+            errors += [f"{member.name}: {err}" for err in member.check(part)]
+        return errors
+
+
+class Numeric(Combined):
+    """Sampling, the Kronecker contraction and the observables' contraction engine."""
+
+    name = "numeric"
+    parts = (McIdentities, ExoticObservables)
+
+
+class Symbolic(Combined):
+    """Recognition and evaluation of closure monomials, and the tied canonical search."""
+
+    name = "symbolic"
+    parts = (SymbolicClosure, TiedNormalize)
+
+
+WORKLOADS = {w.name: w for w in (Numeric, Symbolic)}
