@@ -387,8 +387,9 @@ class TiedNormalize(Workload):
     traces on each loop, so every trace sits in a tie group of size k and
     the canonical encoding tries k! * k! orderings.  Classes are fixed by
     how many pairs join a to a (and b to b); each class appears in several
-    renamed copies.  Each class's product is then bracketed with tr(c) and
-    closure-checked.  symbolic-closure never builds tie groups this large.
+    renamed copies.  The products of the classes in BRACKET are then
+    bracketed with tr(c) and closure-checked.  symbolic-closure never builds
+    tie groups this large.
     """
 
     name = "tied-normalize"
