@@ -279,8 +279,9 @@ def build_basis(family, n: int = 1) -> LieBasis:
 
 def normalization_residual(basis: LieBasis) -> float:
     """max_{a,b} |(1/2) tr(t_a t_b) - f(a) delta_ab|."""
-    gens = np.stack([np.asarray(g, dtype=complex) for g in basis.generators])
-    gram = 0.5 * np.einsum("aij,bji->ab", gens, gens)
+    gens = np.stack(basis.generators)
+    flat = gens.reshape(len(basis), -1)
+    gram = 0.5 * (flat @ np.swapaxes(gens, 1, 2).reshape(len(basis), -1).T)
     target = np.diag(np.asarray(basis.signs, dtype=float))
     return max_abs(gram - target)
 

@@ -43,51 +43,49 @@ class CasimirTensor:
 
 
 def casimir_tensor(basis: LieBasis, abs_tol: float = 1e-12) -> CasimirTensor:
-    """Gamma = sum_a f(a) kron(t_a, t_a); real even for complex generators."""
+    """Gamma = sum_a f(a) kron(t_a, t_a); real even for complex generators.
+
+    One contraction over the stacked generators, in kron's block layout
+    Gamma4[i,k,j,l] = sum_a f(a) t_a[i,j] t_a[k,l].
+    """
     residual = normalization_residual(basis)
     if residual >= abs_tol:
         raise NormalizationError(basis, residual)
-    gamma = sum(
-        sign * kron(g, g) for sign, g in zip(basis.signs, basis.generators)
-    )
+    d = basis.side
+    flat = np.stack(basis.generators).reshape(len(basis), d * d)
+    signs = np.asarray(basis.signs, dtype=float)
+    gamma4 = ((flat.T * signs) @ flat).reshape(d, d, d, d)
+    gamma = gamma4.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     gamma = real_part(gamma, abs_tol) if np.iscomplexobj(gamma) else gamma
     return CasimirTensor(basis.family, basis.side ** 2, gamma)
 
 
 def defect_matrix(family, n: int) -> np.ndarray:
-    """chi = Gamma - P for the SP and SO families, built from its literal sums."""
+    """chi = Gamma - P for the SP and SO families, built from its literal sums.
+
+    SO: chi = -sum_{ij} e_ij (x) e_ij.  SP: the four signed terms below over
+    all 1 <= i, j <= n (the i < j terms, their i <-> j mirrors and the k
+    terms).  A term e_ij (x) e_kl is the entry ((i-1)m+k, (j-1)m+l) of the
+    block layout (m the matrix side), added in place.
+    """
     family = as_family(family)
-    if family is Family.SO:
-        chi = np.zeros((n * n, n * n))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                e = unit_matrix(i, j, n)
-                chi -= kron(e, e)
-        return chi
-    if family is not Family.SP:
+    if family not in (Family.SP, Family.SO):
         raise ValueError(f"defect matrix is defined for sp/so only, got {family.value}")
-    d = 2 * n
-    e = lambda i, j: unit_matrix(i, j, d)
-    chi = np.zeros((d * d, d * d))
+    m = matrix_side(family, n)
+    chi = np.zeros((m * m, m * m))
+
+    def add(sign, i, j, k, l):  # sign * e_ij (x) e_kl, 1-based
+        chi[(i - 1) * m + k - 1, (j - 1) * m + l - 1] += sign
+
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            chi += (
-                kron(e(i, j + n), e(i + n, j))
-                + kron(e(j, i + n), e(j + n, i))
-                + kron(e(j + n, i), e(j, i + n))
-                + kron(e(i + n, j), e(i, j + n))
-                - kron(e(i, j), e(i + n, j + n))
-                - kron(e(j + n, i + n), e(j, i))
-                - kron(e(j, i), e(j + n, i + n))
-                - kron(e(i + n, j + n), e(i, j))
-            )
-    for k in range(1, n + 1):
-        chi += (
-            kron(e(k, n + k), e(n + k, k))
-            + kron(e(n + k, k), e(k, n + k))
-            - kron(e(k, k), e(k + n, k + n))
-            - kron(e(k + n, k + n), e(k, k))
-        )
+        for j in range(1, n + 1):
+            if family is Family.SO:
+                add(-1, i, j, i, j)
+                continue
+            add(1, i, j + n, i + n, j)
+            add(1, j + n, i, j, i + n)
+            add(-1, i, j, i + n, j + n)
+            add(-1, j + n, i + n, j, i)
     return chi
 
 
@@ -102,15 +100,10 @@ def closed_form(family, n: int) -> np.ndarray:
         return 2.0 * p - (2.0 / n) * np.eye(side * side)
     if family in (Family.SP, Family.SO):
         return p + defect_matrix(family, n)
-    # g2: P - sum e_ij (x) e_ij + (1/3) sum O_i (x) O_i
-    ident_defect = np.zeros((49, 49))
-    for i in range(1, 8):
-        for j in range(1, 8):
-            e = unit_matrix(i, j, 7)
-            ident_defect += kron(e, e)
+    # g2: P - sum e_ij (x) e_ij + (1/3) sum O_i (x) O_i, the middle sum being so(7)'s chi
     o = unit_matrices()
     oct_term = sum(kron(o[i], o[i]) for i in range(7))
-    return p - ident_defect + oct_term / 3.0
+    return p + defect_matrix(Family.SO, 7) + oct_term / 3.0
 
 
 def verify_closed_form(family, n: int = 1, abs_tol: float = 1e-12) -> VerificationReport:

@@ -14,21 +14,21 @@ must equal the family's resolved-loop form:
 Composite monodromies of the two intersection resolutions are realised
 algebraically as AB and AB^-1; only a single transversal intersection is
 modelled (reports carry an ``intersections`` field for a future summation
-hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform, using
-splittable per-trial substreams so results are schedule-independent.
+hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform.  Each
+trial draws from its own seed substream, so results do not depend on the
+batch: a check draws all its trials as one stack, exponentiates the stack in
+one call and contracts it with Gamma in O(d^4) per trial.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import Family, LieBasis, as_family, build_basis, symplectic_form
 from .casimir import casimir_tensor, defect_matrix
-from .linalg import NumericError, kron, mat_exp, max_abs, trace12
+from .linalg import NumericError, mat_exp, trace12_pairs
 from .octonions import automorphism_residual, unit_matrices
 from .reports import VerificationReport, timed_report
 
@@ -77,37 +77,73 @@ class SplitLoopPair:
         return self.t_y1_0 @ self.t_0_y2 @ self.mtilde2
 
 
-def thread_budget() -> int:
-    raw = os.environ.get("GOLDMANKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def membership_residual(family, n: int, g: np.ndarray):
+    """Distance from the family's defining relations (0 means on the group).
 
-
-def membership_residual(family, n: int, g: np.ndarray) -> float:
-    """Distance from the family's defining relations (0 means on the group)."""
+    ``g`` is one matrix, giving a float, or a (T, d, d) stack, giving one
+    residual per matrix.
+    """
     family = as_family(family)
+    g = np.asarray(g)
+    stack = g if g.ndim == 3 else g[None]
+    gt = np.swapaxes(stack, 1, 2)
     if family is Family.GL:
-        return 0.0 if abs(np.linalg.det(g)) > 1e-8 else np.inf
-    if family is Family.SL:
-        return abs(np.linalg.det(g) - 1.0)
-    if family is Family.U:
-        return max_abs(g.conj().T @ g - np.eye(n))
-    if family is Family.SU:
-        return max(max_abs(g.conj().T @ g - np.eye(n)), abs(np.linalg.det(g) - 1.0))
-    if family is Family.SP:
+        res = np.where(np.abs(np.linalg.det(stack)) > 1e-8, 0.0, np.inf)
+    elif family is Family.SL:
+        res = np.abs(np.linalg.det(stack) - 1.0)
+    elif family in (Family.U, Family.SU):
+        res = np.abs(gt.conj() @ stack - np.eye(n)).max(axis=(1, 2))
+        if family is Family.SU:
+            res = np.maximum(res, np.abs(np.linalg.det(stack) - 1.0))
+    elif family is Family.SP:
         j = symplectic_form(n)
-        return max_abs(g.T @ j @ g - j)
-    if family is Family.SO:
-        return max(max_abs(g.T @ g - np.eye(n)), abs(np.linalg.det(g) - 1.0))
-    return automorphism_residual(g)
+        res = np.abs(gt @ j @ stack - j).max(axis=(1, 2))
+    elif family is Family.SO:
+        res = np.maximum(np.abs(gt @ stack - np.eye(n)).max(axis=(1, 2)),
+                         np.abs(np.linalg.det(stack) - 1.0))
+    else:
+        res = automorphism_residual(stack)
+    return float(res[0]) if g.ndim == 2 else res
 
 
-def _draw(rng: np.random.Generator, basis: LieBasis, scale: float) -> np.ndarray:
-    coeffs = rng.uniform(-scale, scale, size=len(basis))
-    x = sum(c * g for c, g in zip(coeffs, basis.generators))
-    return mat_exp(x)
+def sample_elements(family, n: int, seeds, scale: float = 1.0,
+                    basis: LieBasis | None = None):
+    """(T, d, d) stack of exp(sum_a c_a t_a), c_a ~ U[-scale, scale], one row per seed.
+
+    Row t draws from its own generator seeded by ``seeds[t]`` (an int or a
+    SeedSequence), so it is bitwise ``sample_element`` on that seed whatever
+    the batch: the unoptimized einsum sums the generators in order and
+    ``mat_exp`` exponentiates each row alone.  Rows outside the 1e-8
+    membership band (none at these scales) are redrawn from their own
+    generators a handful of times, then NumericError is raised.  Returns the
+    stack, its membership residuals and the number of redraws.
+    """
+    if not 0.0 < scale <= 2.0:
+        raise ValueError(f"scale must lie in (0, 2], got {scale}")
+    family = as_family(family)
+    if basis is None:
+        basis = build_basis(family, n)
+    gens = np.stack(basis.generators)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    mats = np.empty((len(rngs), basis.side, basis.side), dtype=gens.dtype)
+    res = np.empty(len(rngs))
+    pending = np.arange(len(rngs))
+    draws = 0
+    for _ in range(_RESAMPLE_LIMIT):
+        coeffs = np.reshape(
+            [rngs[t].uniform(-scale, scale, size=len(basis)) for t in pending],
+            (len(pending), len(basis)),
+        )
+        draws += len(pending)
+        mats[pending] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
+        res[pending] = membership_residual(family, basis.n, mats[pending])
+        pending = pending[~(res[pending] < _MEMBERSHIP_TOL)]
+        if not pending.size:
+            return mats, res, draws - len(rngs)
+    raise NumericError(
+        f"could not sample a {family.value} element within residual "
+        f"{_MEMBERSHIP_TOL:.1e} (last residual {res[pending].max():.3e})"
+    )
 
 
 def sample_element(family, n: int, seed, scale: float = 1.0,
@@ -115,31 +151,41 @@ def sample_element(family, n: int, seed, scale: float = 1.0,
     """Random group element exp(sum_a c_a t_a), c_a ~ U[-scale, scale].
 
     ``seed`` may be an int or a numpy SeedSequence; trial substreams are the
-    caller's business.  Resamples a handful of times if the membership
-    residual ever exceeds 1e-8 (it does not at these scales), then raises.
+    caller's business.  The one-row case of ``sample_elements``.
     """
-    if not 0.0 < scale <= 2.0:
-        raise ValueError(f"scale must lie in (0, 2], got {scale}")
-    family = as_family(family)
-    if basis is None:
-        basis = build_basis(family, n)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seq)
-    for _ in range(_RESAMPLE_LIMIT):
-        g = _draw(rng, basis, scale)
-        res = membership_residual(family, basis.n, g)
-        if res < _MEMBERSHIP_TOL:
-            return GroupElement(family, basis.n, g, res)
-    raise NumericError(
-        f"could not sample a {family.value} element within residual "
-        f"{_MEMBERSHIP_TOL:.1e} (last residual {res:.3e})"
-    )
+    basis = build_basis(family, n) if basis is None else basis
+    mats, res, _ = sample_elements(family, n, [seed], scale, basis)
+    return GroupElement(basis.family, basis.n, mats[0], float(res[0]))
 
 
-def _trial_streams(seed: int, trial: int, count: int):
-    return [
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial, k)) for k in range(count)
+def _trial_draws(family, basis: LieBasis, seed: int, trials: int, count: int,
+                 scale: float):
+    """``count`` (trials, d, d) stacks (row t of stack k from substream (t, k)), redraws."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    streams = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(t, k))
+        for k in range(count) for t in range(trials)
     ]
+    mats, _, resamples = sample_elements(family, basis.n, streams, scale, basis)
+    return mats.reshape(count, trials, basis.side, basis.side), resamples
+
+
+def _bracket_stack(family: Family, a: np.ndarray, b: np.ndarray, gamma: np.ndarray):
+    """(lhs, rhs) of the bracket identity for every pair of rows of two stacks."""
+    lhs = 0.5 * trace12_pairs(a, b, gamma)
+    tr_ab = np.einsum("tij,tji->t", a, b)
+    if family in (Family.GL, Family.U):
+        return lhs, tr_ab
+    if family in (Family.SL, Family.SU):
+        traces = lambda m: np.trace(m, axis1=1, axis2=2)
+        return lhs, tr_ab - traces(a) * traces(b) / a.shape[-1]
+    resolved = tr_ab - np.einsum("tij,tji->t", a, np.linalg.inv(b))
+    if family in (Family.SP, Family.SO):
+        return lhs, 0.5 * resolved
+    o = unit_matrices()
+    oct_sum = np.sum(np.einsum("tij,mji->tm", a, o) * np.einsum("tij,mji->tm", b, o), axis=1)
+    return lhs, 0.5 * (resolved + oct_sum / 3.0)
 
 
 def bracket_sides(family, a: GroupElement, b: GroupElement,
@@ -148,62 +194,37 @@ def bracket_sides(family, a: GroupElement, b: GroupElement,
     family = as_family(family)
     if not (a.family is family and b.family is family and a.n == b.n):
         raise ValueError("bracket_sides needs two elements of the same family and size")
-    A, B = a.matrix, b.matrix
-    n = A.shape[0]
     if gamma is None:
         gamma = casimir_tensor(build_basis(family, a.n)).tensor
-    lhs = 0.5 * trace12(kron(A, B) @ gamma)
-    if family in (Family.GL, Family.U):
-        rhs = np.trace(A @ B)
-    elif family in (Family.SL, Family.SU):
-        rhs = np.trace(A @ B) - np.trace(A) * np.trace(B) / n
-    elif family in (Family.SP, Family.SO):
-        rhs = 0.5 * (np.trace(A @ B) - np.trace(A @ np.linalg.inv(B)))
-    else:
-        o = unit_matrices()
-        oct_sum = sum(np.trace(A @ o[i]) * np.trace(B @ o[i]) for i in range(7))
-        rhs = 0.5 * (np.trace(A @ B) - np.trace(A @ np.linalg.inv(B)) + oct_sum / 3.0)
-    return lhs, rhs
+    lhs, rhs = _bracket_stack(family, a.matrix[None], b.matrix[None], gamma)
+    return lhs[0], rhs[0]
 
 
-def _max_reduce(pairs):
-    worst_abs = 0.0
-    worst_rel = 0.0
-    for lhs, rhs in pairs:
-        err = abs(lhs - rhs)
-        worst_abs = max(worst_abs, err)
-        worst_rel = max(worst_rel, err / max(abs(rhs), 1e-12))
-    return worst_abs, worst_rel
-
-
-def _run_trials(fn, trials: int):
-    workers = thread_budget()
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+def _reduce(lhs: np.ndarray, rhs: np.ndarray):
+    """(trial with the largest absolute error, that error, largest relative error)."""
+    err = np.abs(lhs - rhs)
+    worst = int(np.argmax(err))
+    rel = err / np.maximum(np.abs(rhs), 1e-12)
+    return worst, float(err[worst]), float(np.max(rel))
 
 
 def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0,
                    scale: float = 1.0, rel_tol: float = 1e-9) -> VerificationReport:
-    """Bracket identity on ``trials`` independently sampled pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    """Bracket identity on ``trials`` independently sampled pairs.
+
+    ``params["worst_trial"]`` is the trial t with the largest absolute error
+    (substreams (t, 0), (t, 1)); ``params["resamples"]`` counts redraws.
+    """
     family = as_family(family)
     with timed_report() as clock:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
-
-        def one(trial: int):
-            sa, sb = _trial_streams(seed, trial, 2)
-            a = sample_element(family, n, sa, scale, basis)
-            b = sample_element(family, n, sb, scale, basis)
-            return bracket_sides(family, a, b, gamma)
-
-        worst_abs, worst_rel = _max_reduce(_run_trials(one, trials))
+        (a, b), resamples = _trial_draws(family, basis, seed, trials, 2, scale)
+        worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma))
     return VerificationReport(
         check="goldman-bracket",
-        params={"group": family.value, "n": basis.n, "intersections": 1},
+        params={"group": family.value, "n": basis.n, "intersections": 1,
+                "worst_trial": worst, "resamples": resamples},
         seed=seed,
         trials=trials,
         max_abs_err=worst_abs,
@@ -222,18 +243,13 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0,
     with timed_report() as clock:
         basis = build_basis(family, n)
         chi = defect_matrix(family, n)
-
-        def one(trial: int):
-            sa, sb = _trial_streams(seed, trial, 2)
-            a = sample_element(family, n, sa, scale, basis).matrix
-            b = sample_element(family, n, sb, scale, basis).matrix
-            lhs = trace12(kron(a, b) @ chi)
-            return lhs, -np.trace(a @ np.linalg.inv(b))
-
-        worst_abs, worst_rel = _max_reduce(_run_trials(one, trials))
+        (a, b), resamples = _trial_draws(family, basis, seed, trials, 2, scale)
+        lhs = trace12_pairs(a, b, chi)
+        worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)))
     return VerificationReport(
         check="defect-lemma",
-        params={"group": family.value, "n": basis.n},
+        params={"group": family.value, "n": basis.n,
+                "worst_trial": worst, "resamples": resamples},
         seed=seed,
         trials=trials,
         max_abs_err=worst_abs,
@@ -243,50 +259,35 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0,
     )
 
 
-def symplectic_inverse_residual(b: np.ndarray, n: int) -> float:
+def symplectic_inverse_residual(b: np.ndarray, n: int):
     """Worst deviation over the full entry-relation table for B in Sp(2n,R).
 
-    The relations express B^-1 through transposed blocks of B with signs,
-    e.g. (B^-1)_ij = B_{j+n,i+n} for i < j <= n and (B^-1)_{k,n+k} =
-    -B_{k,n+k}; the inverse on the left is computed by dense inversion.
+    The relations express B^-1 through transposed blocks of B with signs:
+    for all 1 <= i, j <= n, (B^-1)_ij = B_{j+n,i+n}, (B^-1)_{i,j+n} =
+    -B_{j,i+n}, (B^-1)_{i+n,j} = -B_{j+n,i} and (B^-1)_{i+n,j+n} = B_ji; the
+    inverse on the left is computed by dense inversion.  ``b`` may also be a
+    (T, 2n, 2n) stack, giving one residual per matrix.
     """
-    inv = np.linalg.inv(b)
-    # 0-based block views of the 1-based entry relations.
-    k = np.arange(n)
-    relations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            relations += [
-                (inv[i, j], b[j + n, i + n]),
-                (inv[j, i], b[i + n, j + n]),
-                (inv[i, j + n], -b[j, i + n]),
-                (inv[j, i + n], -b[i, j + n]),
-                (inv[n + i, j], -b[j + n, i]),
-                (inv[j + n, i], -b[n + i, j]),
-                (inv[i + n, j + n], b[j, i]),
-                (inv[j + n, i + n], b[i, j]),
-            ]
-    relations += list(zip(inv[k, k], b[k + n, k + n]))
-    relations += list(zip(inv[k, n + k], -b[k, n + k]))
-    relations += list(zip(inv[n + k, k], -b[n + k, k]))
-    relations += list(zip(inv[k + n, k + n], b[k, k]))
-    return max(abs(l - r) for l, r in relations)
+    b = np.asarray(b)
+    stack = b if b.ndim == 3 else b[None]
+    blk = lambda rows, cols: np.swapaxes(stack[:, rows, cols], 1, 2)
+    top, bottom = slice(0, n), slice(n, 2 * n)
+    relations = np.block([[blk(bottom, bottom), -blk(top, bottom)],
+                          [-blk(bottom, top), blk(top, top)]])
+    res = np.abs(np.linalg.inv(stack) - relations).max(axis=(1, 2))
+    return float(res[0]) if b.ndim == 2 else res
 
 
 def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0,
                               scale: float = 1.0, abs_tol: float = 1e-9) -> VerificationReport:
+    """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
     with timed_report() as clock:
         basis = build_basis(Family.SP, n)
-
-        def one(trial: int):
-            (stream,) = _trial_streams(seed, trial, 1)
-            b = sample_element(Family.SP, n, stream, scale, basis).matrix
-            return symplectic_inverse_residual(b, n), 0.0
-
-        worst_abs, _ = _max_reduce(_run_trials(one, trials))
+        (b,), resamples = _trial_draws(Family.SP, basis, seed, trials, 1, scale)
+        worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials))
     return VerificationReport(
         check="symplectic-inverse",
-        params={"n": n},
+        params={"n": n, "worst_trial": worst, "resamples": resamples},
         seed=seed,
         trials=trials,
         max_abs_err=worst_abs,
@@ -309,25 +310,15 @@ def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7,
     with timed_report() as clock:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
-        streams = _trial_streams(seed, 0, 6)
-        pair = SplitLoopPair(*(
-            sample_element(family, n, s, scale, basis).matrix for s in streams
-        ))
+        mats, _ = _trial_draws(family, basis, seed, 1, 6, scale)
+        pair = SplitLoopPair(*mats[:, 0])
         a, b = pair.a, pair.b
         trace_dev = max(
             abs(np.trace(a) - np.trace(pair.monodromy1)),
             abs(np.trace(b) - np.trace(pair.monodromy2)),
         )
-        res_a = membership_residual(family, basis.n, a)
-        res_b = membership_residual(family, basis.n, b)
-        lhs, rhs = bracket_sides(
-            family,
-            GroupElement(family, basis.n, a, res_a),
-            GroupElement(family, basis.n, b, res_b),
-            gamma,
-        )
-        bracket_dev = abs(lhs - rhs)
-        worst = max(trace_dev, bracket_dev)
+        (lhs,), (rhs,) = _bracket_stack(family, a[None], b[None], gamma)
+        worst = max(trace_dev, abs(lhs - rhs))
     return VerificationReport(
         check="split-harness",
         params={"group": family.value, "n": basis.n},

@@ -43,10 +43,10 @@ def unit_matrix(i: int, j: int, n: int, dtype=np.float64) -> np.ndarray:
     return m
 
 
-def _require_square(a: np.ndarray, name: str) -> np.ndarray:
+def _require_square(a: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{name} must be a square matrix or stack, got shape {a.shape}")
     return a
 
 
@@ -71,6 +71,17 @@ def trace12(m: np.ndarray):
     return np.trace(m)
 
 
+def trace12_pairs(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """tr_12[(A_t (x) B_t) M] = sum A[t,i,j] B[t,k,l] M[(j,l),(i,k)] for two (T, d, d) stacks.
+
+    O(d^4) per pair (one matrix product over k, l), where kron(A, B) @ M costs O(d^6).
+    """
+    t, d = b.shape[0], b.shape[-1]
+    m4 = _require_square(m, "M").reshape(d, d, d, d)
+    half = b.reshape(t, d * d) @ m4.transpose(3, 1, 0, 2).reshape(d * d, d * d)
+    return np.einsum("tij,tji->t", a, half.reshape(t, d, d))
+
+
 def permutation_matrix(n: int) -> np.ndarray:
     """The tensor-swap operator P = sum_{k,j} e_{jk} (x) e_{kj}.
 
@@ -89,10 +100,12 @@ def permutation_matrix(n: int) -> np.ndarray:
 def mat_exp(x: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy).
 
+    ``x`` may be a (T, d, d) stack: scipy exponentiates each matrix alone
+    (Al-Mohy & Higham 2009), so a row is bitwise its exponential alone.
     Samplers feed this arguments with norm O(1), where the result is accurate
     to ~1e-14.  Raises NumericError if the result is not finite.
     """
-    x = _require_square(x, "X")
+    x = _require_square(x, "X", stack=True)
     if not np.all(np.isfinite(x)):
         raise NumericError("mat_exp input has non-finite entries")
     e = scipy.linalg.expm(x)

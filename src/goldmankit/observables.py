@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import Family
-from .goldman import sample_element
+from .goldman import sample_elements
 from .linalg import max_abs
 from .octonions import unit_matrices
 from .reports import VerificationReport, timed_report
@@ -223,7 +223,7 @@ def random_instance(spec: ObservableSpec, seed: int = 0, scale: float = 1.0) -> 
         np.random.SeedSequence(entropy=seed, spawn_key=(0, k))
         for k in range(spec.n_loops + n_coeff)
     ]
-    mats = [sample_element(Family.G2, 1, s, scale).matrix for s in streams]
+    mats, _, _ = sample_elements(Family.G2, 1, streams, scale)
     monos = tuple(mats[: spec.n_loops])
     alphas = tuple(mats[spec.n_loops: spec.n_loops + spec.n1 - spec.r])
     betas = tuple(mats[spec.n_loops + spec.n1 - spec.r:])
@@ -319,9 +319,10 @@ def invariance_test(inst: ObservableInstance, trials: int = 50, seed: int = 0,
         scale_ref = max(1.0, abs(base))
         worst = 0.0
         control = 0.0
-        for trial in range(trials):
-            stream = np.random.SeedSequence(entropy=seed, spawn_key=(1, trial))
-            g = sample_element(Family.G2, 1, stream).matrix
+        streams = [np.random.SeedSequence(entropy=seed, spawn_key=(1, trial))
+                   for trial in range(trials)]
+        gauges, _, _ = sample_elements(Family.G2, 1, streams)
+        for g in gauges:
             value = evaluate(inst.conjugated(g))
             worst = max(worst, abs(value - base) / scale_ref)
             control = max(control, negative_control(inst.monodromies[0], g))

@@ -161,23 +161,26 @@ def automorphism_residual(g: np.ndarray) -> float:
     g acts on imaginary units by g(e_i) = sum_j e_j g_{ji} and fixes 1; the
     residual is max_{i,j} |g(e_i) g(e_j) - g(e_i e_j)| over all components.
     Exactly the elements of the 14-dimensional exceptional group drive this
-    to zero.
+    to zero.  ``g`` may also be a (T, 7, 7) stack, giving one residual per
+    matrix.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (7, 7):
-        raise ValueError(f"expected a 7x7 matrix, got shape {g.shape}")
-    ortho = max_abs(g.T @ g - np.eye(7))
-    if ortho > 1e-8:
-        raise ValueError(f"matrix is not orthogonal (||g^T g - I|| = {ortho:.3e})")
+    if g.ndim not in (2, 3) or g.shape[-2:] != (7, 7):
+        raise ValueError(f"expected a 7x7 matrix or a stack of them, got shape {g.shape}")
+    stack = g if g.ndim == 3 else g[None]
+    # Re g(e_i) g(e_j) = -<g e_i, g e_j> against -delta_ij: the orthogonality residual.
+    ortho = np.abs(np.swapaxes(stack, 1, 2) @ stack - np.eye(7)).max(axis=(1, 2))
+    if np.any(ortho > 1e-8):
+        raise ValueError(f"matrix is not orthogonal (||g^T g - I|| = {ortho.max():.3e})")
     eps = eps_table().astype(np.float64)
-    # Imaginary part of g(e_i) g(e_j): columns of g multiply through the table.
-    prod_im = np.einsum("abk,ai,bj->kij", eps, g, g)
-    # Real part of g(e_i) g(e_j) is -<g e_i, g e_j> = -delta_ij by orthogonality.
-    prod_re = -(g.T @ g)
+    # Imaginary part of g(e_i) g(e_j): columns of g multiply through the table,
+    # sum_ab eps_abk g_ai g_bj, as two matrix products (first over a, then b).
+    half = eps.reshape(7, 49).T @ stack  # [t, (b, k), i]
+    prod_im = np.swapaxes(half.reshape(-1, 7, 49), 1, 2) @ stack  # [t, (k, i), j]
     # g applied to e_i e_j = -delta_ij + eps_ijc e_c.
-    target_im = np.einsum("ijc,kc->kij", eps, g)
-    target_re = -np.eye(7)
-    return max(max_abs(prod_im - target_im), max_abs(prod_re - target_re))
+    target_im = stack @ eps.reshape(49, 7).T  # [t, k, (i, j)]
+    res = np.maximum(np.abs(prod_im.reshape(target_im.shape) - target_im).max(axis=(1, 2)), ortho)
+    return float(res[0]) if g.ndim == 2 else res
 
 
 def conjugation_residual(g: np.ndarray) -> float:

@@ -192,9 +192,6 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
     (unless they are structurally identical, in which case the bracket is 0
     by antisymmetry).
     """
-    if expressions_equal(lhs, rhs):
-        return ZERO
-
     def bases(expr):
         out = set()
         for m in expr.monomials:
@@ -202,8 +199,12 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
                 out |= base_loops(t.loop)
         return out
 
+    # Only operands sharing a loop can be equal (traceless ones bracket to 0
+    # anyway), so the canonical-encoding equality test runs only then.
     shared = bases(lhs) & bases(rhs)
     if shared:
+        if expressions_equal(lhs, rhs):
+            return ZERO
         raise BracketError(
             "expressions share base loops "
             f"{sorted(shared)}; atom pairs must bracket across distinct loops"

@@ -39,6 +39,14 @@ def test_closed_forms(family, n):
     assert report.passed, f"{family} n={n}: residual {report.max_abs_err}"
 
 
+@pytest.mark.parametrize("family,n", GRID + [(Family.GL, 12), (Family.SP, 5)])
+def test_contraction_matches_kron_sum(family, n):
+    # reference: the generator sum term by term, one kron per generator
+    basis = build_basis(family, n)
+    literal = sum(s * kron(g, g) for s, g in zip(basis.signs, basis.generators))
+    assert max_abs(casimir_tensor(basis).tensor - literal) < 1e-14
+
+
 @pytest.mark.parametrize("family,n", GRID)
 def test_swap_symmetry(family, n):
     tensor = casimir_tensor(build_basis(family, n))
@@ -75,6 +83,36 @@ def test_sp1_defect_matrix_explicit():
         - kron(e(1, 1), e(2, 2)) - kron(e(2, 2), e(1, 1))
     )
     assert max_abs(defect_matrix(Family.SP, 1) - expected) == 0.0
+
+
+def _literal_defect_matrix(family, n):
+    # reference: the paper's sums term by term, one kron per term
+    if family is Family.SO:
+        return -sum(kron(unit_matrix(i, j, n), unit_matrix(i, j, n))
+                    for i in range(1, n + 1) for j in range(1, n + 1))
+    d = 2 * n
+    e = lambda i, j: unit_matrix(i, j, d)
+    chi = np.zeros((d * d, d * d))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            chi += (
+                kron(e(i, j + n), e(i + n, j)) + kron(e(j, i + n), e(j + n, i))
+                + kron(e(j + n, i), e(j, i + n)) + kron(e(i + n, j), e(i, j + n))
+                - kron(e(i, j), e(i + n, j + n)) - kron(e(j + n, i + n), e(j, i))
+                - kron(e(j, i), e(j + n, i + n)) - kron(e(i + n, j + n), e(i, j))
+            )
+    for k in range(1, n + 1):
+        chi += (
+            kron(e(k, n + k), e(n + k, k)) + kron(e(n + k, k), e(k, n + k))
+            - kron(e(k, k), e(k + n, k + n)) - kron(e(k + n, k + n), e(k, k))
+        )
+    return chi
+
+
+@pytest.mark.parametrize("family,n", [(Family.SP, n) for n in range(1, 5)]
+                         + [(Family.SO, n) for n in (2, 3, 7)])
+def test_defect_matrix_matches_literal_sums(family, n):
+    assert np.array_equal(defect_matrix(family, n), _literal_defect_matrix(family, n))
 
 
 def test_defect_traces():

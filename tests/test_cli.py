@@ -137,3 +137,17 @@ def test_exotic_evaluate_embedded_instance(tmp_path, capsys):
     assert run(["--json", "exotic", "evaluate", "--spec", str(path)]) == 0
     value = json.loads(capsys.readouterr().out)["value"]
     assert abs(value - obs.evaluate(inst)) < 1e-12
+
+
+def test_numeric_error_exits_2_without_traceback(monkeypatch, capsys):
+    from goldmankit import goldman
+    from goldmankit.linalg import NumericError
+
+    def failing_exp(x):
+        raise NumericError("mat_exp did not converge")
+
+    monkeypatch.setattr(goldman, "mat_exp", failing_exp)
+    assert run(["verify", "bracket", "--group", "su", "--n", "2", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: mat_exp did not converge")
+    assert "Traceback" not in captured.err

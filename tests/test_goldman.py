@@ -10,6 +10,7 @@ from goldmankit.goldman import (
     bracket_sides,
     membership_residual,
     sample_element,
+    sample_elements,
     split_harness,
     symplectic_inverse_residual,
     verify_bracket,
@@ -140,6 +141,38 @@ def test_symplectic_inverse_identity():
         assert symplectic_inverse_residual(np.eye(2 * n), n) == 0.0
 
 
+def _literal_symplectic_residual(b, n):
+    # reference: the entry-relation table, one relation at a time
+    inv = np.linalg.inv(b)
+    relations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            relations += [
+                (inv[i, j], b[j + n, i + n]), (inv[j, i], b[i + n, j + n]),
+                (inv[i, j + n], -b[j, i + n]), (inv[j, i + n], -b[i, j + n]),
+                (inv[n + i, j], -b[j + n, i]), (inv[j + n, i], -b[n + i, j]),
+                (inv[i + n, j + n], b[j, i]), (inv[j + n, i + n], b[i, j]),
+            ]
+    for k in range(n):
+        relations += [(inv[k, k], b[k + n, k + n]), (inv[k, n + k], -b[k, n + k]),
+                      (inv[n + k, k], -b[n + k, k]), (inv[k + n, k + n], b[k, k])]
+    assert len(relations) == 4 * n * n
+    return max(abs(l - r) for l, r in relations)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_symplectic_residual_matches_relation_table(n):
+    mats, _, _ = sample_elements(Family.SP, n, range(6))
+    stacked = symplectic_inverse_residual(mats, n)
+    for t in range(6):
+        assert stacked[t] == symplectic_inverse_residual(mats[t], n)
+        assert stacked[t] == _literal_symplectic_residual(mats[t], n)
+    # a perturbed entry shows up in the residual
+    bent = mats[0].copy()
+    bent[0, -1] += 1e-3
+    assert symplectic_inverse_residual(bent, n) > 1e-4
+
+
 def test_symplectic_inverse_diag_relation():
     b = sample_element(Family.SP, 1, seed=8).matrix
     inv = np.linalg.inv(b)
@@ -177,17 +210,69 @@ def test_membership_residual_families():
 @pytest.mark.parametrize("family,n", ALL_FAMILIES)
 def test_sampler_residual_sweep(family, n):
     # 10^4 draws per family at scale 1 never leave the 1e-8 membership band
+    streams = [np.random.SeedSequence(entropy=99, spawn_key=(trial,)) for trial in range(10_000)]
+    _, residuals, resamples = sample_elements(family, n, streams, 1.0)
+    assert residuals.shape == (10_000,) and resamples == 0
+    assert residuals.max() < 1e-8
+
+
+@pytest.mark.parametrize("family,n", ALL_FAMILIES)
+def test_batched_rows_equal_single_draws(family, n):
+    # row t of a stacked draw is bitwise the element drawn alone from its substream
     basis = build_basis(family, n)
-    worst = 0.0
-    for trial in range(10_000):
-        stream = np.random.SeedSequence(entropy=99, spawn_key=(trial,))
-        worst = max(worst, sample_element(family, n, stream, 1.0, basis).membership_residual)
-    assert worst < 1e-8
+    trials = 9
+    streams = [np.random.SeedSequence(entropy=6, spawn_key=(t, k))
+               for k in range(2) for t in range(trials)]
+    mats, residuals, _ = sample_elements(family, n, streams, 1.0, basis)
+    for row, stream in enumerate(streams):
+        t, k = stream.spawn_key
+        alone = sample_element(family, n, np.random.SeedSequence(entropy=6, spawn_key=(t, k)),
+                               1.0, basis)
+        assert np.array_equal(mats[row], alone.matrix), (t, k)
+        assert residuals[row] < 1e-8
 
 
-def test_thread_budget_does_not_change_results(monkeypatch):
-    baseline = verify_bracket(Family.SO, 4, trials=24, seed=6)
-    monkeypatch.setenv("GOLDMANKIT_THREADS", "4")
-    threaded = verify_bracket(Family.SO, 4, trials=24, seed=6)
-    assert threaded.max_abs_err == baseline.max_abs_err
-    assert threaded.max_rel_err == baseline.max_rel_err
+def test_verify_bracket_report_is_reproducible():
+    first = verify_bracket(Family.SO, 4, trials=24, seed=6)
+    second = verify_bracket(Family.SO, 4, trials=24, seed=6)
+    assert first.body() == second.body()
+
+
+@pytest.mark.parametrize("family,n", [(Family.G2, 1), (Family.GL, 12), (Family.SU, 3)])
+def test_worst_trial_replays_alone(family, n):
+    report = verify_bracket(family, n, trials=30, seed=4, scale=2.0)
+    worst = report.params["worst_trial"]
+    assert 0 <= worst < 30 and report.params["resamples"] == 0
+    basis = build_basis(family, n)
+    a, b = (sample_element(family, n, np.random.SeedSequence(entropy=4, spawn_key=(worst, k)),
+                           2.0, basis) for k in range(2))
+    lhs, rhs = bracket_sides(family, a, b)
+    assert abs(abs(lhs - rhs) - report.max_abs_err) <= 1e-13
+
+
+def test_defect_and_symplectic_report_worst_trial():
+    defect = verify_defect(Family.SO, 4, trials=12, seed=3)
+    chi = defect_matrix(Family.SO, 4)
+    t = defect.params["worst_trial"]
+    a, b = (sample_element(Family.SO, 4, np.random.SeedSequence(entropy=3, spawn_key=(t, k))).matrix
+            for k in range(2))
+    err = abs(trace12(np.kron(a, b) @ chi) + np.trace(a @ np.linalg.inv(b)))
+    assert abs(err - defect.max_abs_err) <= 1e-13 and defect.params["resamples"] == 0
+    inverse = verify_symplectic_inverse(2, trials=12, seed=3)
+    t = inverse.params["worst_trial"]
+    b = sample_element(Family.SP, 2, np.random.SeedSequence(entropy=3, spawn_key=(t, 0))).matrix
+    assert symplectic_inverse_residual(b, 2) == inverse.max_abs_err
+
+
+def test_verify_rejects_zero_trials():
+    with pytest.raises(ValueError):
+        verify_defect(Family.SO, 3, trials=0)
+    with pytest.raises(ValueError):
+        verify_symplectic_inverse(1, trials=0)
+
+
+def test_stacked_residuals_match_single():
+    for family, n in ALL_FAMILIES:
+        mats, residuals, _ = sample_elements(family, n, range(4))
+        for t in range(4):
+            assert abs(membership_residual(family, n, mats[t]) - residuals[t]) <= 1e-15

@@ -130,6 +130,42 @@ def test_bracket_leibniz_over_products():
 def test_bracket_rejects_shared_base_loops():
     with pytest.raises(sym.BracketError, match="share base loops"):
         sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(a.b)"))
+    x = sym.parse_expr("sum i: tr(a; O i) * tr(b; O i)")
+    with pytest.raises(sym.BracketError, match="share base loops"):
+        sym.bracket(x, x * sym.parse_expr("tr(c)"))
+
+
+def test_bracket_of_disjoint_operands_encodes_only_in_final_normalize(monkeypatch):
+    import importlib
+
+    from goldmankit.symbolic import core
+
+    # the package exports the function ``bracket`` under the module's name
+    bracket_mod = importlib.import_module("goldmankit.symbolic.bracket")
+
+    calls = {"outside": 0, "inside": 0}
+    in_normalize = []
+    encode, normalize = core.canonical_encoding, bracket_mod.normalize
+
+    def counting_encode(m):
+        calls["inside" if in_normalize else "outside"] += 1
+        return encode(m)
+
+    def final_normalize(expr):
+        in_normalize.append(True)
+        try:
+            return normalize(expr)
+        finally:
+            in_normalize.pop()
+
+    product = sym.parse_expr(
+        "sum i j k: tr(a; O i) * tr(b; O i) * tr(a; O j) * tr(b; O j) * tr(a; O k) * tr(b; O k)"
+    )
+    monkeypatch.setattr(core, "canonical_encoding", counting_encode)
+    monkeypatch.setattr(bracket_mod, "normalize", final_normalize)
+    result = sym.bracket(sym.parse_expr("tr(c)"), product)
+    assert result.monomials
+    assert calls["outside"] == 0 and calls["inside"] > 0
 
 
 def test_plain_by_decorated_keeps_word_and_flips_no_sign():
