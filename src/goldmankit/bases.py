@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import max_abs, unit_matrix
-from .reports import VerificationReport, timed_report
+from .reports import CheckRun, VerificationReport
 
 
 class Family(str, Enum):
@@ -288,18 +288,11 @@ def normalization_residual(basis: LieBasis) -> float:
 
 def check_normalization(basis: LieBasis, abs_tol: float = 1e-12) -> VerificationReport:
     """Normalization condition (1/2) tr(t_a t_b) = f(a) delta_ab as a report."""
-    with timed_report() as clock:
+    with CheckRun("normalization", trials=len(basis) ** 2) as run:
         residual = normalization_residual(basis)
-    return VerificationReport(
-        check="normalization",
-        params={"group": basis.family.value, "n": basis.n},
-        seed=0,
-        trials=len(basis) ** 2,
-        max_abs_err=residual,
-        max_rel_err=0.0,
-        passed=residual < abs_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=residual < abs_tol, max_abs_err=residual,
+                   params={"group": basis.family.value, "n": basis.n})
+    return run.report
 
 
 def closure_rank(basis: LieBasis, threshold: float = 1e-8) -> int:

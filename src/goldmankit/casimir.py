@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import Family, LieBasis, as_family, build_basis, matrix_side, normalization_residual
+from .bases import (
+    Family, LieBasis, as_family, build_basis, gell_mann, matrix_side, normalization_residual,
+)
 from .linalg import kron, max_abs, permutation_matrix, real_part, unit_matrix
 from .octonions import unit_matrices
-from .reports import VerificationReport, timed_report
+from .reports import CheckRun, VerificationReport
 
 
 class NormalizationError(ValueError):
@@ -109,20 +111,13 @@ def closed_form(family, n: int) -> np.ndarray:
 def verify_closed_form(family, n: int = 1, abs_tol: float = 1e-12) -> VerificationReport:
     """Entrywise |Gamma_from_basis - closed form| < abs_tol."""
     family = as_family(family)
-    with timed_report() as clock:
+    with CheckRun("casimir-closed-form") as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         residual = max_abs(gamma - closed_form(family, n))
-    return VerificationReport(
-        check="casimir-closed-form",
-        params={"group": family.value, "n": basis.n},
-        seed=0,
-        trials=1,
-        max_abs_err=residual,
-        max_rel_err=0.0,
-        passed=residual < abs_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=residual < abs_tol, max_abs_err=residual,
+                   params={"group": family.value, "n": basis.n})
+    return run.report
 
 
 def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> dict:
@@ -134,8 +129,6 @@ def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> di
     """
     if n < 2:
         raise ValueError(f"tensor lemmas need n >= 2, got {n}")
-    from .bases import gell_mann
-
     gm = gell_mann(n)
     hs = gm[:n]
     offs = gm[n:]
@@ -163,16 +156,8 @@ def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> di
 
 
 def verify_tensor_lemmas(n: int, seed: int = 0, abs_tol: float = 1e-13) -> VerificationReport:
-    with timed_report() as clock:
+    with CheckRun("tensor-lemmas", seed=seed, trials=3) as run:
         res = tensor_lemma_residuals(n, np.random.default_rng(np.random.SeedSequence(seed)))
         worst = max(res.values())
-    return VerificationReport(
-        check="tensor-lemmas",
-        params={"n": n},
-        seed=seed,
-        trials=3,
-        max_abs_err=worst,
-        max_rel_err=0.0,
-        passed=worst < abs_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=worst < abs_tol, max_abs_err=worst, params={"n": n})
+    return run.report

@@ -23,7 +23,7 @@ from . import symbolic as _sym
 from .bases import Family, build_basis, check_normalization
 from .linalg import NumericError
 from .octonions import conjugation_residual, structure_residual, unit_matrices
-from .reports import VerificationReport, timed_report
+from .reports import CheckRun, VerificationReport
 
 FAMILY_CHOICES = [f.value for f in Family]
 
@@ -77,124 +77,96 @@ class _Emitter:
         return 0 if self.all_passed else 1
 
 
-def _sizes_for(family: Family, n: int | None):
-    if n is not None:
-        return (n,)
-    return ALL_GRID[family]
+def _per_size(check, families=tuple(Family)):
+    """Suite running ``check(family, size, args)`` over families and sizes.
+
+    The given family (or, when it is not one of ``families``, every one of
+    them) at the given size (or its ``ALL_GRID`` sizes).
+    """
+    def suite(family, n, args):
+        for fam in [family] if family in families else families:
+            for size in (n,) if n is not None else ALL_GRID[fam]:
+                yield check(fam, size, args)
+    return suite
 
 
-def _verify_normalization(em, family, n, args):
-    for size in _sizes_for(family, n):
-        em.emit(check_normalization(build_basis(family, size), _tol(args.tol_abs, 1e-12)))
-
-
-def _verify_casimir(em, family, n, args):
-    for size in _sizes_for(family, n):
-        em.emit(_casimir.verify_closed_form(family, size, _tol(args.tol_abs, 1e-12)))
-
-
-def _verify_bracket(em, family, n, args):
-    for size in _sizes_for(family, n):
-        em.emit(_goldman.verify_bracket(
-            family, size, trials=args.trials, seed=args.seed,
-            rel_tol=_tol(args.tol_rel, 1e-9),
-        ))
-
-
-def _verify_defect(em, family, n, args):
-    fams = [family] if family in (Family.SP, Family.SO) else [Family.SP, Family.SO]
-    for fam in fams:
-        for size in _sizes_for(fam, n):
-            em.emit(_goldman.verify_defect(fam, size, trials=args.trials, seed=args.seed))
-
-
-def _verify_symplectic(em, n, args):
+def _symplectic_inverse(family, n, args):
     for size in (n,) if n is not None else (1, 2, 3):
-        em.emit(_goldman.verify_symplectic_inverse(size, trials=args.trials, seed=args.seed))
+        yield _goldman.verify_symplectic_inverse(size, trials=args.trials, seed=args.seed)
 
 
-def _verify_octonion(em, args):
-    with timed_report() as clock:
+def _octonion(family, n, args):
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    with CheckRun("octonion-structure", trials=49) as run:
         unit_matrices()  # includes the rebuild self-test
         structural = structure_residual()
-    em.emit(VerificationReport(
-        check="octonion-structure", params={}, seed=0, trials=49,
-        max_abs_err=structural, max_rel_err=0.0,
-        passed=structural == 0.0, elapsed_ms=clock.ms,
-    ))
-    with timed_report() as clock:
+        run.record(passed=structural == 0.0, max_abs_err=structural)
+    yield run.report
+    with CheckRun("octonion-conjugation", seed=args.seed, trials=args.trials) as run:
         streams = [np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,))
                    for trial in range(args.trials)]
         gs, _, _ = _goldman.sample_elements(Family.G2, 1, streams)
-        worst = max((conjugation_residual(g) for g in gs), default=0.0)
-    em.emit(VerificationReport(
-        check="octonion-conjugation", params={}, seed=args.seed, trials=args.trials,
-        max_abs_err=worst, max_rel_err=0.0, passed=worst < 1e-8, elapsed_ms=clock.ms,
-    ))
+        worst = max(conjugation_residual(g) for g in gs)
+        run.record(passed=worst < 1e-8, max_abs_err=worst)
+    yield run.report
 
 
-def _verify_split(em, family, n, args):
-    for size in _sizes_for(family, n):
-        em.emit(_goldman.split_harness(family, size, seed=args.seed))
-
-
-def _verify_tensor_lemmas(em, args):
-    for size in (2, 3, 4):
-        em.emit(_casimir.verify_tensor_lemmas(size, seed=args.seed))
-
-
-def _verify_exotic(em, args):
+def _exotic(family, n, args):
     for spec in (
         _obs.ObservableSpec.make(1, 1, 0, 0, 1, [[1]], []),
         _obs.ObservableSpec.make(2, 2, 0, 1, 2, [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
     ):
         inst = _obs.random_instance(spec, seed=args.seed)
-        em.emit(_obs.invariance_test(inst, trials=min(args.trials, 10), seed=args.seed))
+        yield _obs.invariance_test(inst, trials=min(args.trials, 10), seed=args.seed)
 
 
-def _verify_symbolic(em, args):
-    with timed_report() as clock:
+def _symbolic(family, n, args):
+    with CheckRun("symbolic-worked-example") as run:
         diff = _sym.reproduce_examples()
-    em.emit(VerificationReport(
-        check="symbolic-worked-example",
-        params={"terms": diff.term_count}, seed=0, trials=1,
-        max_abs_err=0.0 if diff.passed else 1.0, max_rel_err=0.0,
-        passed=diff.passed, elapsed_ms=clock.ms,
-    ))
+        run.record(passed=diff.passed, max_abs_err=0.0 if diff.passed else 1.0,
+                   params={"terms": diff.term_count})
+    yield run.report
     expr = _sym.bracket(_sym.parse_expr("tr(a)"), _sym.parse_expr("tr(b)"))
-    result = _sym.closure_check(expr, seed=args.seed)
-    em.emit(result.report)
+    yield _sym.closure_check(expr, seed=args.seed).report
+
+
+# Every suite of `verify`, in the order `verify all` runs them.  A suite is
+# called as suite(family, n, args) with family and n None for "not given".
+VERIFY_SUITES = {
+    "normalization": _per_size(lambda fam, size, args: check_normalization(
+        build_basis(fam, size), _tol(args.tol_abs, 1e-12))),
+    "casimir": _per_size(lambda fam, size, args: _casimir.verify_closed_form(
+        fam, size, _tol(args.tol_abs, 1e-12))),
+    "tensor-lemmas": lambda family, n, args: (
+        _casimir.verify_tensor_lemmas(size, seed=args.seed) for size in (2, 3, 4)),
+    "bracket": _per_size(lambda fam, size, args: _goldman.verify_bracket(
+        fam, size, trials=args.trials, seed=args.seed, rel_tol=_tol(args.tol_rel, 1e-9))),
+    "defect": _per_size(lambda fam, size, args: _goldman.verify_defect(
+        fam, size, trials=args.trials, seed=args.seed), families=(Family.SP, Family.SO)),
+    "symplectic-inverse": _symplectic_inverse,
+    "octonion": _octonion,
+    "split": _per_size(lambda fam, size, args: _goldman.split_harness(
+        fam, size, seed=args.seed)),
+    "exotic": _exotic,
+    "symbolic": _symbolic,
+}
 
 
 def cmd_verify(args) -> int:
+    """Run one suite, or with ``all`` every suite over its full grid.
+
+    ``all`` ignores ``--group`` and ``--n``.
+    """
     em = _Emitter(args.json, args.quiet)
-    family = Family(args.group) if getattr(args, "group", None) else None
-    n = getattr(args, "n", None)
-    what = args.what
-    if what in ("normalization", "all"):
-        for fam in [family] if (family and what != "all") else list(Family):
-            _verify_normalization(em, fam, n if what != "all" else None, args)
-    if what in ("casimir", "all"):
-        for fam in [family] if (family and what != "all") else list(Family):
-            _verify_casimir(em, fam, n if what != "all" else None, args)
-    if what in ("tensor-lemmas", "all"):
-        _verify_tensor_lemmas(em, args)
-    if what in ("bracket", "all"):
-        for fam in [family] if (family and what != "all") else list(Family):
-            _verify_bracket(em, fam, n if what != "all" else None, args)
-    if what in ("defect", "all"):
-        _verify_defect(em, family, n if what != "all" else None, args)
-    if what in ("symplectic-inverse", "all"):
-        _verify_symplectic(em, n if what != "all" else None, args)
-    if what in ("octonion", "all"):
-        _verify_octonion(em, args)
-    if what in ("split", "all"):
-        for fam in [family] if (family and what != "all") else list(Family):
-            _verify_split(em, fam, n if what != "all" else None, args)
-    if what in ("exotic", "all"):
-        _verify_exotic(em, args)
-    if what in ("symbolic", "all"):
-        _verify_symbolic(em, args)
+    if args.what == "all":
+        suites, family, n = VERIFY_SUITES.values(), None, None
+    else:
+        suites = [VERIFY_SUITES[args.what]]
+        family, n = Family(args.group) if args.group else None, args.n
+    for suite in suites:
+        for report in suite(family, n, args):
+            em.emit(report)
     return em.exit_code()
 
 
@@ -297,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("what", choices=[
-        "all", "normalization", "casimir", "tensor-lemmas", "bracket",
-        "defect", "symplectic-inverse", "octonion", "split", "exotic", "symbolic",
-    ])
+    p_verify.add_argument("what", choices=["all", *VERIFY_SUITES])
     p_verify.add_argument("--group", choices=FAMILY_CHOICES)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--trials", type=int, default=100)

@@ -30,7 +30,7 @@ from .bases import Family, LieBasis, as_family, build_basis, symplectic_form
 from .casimir import casimir_tensor, defect_matrix
 from .linalg import NumericError, mat_exp, trace12_pairs
 from .octonions import automorphism_residual, unit_matrices
-from .reports import VerificationReport, timed_report
+from .reports import CheckRun, VerificationReport
 
 _RESAMPLE_LIMIT = 8
 _MEMBERSHIP_TOL = 1e-8
@@ -216,22 +216,15 @@ def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0,
     (substreams (t, 0), (t, 1)); ``params["resamples"]`` counts redraws.
     """
     family = as_family(family)
-    with timed_report() as clock:
+    with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         (a, b), resamples = _trial_draws(family, basis, seed, trials, 2, scale)
         worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma))
-    return VerificationReport(
-        check="goldman-bracket",
-        params={"group": family.value, "n": basis.n, "intersections": 1,
-                "worst_trial": worst, "resamples": resamples},
-        seed=seed,
-        trials=trials,
-        max_abs_err=worst_abs,
-        max_rel_err=worst_rel,
-        passed=worst_rel < rel_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=worst_rel < rel_tol, max_abs_err=worst_abs, max_rel_err=worst_rel,
+                   params={"group": family.value, "n": basis.n, "intersections": 1,
+                           "worst_trial": worst, "resamples": resamples})
+    return run.report
 
 
 def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0,
@@ -240,23 +233,16 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0,
     family = as_family(family)
     if family not in (Family.SP, Family.SO):
         raise ValueError(f"defect lemma applies to sp/so only, got {family.value}")
-    with timed_report() as clock:
+    with CheckRun("defect-lemma", seed=seed, trials=trials) as run:
         basis = build_basis(family, n)
         chi = defect_matrix(family, n)
         (a, b), resamples = _trial_draws(family, basis, seed, trials, 2, scale)
         lhs = trace12_pairs(a, b, chi)
         worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)))
-    return VerificationReport(
-        check="defect-lemma",
-        params={"group": family.value, "n": basis.n,
-                "worst_trial": worst, "resamples": resamples},
-        seed=seed,
-        trials=trials,
-        max_abs_err=worst_abs,
-        max_rel_err=worst_rel,
-        passed=worst_abs < abs_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=worst_abs < abs_tol, max_abs_err=worst_abs, max_rel_err=worst_rel,
+                   params={"group": family.value, "n": basis.n,
+                           "worst_trial": worst, "resamples": resamples})
+    return run.report
 
 
 def symplectic_inverse_residual(b: np.ndarray, n: int):
@@ -281,20 +267,13 @@ def symplectic_inverse_residual(b: np.ndarray, n: int):
 def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0,
                               scale: float = 1.0, abs_tol: float = 1e-9) -> VerificationReport:
     """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
-    with timed_report() as clock:
+    with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
         basis = build_basis(Family.SP, n)
         (b,), resamples = _trial_draws(Family.SP, basis, seed, trials, 1, scale)
         worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials))
-    return VerificationReport(
-        check="symplectic-inverse",
-        params={"n": n, "worst_trial": worst, "resamples": resamples},
-        seed=seed,
-        trials=trials,
-        max_abs_err=worst_abs,
-        max_rel_err=0.0,
-        passed=worst_abs < abs_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=worst_abs < abs_tol, max_abs_err=worst_abs,
+                   params={"n": n, "worst_trial": worst, "resamples": resamples})
+    return run.report
 
 
 def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7,
@@ -307,7 +286,7 @@ def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7,
     (cyclicity) and still satisfy the bracket identity.
     """
     family = as_family(family)
-    with timed_report() as clock:
+    with CheckRun("split-harness", seed=seed) as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         mats, _ = _trial_draws(family, basis, seed, 1, 6, scale)
@@ -319,13 +298,7 @@ def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7,
         )
         (lhs,), (rhs,) = _bracket_stack(family, a[None], b[None], gamma)
         worst = max(trace_dev, abs(lhs - rhs))
-    return VerificationReport(
-        check="split-harness",
-        params={"group": family.value, "n": basis.n},
-        seed=seed,
-        trials=1,
-        max_abs_err=worst,
-        max_rel_err=worst / max(abs(rhs), 1e-12),
-        passed=worst < abs_tol,
-        elapsed_ms=clock.ms,
-    )
+        run.record(passed=worst < abs_tol, max_abs_err=worst,
+                   max_rel_err=worst / max(abs(rhs), 1e-12),
+                   params={"group": family.value, "n": basis.n})
+    return run.report

@@ -21,8 +21,9 @@ between the blocks l_{2n1-r+s+*} (odd offsets) and l_{2n1-r+n2+*} (even
 offsets).  Every index thus occurs in exactly two factors.
 
 Two evaluation engines are provided: a literal sum over all 7^#indices
-tuples (the reference oracle, refused above a configurable budget) and a
-factorized einsum contraction (the fast path).  Invariance is under
+tuples (the reference oracle, refused above a configurable budget) and the
+factorized einsum contraction ``contract`` (the fast path, which also
+evaluates the monomials of the symbolic engine).  Invariance is under
 *simultaneous* conjugation of every monodromy and every alpha/beta by one
 group element; nothing is claimed when the coefficients are held fixed.
 """
@@ -31,15 +32,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import Family
 from .goldman import sample_elements
-from .linalg import max_abs
 from .octonions import unit_matrices
-from .reports import VerificationReport, timed_report
+from .reports import CheckRun, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ def validate_spec(spec: ObservableSpec) -> list[str]:
     return errors
 
 
-def _require_valid(spec: ObservableSpec):
+def require_valid(spec: ObservableSpec):
+    """Raise ValueError listing every violation unless the spec is valid."""
     errors = validate_spec(spec)
     if errors:
         raise ValueError("invalid observable spec: " + "; ".join(errors))
@@ -217,7 +218,7 @@ class ObservableInstance:
 
 
 def random_instance(spec: ObservableSpec, seed: int = 0, scale: float = 1.0) -> ObservableInstance:
-    _require_valid(spec)
+    require_valid(spec)
     n_coeff = (spec.n1 - spec.r) + (spec.n2 - spec.s)
     streams = [
         np.random.SeedSequence(entropy=seed, spawn_key=(0, k))
@@ -239,20 +240,40 @@ def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
     return np.einsum("...aa->...", x)
 
 
-def _operands(inst: ObservableInstance):
-    """einsum operand/index-label list for the full contraction."""
+def contract(traces, coeffs, value: float = 1.0) -> float:
+    """value * sum over the index ids of prod tr(M O_word) * prod C[row, col].
+
+    ``traces`` are (matrix, word) factors, a word being a sequence of index
+    ids; ``coeffs`` are (matrix, row id, col id) factors.  Every id is summed
+    over 1..7.  Empty-word traces are plain scalars; the rest is one greedy
+    einsum over the word tables and coefficient matrices.
+    """
+    labels: dict = {}  # einsum labels must stay below its symbol count
+    lab = lambda i: labels.setdefault(i, len(labels))
+    args = []
+    for mat, word in traces:
+        table = word_trace_table(mat, len(word))
+        if not word:
+            value *= float(table)
+        else:
+            args.extend((table, [lab(i) for i in word]))
+    for mat, row, col in coeffs:
+        args.extend((mat, [lab(row), lab(col)]))
+    if not args:
+        return value
+    args.append([])
+    return value * float(np.einsum(*args, optimize="greedy"))
+
+
+def _factors(inst: ObservableInstance):
+    """(traces, coeffs) factor lists of ``contract`` for one instance."""
     spec = inst.spec
     simple, words, alphas, betas = index_layout(spec)
-    ops = []
-    for j, pos in enumerate(simple):
-        ops.append((word_trace_table(inst.monodromies[j], 1), [pos]))
-    for m, row in enumerate(words):
-        ops.append((word_trace_table(inst.monodromies[spec.n1 + m], len(row)), list(row)))
-    for a, pair in zip(inst.alphas, alphas):
-        ops.append((a, list(pair)))
-    for b, pair in zip(inst.betas, betas):
-        ops.append((b, list(pair)))
-    return ops
+    traces = [(inst.monodromies[j], (pos,)) for j, pos in enumerate(simple)]
+    traces += [(inst.monodromies[spec.n1 + m], row) for m, row in enumerate(words)]
+    coeffs = [(mat, row, col) for mat, (row, col)
+              in zip(inst.alphas + inst.betas, alphas + betas)]
+    return traces, coeffs
 
 
 def evaluate(inst: ObservableInstance, method: str = "factorized",
@@ -264,17 +285,12 @@ def evaluate(inst: ObservableInstance, method: str = "factorized",
     refused above ``brute_budget`` indices (with a cost estimate) to keep the
     oracle honest but affordable.
     """
-    _require_valid(inst.spec)
+    require_valid(inst.spec)
     if method == "brute":
         return evaluate_brute(inst, brute_budget)
     if method != "factorized":
         raise ValueError(f"unknown evaluation method {method!r}")
-    ops = _operands(inst)
-    args = []
-    for tensor, labels in ops:
-        args.extend((tensor, labels))
-    args.append([])
-    return float(np.einsum(*args, optimize="greedy"))
+    return contract(*_factors(inst))
 
 
 def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
@@ -286,7 +302,9 @@ def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
             f"brute-force evaluation over 7^{free} = {7 ** free} tuples exceeds "
             f"the budget of 7^{budget}; use the factorized engine"
         )
-    ops = _operands(inst)
+    traces, coeffs = _factors(inst)
+    ops = [(word_trace_table(mat, len(word)), word) for mat, word in traces]
+    ops += [(mat, (row, col)) for mat, row, col in coeffs]
     total = 0.0
     for assignment in itertools.product(range(7), repeat=free):
         term = 1.0
@@ -313,8 +331,8 @@ def invariance_test(inst: ObservableInstance, trials: int = 50, seed: int = 0,
     tr(M O_i) term is reported in the params and expected to exceed
     ``control_floor`` for a generic transform (degenerate draws resample).
     """
-    _require_valid(inst.spec)
-    with timed_report() as clock:
+    require_valid(inst.spec)
+    with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
         base = evaluate(inst)
         scale_ref = max(1.0, abs(base))
         worst = 0.0
@@ -326,20 +344,17 @@ def invariance_test(inst: ObservableInstance, trials: int = 50, seed: int = 0,
             value = evaluate(inst.conjugated(g))
             worst = max(worst, abs(value - base) / scale_ref)
             control = max(control, negative_control(inst.monodromies[0], g))
-    return VerificationReport(
-        check="exotic-invariance",
-        params={
-            "r": inst.spec.r, "n1": inst.spec.n1, "s": inst.spec.s,
-            "n2": inst.spec.n2, "t": inst.spec.t,
-            "negative_control": control,
-        },
-        seed=seed,
-        trials=trials,
-        max_abs_err=worst * scale_ref,
-        max_rel_err=worst,
-        passed=worst < rel_tol and control > control_floor,
-        elapsed_ms=clock.ms,
-    )
+        run.record(
+            passed=worst < rel_tol and control > control_floor,
+            max_abs_err=worst * scale_ref,
+            max_rel_err=worst,
+            params={
+                "r": inst.spec.r, "n1": inst.spec.n1, "s": inst.spec.s,
+                "n2": inst.spec.n2, "t": inst.spec.t,
+                "negative_control": control,
+            },
+        )
+    return run.report
 
 
 def spec_to_json_dict(spec: ObservableSpec) -> dict:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -66,17 +65,40 @@ def _plain(v):
     return str(v) if not isinstance(v, str) else v
 
 
-class _Clock:
-    def __init__(self):
-        self.ms = 0.0
+class CheckRun:
+    """Times one named check and builds its report.
 
+    ::
 
-@contextmanager
-def timed_report():
-    """Context manager measuring elapsed milliseconds into ``.ms``."""
-    clock = _Clock()
-    start = time.perf_counter()
-    try:
-        yield clock
-    finally:
-        clock.ms = (time.perf_counter() - start) * 1000.0
+        with CheckRun("name", seed=seed, trials=trials) as run:
+            ...  # the measured work
+            run.record(passed=worst < tol, max_abs_err=worst, params={...})
+        return run.report
+
+    The block calls ``record`` once and states how ``passed`` is
+    computed; ``elapsed_ms`` covers the whole block.
+    """
+
+    def __init__(self, check: str, seed: int = 0, trials: int = 1):
+        self.check = check
+        self.seed = seed
+        self.trials = trials
+        self.report: VerificationReport | None = None
+
+    def __enter__(self) -> "CheckRun":
+        self._start = time.perf_counter()
+        return self
+
+    def record(self, *, passed: bool, max_abs_err: float, max_rel_err: float = 0.0,
+               params: dict | None = None) -> None:
+        self.report = VerificationReport(
+            check=self.check, params=params or {}, seed=self.seed, trials=self.trials,
+            max_abs_err=max_abs_err, max_rel_err=max_rel_err, passed=passed,
+        )
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            return
+        if self.report is None:
+            raise RuntimeError(f"check {self.check!r} recorded no result")
+        self.report.elapsed_ms = (time.perf_counter() - self._start) * 1000.0

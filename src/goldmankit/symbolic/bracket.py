@@ -47,6 +47,7 @@ from .core import (
     base_loops,
     expressions_equal,
     normalize,
+    rename_indices,
 )
 
 HALF = Fraction(1, 2)
@@ -236,10 +237,8 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
 
 
 def _disjoint(m: Monomial, used: set) -> Monomial:
-    from .core import _apply_map
-
     ids = m.indices()
     if not (ids & used):
         return m
     top = max(used | ids) + 1
-    return _apply_map(m, {i: top + k for k, i in enumerate(sorted(ids))})
+    return rename_indices(m, {i: top + k for k, i in enumerate(sorted(ids))})

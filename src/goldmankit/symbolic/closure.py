@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from ..bases import Family
-from ..goldman import sample_element
-from ..observables import ObservableSpec, index_layout, word_trace_table
-from ..reports import VerificationReport, timed_report
+from ..goldman import sample_elements
+from ..observables import ObservableSpec, contract, index_layout, require_valid
+from ..reports import CheckRun, VerificationReport
 from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, base_loops
-from .signature import Signature, recognize
+from .signature import recognize
 
 
 def _collect_symbols(expr: Expression):
@@ -37,14 +37,11 @@ def _collect_symbols(expr: Expression):
 def instantiate(expr: Expression, seed: int = 0, scale: float = 1.0):
     """Random group matrices for every base loop and coefficient symbol."""
     loops, syms = _collect_symbols(expr)
-    env = {}
-    for k, name in enumerate(loops):
-        stream = np.random.SeedSequence(entropy=seed, spawn_key=(10, k))
-        env[("loop", name)] = sample_element(Family.G2, 1, stream, scale).matrix
-    for k, name in enumerate(syms):
-        stream = np.random.SeedSequence(entropy=seed, spawn_key=(11, k))
-        env[("sym", name)] = sample_element(Family.G2, 1, stream, scale).matrix
-    return env
+    keys = [("loop", name) for name in loops] + [("sym", name) for name in syms]
+    streams = [np.random.SeedSequence(entropy=seed, spawn_key=(10, k)) for k in range(len(loops))]
+    streams += [np.random.SeedSequence(entropy=seed, spawn_key=(11, k)) for k in range(len(syms))]
+    mats, _, _ = sample_elements(Family.G2, 1, streams, scale)
+    return dict(zip(keys, mats))
 
 
 def _loop_value(term, env) -> np.ndarray:
@@ -64,23 +61,9 @@ def conjugate_env(env, g: np.ndarray):
 
 def evaluate_monomial(m: Monomial, env) -> float:
     """Contract one monomial numerically (indices summed over 1..7)."""
-    value = float(m.coeff)
-    labels: dict[int, int] = {}  # einsum labels must stay below its symbol count
-    lab = lambda i: labels.setdefault(i, len(labels))
-    args = []
-    for t in m.traces:
-        mat = _loop_value(t.loop, env)
-        table = word_trace_table(mat, len(t.word))
-        if not t.word:
-            value *= float(table)
-        else:
-            args.extend((table, [lab(i) for i in t.word]))
-    for c in m.coeffs:
-        args.extend((env[("sym", c.sym)], [lab(c.row), lab(c.col)]))
-    if not args:
-        return value
-    args.append([])
-    return value * float(np.einsum(*args, optimize="greedy"))
+    traces = [(_loop_value(t.loop, env), t.word) for t in m.traces]
+    coeffs = [(env[("sym", c.sym)], c.row, c.col) for c in m.coeffs]
+    return contract(traces, coeffs, float(m.coeff))
 
 
 def evaluate_expression(expr: Expression, env) -> float:
@@ -103,17 +86,18 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
     neither checked nor failing the check.  Pass ``include_extended`` to
     test them numerically too.
     """
-    with timed_report() as clock:
+    if gauge_trials < 1:
+        raise ValueError("gauge_trials must be >= 1")
+    trials = len(expr.monomials) * gauge_trials
+    with CheckRun("symbolic-closure", seed=seed, trials=trials) as run:
         signatures = []
         failures = []
+        unrecognized = False
         worst = 0.0
         env = instantiate(expr, seed)
-        gauges = [
-            sample_element(
-                Family.G2, 1, np.random.SeedSequence(entropy=seed, spawn_key=(12, k))
-            ).matrix
-            for k in range(gauge_trials)
-        ]
+        streams = [np.random.SeedSequence(entropy=seed, spawn_key=(12, k))
+                   for k in range(gauge_trials)]
+        gauges, _, _ = sample_elements(Family.G2, 1, streams)
         for m in expr.monomials:
             sig = recognize(m)
             signatures.append(sig)
@@ -121,6 +105,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
                 failures.append((m, "extended rule output, quarantined"))
                 continue
             if not sig.valid:
+                unrecognized = True
                 failures.append((m, f"unrecognized monomial: {sig.reason}\n  {m}"))
                 continue
             base = evaluate_monomial(m, env)
@@ -128,20 +113,10 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
             for g in gauges:
                 moved = evaluate_monomial(m, conjugate_env(env, g))
                 worst = max(worst, abs(moved - base) / scale_ref)
-        passed = worst < rel_tol and not any(
-            "unrecognized" in why for _, why in failures
-        )
-    report = VerificationReport(
-        check="symbolic-closure",
-        params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials},
-        seed=seed,
-        trials=len(expr.monomials) * gauge_trials,
-        max_abs_err=worst,
-        max_rel_err=worst,
-        passed=passed,
-        elapsed_ms=clock.ms,
-    )
-    return ClosureResult(report, signatures, failures)
+        run.record(passed=worst < rel_tol and not unrecognized,
+                   max_abs_err=worst, max_rel_err=worst,
+                   params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials})
+    return ClosureResult(run.report, signatures, failures)
 
 
 def build_f_expression(spec: ObservableSpec, loop_names=None,
@@ -152,11 +127,7 @@ def build_f_expression(spec: ObservableSpec, loop_names=None,
     coefficient symbols are {prefix}a1.. for the alpha block and {prefix}b1..
     for the beta block.
     """
-    from ..observables import validate_spec
-
-    errors = validate_spec(spec)
-    if errors:
-        raise ValueError("invalid observable spec: " + "; ".join(errors))
+    require_valid(spec)
     if loop_names is None:
         loop_names = [f"g{k + 1}" for k in range(spec.n_loops)]
     if len(loop_names) != spec.n_loops:

@@ -154,7 +154,8 @@ def _max_id(m: Monomial) -> int:
     return max(ids) if ids else -1
 
 
-def _apply_map(m: Monomial, table: dict) -> Monomial:
+def rename_indices(m: Monomial, table: dict) -> Monomial:
+    """The monomial with every index id i replaced by table[i]."""
     traces = tuple(
         TraceAtom(t.loop, tuple(table[i] for i in t.word)) for t in m.traces
     )
@@ -166,11 +167,7 @@ def _shift_ids(m: Monomial, offset: int) -> Monomial:
     ids = m.indices()
     if not ids:
         return m
-    return _apply_map(m, {i: i + offset for i in ids})
-
-
-def _loop_key(term: LoopTerm) -> str:
-    return str(term)
+    return rename_indices(m, {i: i + offset for i in ids})
 
 
 def canonical_encoding(m: Monomial):
@@ -180,10 +177,10 @@ def canonical_encoding(m: Monomial):
     all orderings are tried and the lexicographically smallest relabelled
     encoding wins.  Groups are tiny in practice, so the search is cheap.
     """
-    keyed = sorted(m.traces, key=lambda t: (_loop_key(t.loop), len(t.word)))
+    keyed = sorted(m.traces, key=lambda t: (str(t.loop), len(t.word)))
     groups = [
         list(g) for _, g in itertools.groupby(
-            keyed, key=lambda t: (_loop_key(t.loop), len(t.word))
+            keyed, key=lambda t: (str(t.loop), len(t.word))
         )
     ]
     best = None
@@ -201,7 +198,7 @@ def canonical_encoding(m: Monomial):
             table.setdefault(c.row, len(table))
             table.setdefault(c.col, len(table))
         enc_traces = tuple(
-            (_loop_key(t.loop), tuple(table[i] for i in t.word)) for t in order
+            (str(t.loop), tuple(table[i] for i in t.word)) for t in order
         )
         enc_coeffs = tuple(sorted(
             (c.sym, table[c.row], table[c.col]) for c in coeff_atoms
@@ -232,7 +229,7 @@ def normalize(expr: Expression) -> Expression:
         ids = sorted(m.indices())
         table = {i: next_id + k for k, i in enumerate(ids)}
         next_id += len(ids)
-        out.append(_apply_map(
+        out.append(rename_indices(
             Monomial(coeff, m.traces, m.coeffs, m.extended), table
         ))
     return Expression(tuple(out))

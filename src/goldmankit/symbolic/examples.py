@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bracket import bracket
-from .core import Expression, Monomial, canonical_encoding, normalize
-from .parse import parse_expr
+from .core import CoeffAtom, Expression, Monomial, TraceAtom, canonical_encoding, normalize
+from .parse import parse_expr, parse_loop
 
 HALF = Fraction(1, 2)
 SIXTH = Fraction(1, 6)
@@ -35,17 +35,13 @@ for a, b, sa, sb in (("g1", "g3", "g2", "g4"), ("g1", "g4", "g2", "g3"),
 
 
 def _golden_monomial(coeff, atoms, coeff_entries) -> Monomial:
-    from .core import CoeffAtom, TraceAtom
-    from .parse import _Parser
-
     ids = {}
     def iid(letter):
         return ids.setdefault(letter, len(ids))
 
     traces = []
     for loop_str, word in atoms:
-        loop = _Parser(loop_str).loopterm()
-        traces.append(TraceAtom(loop, tuple(iid(x) for x in word)))
+        traces.append(TraceAtom(parse_loop(loop_str), tuple(iid(x) for x in word)))
     coeffs = tuple(
         CoeffAtom(f"sym{k + 1}", iid(row), iid(col))
         for k, (row, col) in enumerate(coeff_entries)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import Composite, Expression, Loop, Monomial, TraceAtom, ZERO, atom_expr
+from .core import Composite, Expression, Loop, LoopTerm, Monomial, TraceAtom, ZERO, atom_expr
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[().;:+*/,~-]))")
 
@@ -93,12 +93,12 @@ class _Parser:
         return self.next_id - 1
 
     # -- grammar -----------------------------------------------------------
-    def parse(self) -> Expression:
-        expr = self.expr()
+    def end(self, result):
+        """``result``, after checking that no input is left."""
         tok = self.toks.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], self.text)
-        return expr
+        return result
 
     def expr(self) -> Expression:
         out = self.term()
@@ -231,4 +231,11 @@ def parse_expr(text: str) -> Expression:
     """Parse the grammar above into an Expression (or raise ParseError)."""
     if not text.strip():
         return ZERO
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    return parser.end(parser.expr())
+
+
+def parse_loop(text: str) -> LoopTerm:
+    """Parse one loop term such as ``(a.~b)`` (or raise ParseError)."""
+    parser = _Parser(text)
+    return parser.end(parser.loopterm())

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..observables import ObservableSpec, validate_spec
-from .core import Monomial, _loop_key
+from ..observables import ObservableSpec, spec_to_json_dict, validate_spec
+from .core import Monomial, normalize
 
 
 @dataclass
@@ -53,8 +53,6 @@ class Signature:
             return {"valid": False, "reason": self.reason}
         out = {"valid": True, "canonical_loops": list(self.canonical_loops)}
         if self.fspec is not None:
-            from ..observables import spec_to_json_dict
-
             out["F"] = spec_to_json_dict(self.fspec)
             out["simple_loops"] = list(self.simple_loops)
             out["word_loops"] = list(self.word_loops)
@@ -126,7 +124,7 @@ def _try_split(decorated, coeffs, occ, simple_idx: frozenset):
 
 def _build_spec(decorated, simple_idx, split):
     direct, doubles, alpha_pairs, beta_pairs, word_idx = split
-    loop_of = lambda k: _loop_key(decorated[k].loop)
+    loop_of = lambda k: str(decorated[k].loop)
     t = len(word_idx)
     n1 = len(simple_idx)
     r = len(direct)
@@ -179,8 +177,6 @@ def normalize_and_recognize(expr):
 
     Returns (normalized expression, one Signature per monomial).
     """
-    from .core import normalize
-
     normalized = normalize(expr)
     return normalized, [recognize(m) for m in normalized.monomials]
 
@@ -188,7 +184,7 @@ def normalize_and_recognize(expr):
 def recognize(monomial: Monomial) -> Signature:
     """Attempt to classify one monomial; see the module docstring."""
     canonical = sorted(
-        _loop_key(t.loop) for t in monomial.traces if not t.word
+        str(t.loop) for t in monomial.traces if not t.word
     )
     decorated = [t for t in monomial.traces if t.word]
     coeffs = list(monomial.coeffs)

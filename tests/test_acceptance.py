@@ -181,6 +181,19 @@ def test_criterion_08_exotic_observables():
               f"brute-vs-factorized {agree_worst:.2e} on {checked} specs")
 
 
+def test_evaluate_equals_symbolic_engine_bitwise():
+    # one contraction engine: the exotic evaluator and the symbolic monomial
+    # evaluator agree exactly on the same matrices
+    for tup in _acceptance_spec_universe():
+        for j, spec in enumerate(obs.enumerate_specs(*tup)):
+            inst = obs.random_instance(spec, seed=j)
+            (m,) = sym.build_f_expression(spec).monomials
+            env = {("loop", f"g{k + 1}"): mat for k, mat in enumerate(inst.monodromies)}
+            env.update({("sym", f"ca{k + 1}"): mat for k, mat in enumerate(inst.alphas)})
+            env.update({("sym", f"cb{k + 1}"): mat for k, mat in enumerate(inst.betas)})
+            assert sym.evaluate_monomial(m, env) == obs.evaluate(inst), spec
+
+
 def test_criterion_09_symbolic_engine():
     start = time.perf_counter()
     plain = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(b)"))

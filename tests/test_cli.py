@@ -139,6 +139,27 @@ def test_exotic_evaluate_embedded_instance(tmp_path, capsys):
     assert abs(value - obs.evaluate(inst)) < 1e-12
 
 
+def test_verify_octonion_refuses_zero_trials(capsys):
+    assert run(["verify", "octonion", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trials must be >= 1")
+
+
+def test_verify_all_ignores_group_and_n(capsys):
+    def bodies(argv):
+        assert run(["--json", "verify", "all", "--trials", "2", "--seed", "4"] + argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for row in rows:
+            row.pop("elapsed_ms")
+        return rows
+
+    everything = bodies([])
+    assert len(everything) == 68
+    assert bodies(["--group", "sp"]) == everything
+    assert bodies(["--group", "gl", "--n", "5"]) == everything
+
+
 def test_numeric_error_exits_2_without_traceback(monkeypatch, capsys):
     from goldmankit import goldman
     from goldmankit.linalg import NumericError

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from goldmankit import symbolic as sym
+from goldmankit.bases import Family
+from goldmankit.goldman import sample_element
 from goldmankit.observables import ObservableSpec
+from goldmankit.symbolic import closure
 from goldmankit.symbolic.core import CoeffAtom, Composite, Loop, Monomial, TraceAtom
 
 
@@ -271,6 +274,36 @@ def test_closure_fails_on_dangling_monomial():
     result = sym.closure_check(bad, seed=0)
     assert not result.report.passed
     assert result.failures and "unrecognized" in result.failures[0][1]
+
+
+def test_closure_refuses_zero_gauge_trials():
+    e = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(b)"))
+    with pytest.raises(ValueError, match="gauge_trials"):
+        sym.closure_check(e, seed=0, gauge_trials=0)
+
+
+def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
+    # loops on substreams (10, k), symbols on (11, k), gauges on (12, k)
+    e = sym.worked_example_bracket()
+    env = sym.instantiate(e, seed=9, scale=0.5)
+    single = lambda key, scale=1.0: sample_element(
+        Family.G2, 1, np.random.SeedSequence(entropy=9, spawn_key=key), scale).matrix
+    loops = sorted(name for kind, name in env if kind == "loop")
+    syms = sorted(name for kind, name in env if kind == "sym")
+    assert len(loops) == 4 and len(syms) == 12
+    for k, name in enumerate(loops):
+        assert np.array_equal(env[("loop", name)], single((10, k), 0.5))
+    for k, name in enumerate(syms):
+        assert np.array_equal(env[("sym", name)], single((11, k), 0.5))
+
+    gauges = []
+    conjugate = closure.conjugate_env
+    monkeypatch.setattr(closure, "conjugate_env",
+                        lambda env, g: gauges.append(g) or conjugate(env, g))
+    sym.closure_check(e, seed=9, gauge_trials=3)
+    assert len(gauges) == 3 * len(e.monomials)
+    for k, g in enumerate(gauges[:3]):
+        assert np.array_equal(g, single((12, k)))
 
 
 def test_closure_canonical_times_first_observable():
