@@ -80,11 +80,15 @@ class _Emitter:
 def _per_size(check, families=tuple(Family)):
     """Suite running ``check(family, size, args)`` over families and sizes.
 
-    The given family (or, when it is not one of ``families``, every one of
-    them) at the given size (or its ``ALL_GRID`` sizes).
+    The given family (or every one of ``families``) at the given size (or
+    its ``ALL_GRID`` sizes); a family outside ``families`` is refused.
     """
     def suite(family, n, args):
-        for fam in [family] if family in families else families:
+        if family is not None and family not in families:
+            names = "/".join(f.value for f in families)
+            raise ValueError(f"--group {family.value} is not supported here "
+                             f"(choose from {names})")
+        for fam in families if family is None else [family]:
             for size in (n,) if n is not None else ALL_GRID[fam]:
                 yield check(fam, size, args)
     return suite
@@ -131,38 +135,48 @@ def _symbolic(family, n, args):
     yield _sym.closure_check(expr, seed=args.seed).report
 
 
-# Every suite of `verify`, in the order `verify all` runs them.  A suite is
-# called as suite(family, n, args) with family and n None for "not given".
+# Every suite of `verify`, in the order `verify all` runs them, with the
+# flags it takes.  A suite is called as suite(family, n, args) with family
+# and n None for "not given".
+_GROUP_N = ("--group", "--n")
 VERIFY_SUITES = {
-    "normalization": _per_size(lambda fam, size, args: check_normalization(
-        build_basis(fam, size), _tol(args.tol_abs, 1e-12))),
-    "casimir": _per_size(lambda fam, size, args: _casimir.verify_closed_form(
-        fam, size, _tol(args.tol_abs, 1e-12))),
-    "tensor-lemmas": lambda family, n, args: (
-        _casimir.verify_tensor_lemmas(size, seed=args.seed) for size in (2, 3, 4)),
-    "bracket": _per_size(lambda fam, size, args: _goldman.verify_bracket(
-        fam, size, trials=args.trials, seed=args.seed, rel_tol=_tol(args.tol_rel, 1e-9))),
-    "defect": _per_size(lambda fam, size, args: _goldman.verify_defect(
-        fam, size, trials=args.trials, seed=args.seed), families=(Family.SP, Family.SO)),
-    "symplectic-inverse": _symplectic_inverse,
-    "octonion": _octonion,
-    "split": _per_size(lambda fam, size, args: _goldman.split_harness(
-        fam, size, seed=args.seed)),
-    "exotic": _exotic,
-    "symbolic": _symbolic,
+    "normalization": (_per_size(lambda fam, size, args: check_normalization(
+        build_basis(fam, size), _tol(args.tol_abs, 1e-12))), _GROUP_N),
+    "casimir": (_per_size(lambda fam, size, args: _casimir.verify_closed_form(
+        fam, size, _tol(args.tol_abs, 1e-12))), _GROUP_N),
+    "tensor-lemmas": (lambda family, n, args: (
+        _casimir.verify_tensor_lemmas(size, seed=args.seed) for size in (2, 3, 4)), ()),
+    "bracket": (_per_size(lambda fam, size, args: _goldman.verify_bracket(
+        fam, size, trials=args.trials, seed=args.seed,
+        rel_tol=_tol(args.tol_rel, 1e-9))), _GROUP_N),
+    "defect": (_per_size(lambda fam, size, args: _goldman.verify_defect(
+        fam, size, trials=args.trials, seed=args.seed),
+        families=(Family.SP, Family.SO)), _GROUP_N),
+    "symplectic-inverse": (_symplectic_inverse, ("--n",)),
+    "octonion": (_octonion, ()),
+    "split": (_per_size(lambda fam, size, args: _goldman.split_harness(
+        fam, size, seed=args.seed)), _GROUP_N),
+    "exotic": (_exotic, ()),
+    "symbolic": (_symbolic, ()),
 }
 
 
 def cmd_verify(args) -> int:
     """Run one suite, or with ``all`` every suite over its full grid.
 
-    ``all`` ignores ``--group`` and ``--n``.
+    ``all`` ignores ``--group`` and ``--n``; a single suite refuses a flag
+    it does not take.
     """
     em = _Emitter(args.json, args.quiet)
     if args.what == "all":
-        suites, family, n = VERIFY_SUITES.values(), None, None
+        suites = [suite for suite, _ in VERIFY_SUITES.values()]
+        family, n = None, None
     else:
-        suites = [VERIFY_SUITES[args.what]]
+        suite, flags = VERIFY_SUITES[args.what]
+        for flag, value in (("--group", args.group), ("--n", args.n)):
+            if value is not None and flag not in flags:
+                raise ValueError(f"verify {args.what} does not take {flag}")
+        suites = [suite]
         family, n = Family(args.group) if args.group else None, args.n
     for suite in suites:
         for report in suite(family, n, args):
@@ -238,7 +252,10 @@ def cmd_bracket(args) -> int:
     except _sym.BracketError as exc:
         print(f"bracket error: {exc}", file=sys.stderr)
         return 2
-    result, signatures = _sym.normalize_and_recognize(result)
+    # bracket output is normalized already; closure_check recognizes it too
+    closure = _sym.closure_check(result, seed=args.seed) if args.check_closure else None
+    signatures = (closure.signatures if closure is not None
+                  else [_sym.recognize(m) for m in result.monomials])
     if args.json:
         print(_sym.to_json(result, [s.as_dict() for s in signatures]))
     else:
@@ -249,13 +266,12 @@ def cmd_bracket(args) -> int:
                 print(f"    F(r={f.r}, n1={f.n1}, s={f.s}, n2={f.n2}, t={f.t})")
             elif not sig.valid:
                 print(f"    unrecognized: {sig.reason}")
-    if args.check_closure:
-        res = _sym.closure_check(result, seed=args.seed)
+    if closure is not None:
         if not args.quiet:
-            print(res.report.to_json() if args.json else res.report.summary_line())
-        for mono, why in res.failures:
+            print(closure.report.to_json() if args.json else closure.report.summary_line())
+        for mono, why in closure.failures:
             print(f"closure failure: {why}", file=sys.stderr)
-        return 0 if res.report.passed else 1
+        return 0 if closure.report.passed else 1
     return 0
 
 

@@ -20,10 +20,10 @@ Q columns bind l_{2n1-r+c}, and the trailing singleton Q columns alternate
 between the blocks l_{2n1-r+s+*} (odd offsets) and l_{2n1-r+n2+*} (even
 offsets).  Every index thus occurs in exactly two factors.
 
-Two evaluation engines are provided: a literal sum over all 7^#indices
-tuples (the reference oracle, refused above a configurable budget) and the
-factorized einsum contraction ``contract`` (the fast path, which also
-evaluates the monomials of the symbolic engine).  Invariance is under
+``evaluate`` is the factorized einsum contraction ``contract``, which also
+evaluates the monomials of the symbolic engine; ``evaluate_brute`` is the
+reference oracle, a literal sum over all 7^#indices tuples refused above a
+budget.  K and Q are plain tuples of 0/1 rows.  Invariance is under
 *simultaneous* conjugation of every monodromy and every alpha/beta by one
 group element; nothing is claimed when the coefficients are held fixed.
 """
@@ -54,13 +54,21 @@ class ObservableSpec:
 
     @classmethod
     def make(cls, r, n1, s, n2, t, K, Q) -> "ObservableSpec":
+        """Spec from K and Q given as row sequences (lists, tuples, 2-D arrays).
+
+        A matrix with no entries at all stands for t empty rows.
+        """
         def rows(m):
-            arr = np.asarray(m, dtype=int)
-            if arr.size == 0:
-                return tuple(() for _ in range(int(t)))
-            return tuple(tuple(int(x) for x in row) for row in np.atleast_2d(arr))
+            out = tuple(tuple(int(x) for x in row) for row in m)
+            return out if any(out) else ((),) * int(t)
 
         return cls(int(r), int(n1), int(s), int(n2), int(t), rows(K), rows(Q))
+
+    @classmethod
+    def from_columns(cls, r, n1, s, n2, t, k_cols, q_cols) -> "ObservableSpec":
+        """Spec from the columns of K and Q, each a length-t 0/1 tuple."""
+        rows = lambda cols: tuple(tuple(col[i] for col in cols) for i in range(t))
+        return cls(r, n1, s, n2, t, rows(k_cols), rows(q_cols))
 
     @property
     def n_indices(self) -> int:
@@ -70,17 +78,10 @@ class ObservableSpec:
     def n_loops(self) -> int:
         return self.n1 + self.t
 
-    def K_array(self) -> np.ndarray:
-        return np.array(self.K, dtype=int).reshape(self.t, self.n1)
 
-    def Q_array(self) -> np.ndarray:
-        return np.array(self.Q, dtype=int).reshape(self.t, 2 * self.n2 - self.s)
-
-
-def validate_spec(spec: ObservableSpec) -> list[str]:
-    """All constraint violations, with column indices; empty when valid."""
+def _parameter_errors(r, n1, s, n2, t) -> list[str]:
+    """Violations of the bounds on (r, n1, s, n2, t); empty when they hold."""
     errors = []
-    r, n1, s, n2, t = spec.r, spec.n1, spec.s, spec.n2, spec.t
     for name, value in (("r", r), ("n1", n1), ("s", s), ("n2", n2)):
         if value < 0:
             errors.append(f"{name} must be non-negative, got {value}")
@@ -92,25 +93,30 @@ def validate_spec(spec: ObservableSpec) -> list[str]:
         errors.append(f"s={s} exceeds n2={n2}")
     if t > n1 + 2 * n2:
         errors.append(f"t={t} exceeds n1 + 2*n2 = {n1 + 2 * n2}")
+    return errors
+
+
+def validate_spec(spec: ObservableSpec) -> list[str]:
+    """All constraint violations, with column indices; empty when valid."""
+    r, n1, s, n2, t = spec.r, spec.n1, spec.s, spec.n2, spec.t
+    errors = _parameter_errors(r, n1, s, n2, t)
     if errors:
         return errors
-    K, Q = spec.K_array(), spec.Q_array()
-    if K.shape != (t, n1):
-        errors.append(f"K has shape {K.shape}, expected ({t}, {n1})")
-    if Q.shape != (t, 2 * n2 - s):
-        errors.append(f"Q has shape {Q.shape}, expected ({t}, {2 * n2 - s})")
+    for name, m, cols in (("K", spec.K, n1), ("Q", spec.Q, 2 * n2 - s)):
+        widths = sorted({len(row) for row in m})
+        if len(m) != t or widths != [cols]:
+            shape = (len(m), *widths) if len(widths) == 1 else (len(m), widths)
+            errors.append(f"{name} has shape {shape}, expected ({t}, {cols})")
     if errors:
         return errors
-    for m in (K, Q):
-        if not np.isin(m, (0, 1)).all():
-            errors.append("K and Q must contain only 0/1 entries")
-            return errors
+    if any(x not in (0, 1) for m in (spec.K, spec.Q) for row in m for x in row):
+        return ["K and Q must contain only 0/1 entries"]
     for c in range(n1):
-        ones = int(K[:, c].sum())
+        ones = sum(row[c] for row in spec.K)
         if ones != 1:
             errors.append(f"column {c + 1} of K has {ones} ones, expected 1")
     for c in range(2 * n2 - s):
-        ones = int(Q[:, c].sum())
+        ones = sum(row[c] for row in spec.Q)
         want = 2 if c < s else 1
         if ones != want:
             errors.append(f"column {c + 1} of Q has {ones} ones, expected {want}")
@@ -132,8 +138,7 @@ def index_layout(spec: ObservableSpec):
     alphas[m]      (row, col) index pair of alpha^{m+1}
     betas[k]       (row, col) index pair of beta^{k+1}
     """
-    r, n1, s, n2, t = spec.r, spec.n1, spec.s, spec.n2, spec.t
-    K, Q = spec.K_array(), spec.Q_array()
+    r, n1, s, n2 = spec.r, spec.n1, spec.s, spec.n2
 
     def k_col_pos(c):  # 0-based column c of K
         return c if c < r else n1 + (c - r)
@@ -148,9 +153,9 @@ def index_layout(spec: ObservableSpec):
 
     simple = list(range(n1))
     words = []
-    for m in range(t):
-        row = [k_col_pos(c) for c in range(n1) if K[m, c]]
-        row += [q_col_pos(c) for c in range(2 * n2 - s) if Q[m, c]]
+    for k_row, q_row in zip(spec.K, spec.Q):
+        row = [k_col_pos(c) for c in range(n1) if k_row[c]]
+        row += [q_col_pos(c) for c in range(2 * n2 - s) if q_row[c]]
         words.append(tuple(row))
     alphas = [(r + m, n1 + m) for m in range(n1 - r)]
     betas = [(2 * n1 - r + s + k, 2 * n1 - r + n2 + k) for k in range(n2 - s)]
@@ -162,9 +167,7 @@ def enumerate_specs(r: int, n1: int, s: int, n2: int, t: int) -> list[Observable
 
     The count is t^n1 * C(t,2)^s * t^(2*n2-2*s).
     """
-    probe = ObservableSpec.make(r, n1, s, n2, t,
-                                np.zeros((t, n1), int), np.zeros((t, 2 * n2 - s), int))
-    param_errors = [e for e in validate_spec(probe) if "column" not in e]
+    param_errors = _parameter_errors(r, n1, s, n2, t)
     if param_errors:
         raise ValueError("invalid parameters: " + "; ".join(param_errors))
     unit_cols = [tuple(1 if i == pick else 0 for i in range(t)) for pick in range(t)]
@@ -172,16 +175,12 @@ def enumerate_specs(r: int, n1: int, s: int, n2: int, t: int) -> list[Observable
         tuple(1 if i in pair else 0 for i in range(t))
         for pair in itertools.combinations(range(t), 2)
     ]
-    specs = []
-    for k_cols in itertools.product(unit_cols, repeat=n1):
-        K = np.array(k_cols, dtype=int).T.reshape(t, n1)
-        for q_dbl in itertools.product(double_cols, repeat=s):
-            for q_single in itertools.product(unit_cols, repeat=2 * (n2 - s)):
-                cols = list(q_dbl) + list(q_single)
-                Q = (np.array(cols, dtype=int).T.reshape(t, 2 * n2 - s)
-                     if cols else np.zeros((t, 0), dtype=int))
-                specs.append(ObservableSpec.make(r, n1, s, n2, t, K, Q))
-    return specs
+    q_choices = [double_cols] * s + [unit_cols] * (2 * (n2 - s))
+    return [
+        ObservableSpec.from_columns(r, n1, s, n2, t, k_cols, q_cols)
+        for k_cols in itertools.product(unit_cols, repeat=n1)
+        for q_cols in itertools.product(*q_choices)
+    ]
 
 
 def spec_count(r: int, n1: int, s: int, n2: int, t: int) -> int:
@@ -276,31 +275,24 @@ def _factors(inst: ObservableInstance):
     return traces, coeffs
 
 
-def evaluate(inst: ObservableInstance, method: str = "factorized",
-             brute_budget: int = 6) -> float:
-    """The full multi-index sum for one instance.
-
-    ``factorized`` eliminates summed indices via an optimized einsum
-    contraction; ``brute`` loops literally over all 7^#indices tuples and is
-    refused above ``brute_budget`` indices (with a cost estimate) to keep the
-    oracle honest but affordable.
-    """
+def evaluate(inst: ObservableInstance) -> float:
+    """The full multi-index sum for one instance, as one einsum contraction."""
     require_valid(inst.spec)
-    if method == "brute":
-        return evaluate_brute(inst, brute_budget)
-    if method != "factorized":
-        raise ValueError(f"unknown evaluation method {method!r}")
     return contract(*_factors(inst))
 
 
 def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
-    """Reference engine: literal sum over every index tuple."""
+    """Reference engine: literal sum over every index tuple.
+
+    Refused, with the cost, above ``budget`` summed indices.
+    """
     spec = inst.spec
+    require_valid(spec)
     free = spec.n_indices
     if free > budget:
         raise ValueError(
             f"brute-force evaluation over 7^{free} = {7 ** free} tuples exceeds "
-            f"the budget of 7^{budget}; use the factorized engine"
+            f"the budget of 7^{budget}; use evaluate"
         )
     traces, coeffs = _factors(inst)
     ops = [(word_trace_table(mat, len(word)), word) for mat, word in traces]
@@ -388,7 +380,7 @@ def spec_from_json_dict(obj: dict) -> ObservableSpec:
     def read_matrix(name, cols):
         raw = obj.get(name, [])
         if raw in ([], None) and cols == 0:
-            return np.zeros((t, 0), dtype=int)
+            return []
         if not isinstance(raw, list) or len(raw) != t:
             raise SpecJsonError(f"$.{name}", f"expected {t} rows")
         for i, row in enumerate(raw):
@@ -397,7 +389,7 @@ def spec_from_json_dict(obj: dict) -> ObservableSpec:
             for j, x in enumerate(row):
                 if x not in (0, 1):
                     raise SpecJsonError(f"$.{name}[{i}][{j}]", f"expected 0 or 1, got {x!r}")
-        return np.array(raw, dtype=int)
+        return raw
 
     K = read_matrix("K", values["n1"])
     Q = read_matrix("Q", 2 * values["n2"] - values["s"])

@@ -78,13 +78,12 @@ class ClosureResult:
 
 
 def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
-                  rel_tol: float = 1e-7, include_extended: bool = False) -> ClosureResult:
+                  rel_tol: float = 1e-7) -> ClosureResult:
     """Signature validity plus per-monomial numeric gauge invariance.
 
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
-    rule) are quarantined by default: listed in the failures with a note,
-    neither checked nor failing the check.  Pass ``include_extended`` to
-    test them numerically too.
+    rule) are quarantined: listed in the failures with a note, neither
+    checked nor failing the check.
     """
     if gauge_trials < 1:
         raise ValueError("gauge_trials must be >= 1")
@@ -101,7 +100,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
         for m in expr.monomials:
             sig = recognize(m)
             signatures.append(sig)
-            if m.extended and not include_extended:
+            if m.extended:
                 failures.append((m, "extended rule output, quarantined"))
                 continue
             if not sig.valid:

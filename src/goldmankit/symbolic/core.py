@@ -206,9 +206,7 @@ def canonical_encoding(m: Monomial):
         enc = (enc_traces, enc_coeffs, m.extended)
         if best is None or enc < best:
             best = enc
-    return best if best is not None else ((), tuple(sorted(
-        (c.sym, c.row, c.col) for c in m.coeffs
-    )), m.extended)
+    return best
 
 
 def normalize(expr: Expression) -> Expression:

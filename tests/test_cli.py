@@ -172,3 +172,24 @@ def test_numeric_error_exits_2_without_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: mat_exp did not converge")
     assert "Traceback" not in captured.err
+
+
+def test_verify_defect_refuses_group_outside_sp_so(capsys):
+    for argv in (["--group", "gl", "--trials", "3"], ["--group", "g2", "--n", "1"]):
+        assert run(["verify", "defect"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --group {argv[1]} is not supported")
+
+
+def test_verify_suite_refuses_flags_it_does_not_take(capsys):
+    refused = [("tensor-lemmas", "--n", "9"), ("tensor-lemmas", "--group", "su"),
+               ("octonion", "--group", "g2"), ("octonion", "--n", "2"),
+               ("exotic", "--n", "1"), ("symbolic", "--group", "g2"),
+               ("symplectic-inverse", "--group", "sp")]
+    for what, flag, value in refused:
+        assert run(["verify", what, flag, value, "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: verify {what} does not take {flag}")
+    assert run(["verify", "symplectic-inverse", "--n", "1", "--trials", "2"]) == 0

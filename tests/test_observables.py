@@ -43,6 +43,27 @@ def test_degenerate_parameters_accepted():
     assert inst.alphas == () and inst.betas == ()
 
 
+def test_make_accepts_lists_tuples_and_arrays():
+    for k, q in (([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+                 (((1, 0), (0, 1)), ((1, 0), (0, 1))),
+                 (np.eye(2, dtype=int), np.eye(2, dtype=int))):
+        assert obs.ObservableSpec.make(2, 2, 0, 1, 2, k, q) == THIRD
+    empty = obs.ObservableSpec.make(1, 1, 0, 0, 2, [[1], [0]], np.zeros((2, 0), int))
+    assert empty.Q == ((), ()) == obs.ObservableSpec.make(1, 1, 0, 0, 2, [[1], [0]], []).Q
+
+
+def test_shape_violations_reported():
+    short = obs.ObservableSpec.make(2, 2, 0, 0, 2, [[1, 1]], [])
+    assert obs.validate_spec(short) == ["K has shape (1, 2), expected (2, 2)"]
+    ragged = obs.ObservableSpec(2, 2, 0, 1, 2, ((1, 0), (0, 1)), ((1, 0), (1,)))
+    assert obs.validate_spec(ragged) == ["Q has shape (2, [1, 2]), expected (2, 2)"]
+
+
+def test_enumerate_refuses_bad_parameters():
+    with pytest.raises(ValueError, match="invalid parameters: r=3 exceeds n1=2$"):
+        obs.enumerate_specs(3, 2, 0, 0, 1)
+
+
 def test_enumerate_forced_cases():
     only = obs.enumerate_specs(1, 1, 0, 0, 1)
     assert len(only) == 1 and only[0] == FIRST
@@ -83,7 +104,7 @@ def test_evaluate_identity_monodromies_is_zero():
     # sum_i tr(O_i)^2 = 0 since every operator is traceless
     inst = obs.ObservableInstance(FIRST, (np.eye(7), np.eye(7)), (), ())
     assert obs.evaluate(inst) == 0.0
-    assert obs.evaluate(inst, method="brute") == 0.0
+    assert obs.evaluate_brute(inst) == 0.0
 
 
 def test_first_example_inverse_pair_oracle():
@@ -94,7 +115,7 @@ def test_first_example_inverse_pair_oracle():
         np.trace(m @ o[i]) * np.trace(np.linalg.inv(m) @ o[i]) for i in range(7)
     )
     assert abs(obs.evaluate(inst) - oracle) < 1e-12
-    assert abs(obs.evaluate(inst, method="brute") - oracle) < 1e-12
+    assert abs(obs.evaluate_brute(inst) - oracle) < 1e-12
 
 
 def test_third_example_quadruple_loop_oracle():
@@ -113,7 +134,7 @@ def test_third_example_quadruple_loop_oracle():
                     )
     value = obs.evaluate(inst)
     assert abs(value - total) < 1e-9 * max(1.0, abs(total))
-    assert abs(obs.evaluate(inst, method="brute") - total) < 1e-9 * max(1.0, abs(total))
+    assert abs(obs.evaluate_brute(inst) - total) < 1e-9 * max(1.0, abs(total))
 
 
 def test_multilinearity_in_each_slot():
@@ -132,7 +153,7 @@ def test_brute_budget_refusal():
     inst = obs.random_instance(spec, seed=1)
     assert spec.n_indices == 8
     with pytest.raises(ValueError, match="7\\^8"):
-        obs.evaluate(inst, method="brute")
+        obs.evaluate_brute(inst)
     obs.evaluate(inst)  # factorized engine handles it
 
 
@@ -140,7 +161,7 @@ def test_brute_budget_refusal():
 def test_brute_matches_factorized(spec):
     inst = obs.random_instance(spec, seed=13)
     a = obs.evaluate(inst)
-    b = obs.evaluate(inst, method="brute")
+    b = obs.evaluate_brute(inst)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 

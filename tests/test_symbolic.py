@@ -5,11 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from signature_oracle import recognize_by_search
+
 from goldmankit import symbolic as sym
 from goldmankit.bases import Family
 from goldmankit.goldman import sample_element
-from goldmankit.observables import ObservableSpec
-from goldmankit.symbolic import closure
+from goldmankit.observables import ObservableSpec, enumerate_specs
+from goldmankit.symbolic import closure, signature
 from goldmankit.symbolic.core import CoeffAtom, Composite, Loop, Monomial, TraceAtom
 
 
@@ -255,6 +259,82 @@ def test_signature_rejects_dangling_index():
 def test_signature_rejects_coeff_only():
     m = Monomial(Fraction(1), (TraceAtom(Loop("a")),), (CoeffAtom("x", 0, 1),))
     assert not sym.recognize(m).valid
+
+
+def _tied(pairs):
+    """sum x0..: tr(a; O x0) * tr(b; O x0) * ... -- ``pairs`` decorated pairs."""
+    names = " ".join(f"x{i}" for i in range(pairs))
+    atoms = " * ".join(f"tr(a; O x{i}) * tr(b; O x{i})" for i in range(pairs))
+    return sym.parse_expr(f"sum {names}: {atoms}")
+
+
+def _sweep_specs():
+    """The specs of the criterion-9 sweep: every spec with 0 < n1 + 2*n2 <= 3."""
+    for n1 in range(4):
+        for n2 in range(2):
+            if 0 < n1 + 2 * n2 <= 3:
+                for r in range(n1 + 1):
+                    for s in range(n2 + 1):
+                        for t in range(1, n1 + 2 * n2 + 1):
+                            yield from enumerate_specs(r, n1, s, n2, t)
+
+
+def test_recognize_equals_split_search_oracle():
+    canon, tr_c = sym.parse_expr("tr(z)"), sym.parse_expr("tr(c)")
+    corpus = []
+    for spec in _sweep_specs():
+        f = sym.build_f_expression(spec)
+        corpus += f.monomials + sym.bracket(canon, f).monomials
+    for pairs in (2, 3, 4):
+        product = _tied(pairs)
+        corpus += product.monomials + sym.bracket(tr_c, product).monomials
+    corpus += sym.worked_example_bracket().monomials
+    assert len(corpus) > 1000
+    for m in corpus:
+        assert sym.recognize(m) == recognize_by_search(m), str(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recognize_equals_split_search_oracle_on_random_wiring(data):
+    # each id fills two slots (one, when the slot count is odd); coefficient
+    # ids may meet each other or their own atom, words may repeat an id
+    lengths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    n_coeffs = data.draw(st.integers(0, 3))
+    slots = sum(lengths) + 2 * n_coeffs
+    ids = iter(data.draw(st.permutations([k // 2 for k in range(slots)])))
+    traces = tuple(
+        TraceAtom(Loop(data.draw(st.sampled_from("abc"))), tuple(next(ids) for _ in range(n)))
+        for n in lengths
+    )
+    coeffs = tuple(
+        CoeffAtom(data.draw(st.sampled_from("xy")), next(ids), next(ids))
+        for _ in range(n_coeffs)
+    )
+    m = Monomial(Fraction(1), traces, coeffs)
+    assert sym.recognize(m) == recognize_by_search(m), str(m)
+
+
+def test_recognize_builds_and_validates_one_spec(monkeypatch):
+    counts = {"built": 0, "validated": 0}
+    init, validate = ObservableSpec.__init__, signature.validate_spec
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            assert counts[key] == 1, f"more than one spec {key}"
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ObservableSpec, "__init__", counting("built", init))
+    monkeypatch.setattr(signature, "validate_spec", counting("validated", validate))
+    (m,) = _tied(8).monomials
+    sig = sym.recognize(m)
+    assert counts == {"built": 1, "validated": 1}
+    f = sig.fspec
+    assert (f.r, f.n1, f.s, f.n2, f.t) == (8, 8, 0, 0, 8)
+    assert f.K == tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
+    assert sig.alternatives == [(8 - x, 8 - x, x, x, 8 + x) for x in range(9)]
 
 
 # ---------------------------------------------------------------- closure ----
