@@ -1,16 +1,21 @@
 """Command-line front end.
 
+One parser per command (each ``verify`` suite and ``all``, each ``exotic``
+action, ``bracket``) declares exactly the flags its handler reads; argparse
+refuses any other flag or abbreviation with exit 2.  ``--json``/``--quiet``
+go before or after the command.  Checks run at their library tolerances.
+
 Exit codes: 0 all checks passed, 1 at least one check failed (reports still
-emitted), 2 usage or input-parse error or a numeric kernel failure.  With
-``--json`` each report is one JSON object per line; otherwise a
-human-readable table line per check.
-Identical argv + seed produce identical report bodies; the ``elapsed_ms``
-field is wall-clock noise and not part of the deterministic portion.
+emitted), 2 usage or input error, a refused request or a numeric kernel
+failure.  With ``--json`` each report is one JSON object per line; otherwise
+a table line per check.  Identical argv + seed give identical report bodies;
+``elapsed_ms`` is wall-clock noise outside the deterministic portion.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,29 +31,6 @@ from .octonions import conjugation_residual, structure_residual, unit_matrices
 from .reports import CheckRun, VerificationReport
 
 FAMILY_CHOICES = [f.value for f in Family]
-
-
-def _tol(value, default):
-    return default if value is None else value
-
-
-def _add_global_flags(parser, top_level: bool):
-    """Global flags, accepted both before and after the subcommand.
-
-    The subcommand copies use SUPPRESS defaults so they only override the
-    top-level values when given explicitly.
-    """
-    d = {} if top_level else {"default": argparse.SUPPRESS}
-    parser.add_argument("--tol-abs", type=float,
-                        help="override absolute tolerance (default: per-check)",
-                        **({"default": None} if top_level else d))
-    parser.add_argument("--tol-rel", type=float,
-                        help="override relative tolerance (default: per-check)",
-                        **({"default": None} if top_level else d))
-    parser.add_argument("--json", action="store_true",
-                        help="newline-delimited JSON reports", **d)
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress passing output", **d)
 
 
 # Size grids for `verify all`; chosen to cover every family quickly.
@@ -78,108 +60,87 @@ class _Emitter:
 
 
 def _per_size(check, families=tuple(Family)):
-    """Suite running ``check(family, size, args)`` over families and sizes.
-
-    The given family (or every one of ``families``) at the given size (or
-    its ``ALL_GRID`` sizes); a family outside ``families`` is refused.
-    """
-    def suite(family, n, args):
-        if family is not None and family not in families:
-            names = "/".join(f.value for f in families)
-            raise ValueError(f"--group {family.value} is not supported here "
-                             f"(choose from {names})")
-        for fam in families if family is None else [family]:
+    """Suite running ``check(family, size, **flags)`` on the given ``--group`` (or all
+    of ``families``, its choices) at the given ``--n`` (or the ``ALL_GRID`` sizes)."""
+    def suite(group=None, n=None, **flags):
+        for fam in families if group is None else [Family(group)]:
             for size in (n,) if n is not None else ALL_GRID[fam]:
-                yield check(fam, size, args)
+                yield check(fam, size, **flags)
+    suite.groups = [f.value for f in families]
     return suite
 
 
-def _symplectic_inverse(family, n, args):
+def _symplectic_inverse(trials, seed, n=None):
     for size in (n,) if n is not None else (1, 2, 3):
-        yield _goldman.verify_symplectic_inverse(size, trials=args.trials, seed=args.seed)
+        yield _goldman.verify_symplectic_inverse(size, trials=trials, seed=seed)
 
 
-def _octonion(family, n, args):
-    if args.trials < 1:
+def _octonion(trials, seed):
+    if trials < 1:
         raise ValueError("trials must be >= 1")
     with CheckRun("octonion-structure", trials=49) as run:
         unit_matrices()  # includes the rebuild self-test
         structural = structure_residual()
         run.record(passed=structural == 0.0, max_abs_err=structural)
     yield run.report
-    with CheckRun("octonion-conjugation", seed=args.seed, trials=args.trials) as run:
-        streams = [np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,))
-                   for trial in range(args.trials)]
+    with CheckRun("octonion-conjugation", seed=seed, trials=trials) as run:
+        streams = [np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+                   for trial in range(trials)]
         gs, _, _ = _goldman.sample_elements(Family.G2, 1, streams)
         worst = max(conjugation_residual(g) for g in gs)
         run.record(passed=worst < 1e-8, max_abs_err=worst)
     yield run.report
 
 
-def _exotic(family, n, args):
+def _exotic(trials, seed):
     for spec in (
         _obs.ObservableSpec.make(1, 1, 0, 0, 1, [[1]], []),
         _obs.ObservableSpec.make(2, 2, 0, 1, 2, [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
     ):
-        inst = _obs.random_instance(spec, seed=args.seed)
-        yield _obs.invariance_test(inst, trials=min(args.trials, 10), seed=args.seed)
+        inst = _obs.random_instance(spec, seed=seed)
+        yield _obs.invariance_test(inst, trials=min(trials, 10), seed=seed)
 
 
-def _symbolic(family, n, args):
+def _symbolic(seed):
     with CheckRun("symbolic-worked-example") as run:
         diff = _sym.reproduce_examples()
         run.record(passed=diff.passed, max_abs_err=0.0 if diff.passed else 1.0,
                    params={"terms": diff.term_count})
     yield run.report
     expr = _sym.bracket(_sym.parse_expr("tr(a)"), _sym.parse_expr("tr(b)"))
-    yield _sym.closure_check(expr, seed=args.seed).report
+    yield _sym.closure_check(expr, seed=seed).report
 
 
-# Every suite of `verify`, in the order `verify all` runs them, with the
-# flags it takes.  A suite is called as suite(family, n, args) with family
-# and n None for "not given".
-_GROUP_N = ("--group", "--n")
+# Every suite of `verify`, in the order `verify all` runs them, with the flags
+# it takes as keywords (under `all`, only --trials and --seed).  Checks are
+# looked up when called, so rebinding one in its module takes effect here.
+_GROUP_N, _TRIALS_SEED = ("group", "n"), ("trials", "seed")
 VERIFY_SUITES = {
-    "normalization": (_per_size(lambda fam, size, args: check_normalization(
-        build_basis(fam, size), _tol(args.tol_abs, 1e-12))), _GROUP_N),
-    "casimir": (_per_size(lambda fam, size, args: _casimir.verify_closed_form(
-        fam, size, _tol(args.tol_abs, 1e-12))), _GROUP_N),
-    "tensor-lemmas": (lambda family, n, args: (
-        _casimir.verify_tensor_lemmas(size, seed=args.seed) for size in (2, 3, 4)), ()),
-    "bracket": (_per_size(lambda fam, size, args: _goldman.verify_bracket(
-        fam, size, trials=args.trials, seed=args.seed,
-        rel_tol=_tol(args.tol_rel, 1e-9))), _GROUP_N),
-    "defect": (_per_size(lambda fam, size, args: _goldman.verify_defect(
-        fam, size, trials=args.trials, seed=args.seed),
-        families=(Family.SP, Family.SO)), _GROUP_N),
-    "symplectic-inverse": (_symplectic_inverse, ("--n",)),
-    "octonion": (_octonion, ()),
-    "split": (_per_size(lambda fam, size, args: _goldman.split_harness(
-        fam, size, seed=args.seed)), _GROUP_N),
-    "exotic": (_exotic, ()),
-    "symbolic": (_symbolic, ()),
+    "normalization": (_per_size(lambda *a: check_normalization(build_basis(*a))), _GROUP_N),
+    "casimir": (_per_size(lambda *a: _casimir.verify_closed_form(*a)), _GROUP_N),
+    "tensor-lemmas": (lambda seed: (
+        _casimir.verify_tensor_lemmas(size, seed=seed) for size in (2, 3, 4)), ("seed",)),
+    "bracket": (_per_size(lambda *a, **kw: _goldman.verify_bracket(*a, **kw)),
+                _GROUP_N + _TRIALS_SEED),
+    "defect": (_per_size(lambda *a, **kw: _goldman.verify_defect(*a, **kw),
+                         families=(Family.SP, Family.SO)), _GROUP_N + _TRIALS_SEED),
+    "symplectic-inverse": (_symplectic_inverse, ("n",) + _TRIALS_SEED),
+    "octonion": (_octonion, _TRIALS_SEED),
+    "split": (_per_size(lambda *a, **kw: _goldman.split_harness(*a, **kw)),
+              _GROUP_N + ("seed",)),
+    "exotic": (_exotic, _TRIALS_SEED),
+    "symbolic": (_symbolic, ("seed",)),
 }
 
 
 def cmd_verify(args) -> int:
-    """Run one suite, or with ``all`` every suite over its full grid.
-
-    ``all`` ignores ``--group`` and ``--n``; a single suite refuses a flag
-    it does not take.
-    """
+    """Run one suite, or with ``all`` every suite over its full grid."""
     em = _Emitter(args.json, args.quiet)
-    if args.what == "all":
-        suites = [suite for suite, _ in VERIFY_SUITES.values()]
-        family, n = None, None
-    else:
-        suite, flags = VERIFY_SUITES[args.what]
-        for flag, value in (("--group", args.group), ("--n", args.n)):
-            if value is not None and flag not in flags:
-                raise ValueError(f"verify {args.what} does not take {flag}")
-        suites = [suite]
-        family, n = Family(args.group) if args.group else None, args.n
-    for suite in suites:
-        for report in suite(family, n, args):
+    runs = ([(suite, [f for f in flags if f in _TRIALS_SEED])
+             for suite, flags in VERIFY_SUITES.values()]
+            if args.what == "all" else [VERIFY_SUITES[args.what]])
+    for suite, flags in runs:
+        for report in suite(**{flag: getattr(args, flag) for flag in flags}):
             em.emit(report)
     return em.exit_code()
 
@@ -201,43 +162,58 @@ def _load_spec(path: str):
         raise SystemExit(2)
 
 
-def cmd_exotic(args) -> int:
-    if args.action == "enumerate":
-        specs = _obs.enumerate_specs(args.r, args.n1, args.s, args.n2, args.t)
-        expect = _obs.spec_count(args.r, args.n1, args.s, args.n2, args.t)
-        if args.json:
-            for spec in specs:
-                print(json.dumps(_obs.spec_to_json_dict(spec), sort_keys=True))
-        print(f"{len(specs)} specs (closed form {expect})", file=sys.stderr)
-        return 0 if len(specs) == expect else 1
+def _load_instance(path: str, seed: int):
+    """The instance a spec file embeds, or else one sampled from ``seed``."""
+    obj, spec = _load_spec(path)
+    if "monodromies" not in obj:
+        return _obs.random_instance(spec, seed=seed)
+    try:
+        return _obs.instance_from_json_dict(obj)
+    except _obs.SpecJsonError as exc:
+        print(f"bad instance at {exc.path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
-    obj, spec = _load_spec(args.spec)
-    if args.action == "validate":
-        errors = _obs.validate_spec(spec)
-        for err in errors:
-            print(err)
-        if not errors and not args.quiet:
-            print("ok")
-        return 0 if not errors else 1
 
-    if "monodromies" in obj:
-        try:
-            inst = _obs.instance_from_json_dict(obj)
-        except _obs.SpecJsonError as exc:
-            print(f"bad instance at {exc.path}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        inst = _obs.random_instance(spec, seed=args.seed)
+def cmd_validate(args) -> int:
+    errors = _obs.validate_spec(_load_spec(args.spec)[1])
+    for err in errors:
+        print(err)
+    if not errors and not args.quiet:
+        print("ok")
+    return 0 if not errors else 1
 
-    if args.action == "evaluate":
-        value = _obs.evaluate(inst)
-        print(json.dumps({"value": value}) if args.json else f"value = {value:.12g}")
-        return 0
-    # invariance
-    report = _obs.invariance_test(inst, trials=args.trials, seed=args.seed,
-                                  rel_tol=_tol(args.tol_rel, 1e-8))
+
+def cmd_enumerate(args) -> int:
+    counts = (args.r, args.n1, args.s, args.n2, args.t)
+    specs = _obs.enumerate_specs(*counts)
+    expect = _obs.spec_count(*counts)
+    if args.json:
+        for spec in specs:
+            print(json.dumps(_obs.spec_to_json_dict(spec), sort_keys=True))
+    print(f"{len(specs)} specs (closed form {expect})", file=sys.stderr)
+    return 0 if len(specs) == expect else 1
+
+
+def cmd_evaluate(args) -> int:
+    value = _obs.evaluate(_load_instance(args.spec, args.seed))
+    print(json.dumps({"value": value}) if args.json else f"value = {value:.12g}")
+    return 0
+
+
+def cmd_invariance(args) -> int:
+    inst = _load_instance(args.spec, args.seed)
+    report = _obs.invariance_test(inst, trials=args.trials, seed=args.seed)
     print(report.to_json() if args.json else report.summary_line())
     return 0 if report.passed else 1
+
+
+# Every `exotic` action with its handler and the flags it takes.
+EXOTIC_ACTIONS = {
+    "validate": (cmd_validate, ("spec",)),
+    "enumerate": (cmd_enumerate, ("r", "n1", "s", "n2", "t")),
+    "evaluate": (cmd_evaluate, ("spec", "seed")),
+    "invariance": (cmd_invariance, ("spec", "trials", "seed")),
+}
 
 
 def cmd_bracket(args) -> int:
@@ -275,54 +251,69 @@ def cmd_bracket(args) -> int:
     return 0
 
 
+def _add_global_flags(parser, default):
+    """--json and --quiet; a command's copies (SUPPRESS) override only if given."""
+    parser.add_argument("--json", action="store_true", default=default,
+                        help="newline-delimited JSON reports")
+    parser.add_argument("--quiet", action="store_true", default=default,
+                        help="suppress passing output")
+
+
+def _command(sub, name, flags=(), trials=100, groups=FAMILY_CHOICES, **kwargs):
+    """The parser of one command: the global flags plus exactly ``flags``."""
+    parser = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    _add_global_flags(parser, argparse.SUPPRESS)
+    for flag in flags:
+        if flag == "group":
+            parser.add_argument("--group", choices=groups)
+        elif flag == "spec":
+            parser.add_argument("--spec", required=True, help="observable spec JSON file")
+        else:
+            parser.add_argument(f"--{flag}", type=int,
+                                default={"trials": trials, "n": None}.get(flag, 0))
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goldmankit",
         description="Verify trace-bracket identities and work with exotic observables.",
         allow_abbrev=False,
     )
-    _add_global_flags(parser, top_level=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+    _add_global_flags(parser, False)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("what", choices=["all", *VERIFY_SUITES])
-    p_verify.add_argument("--group", choices=FAMILY_CHOICES)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    _add_global_flags(p_verify, top_level=False)
+    p_verify = _command(commands, "verify", help="run a verification suite")
     p_verify.set_defaults(func=cmd_verify)
+    suites = p_verify.add_subparsers(dest="what", required=True)
+    # `all` takes --group and --n and ignores them
+    _command(suites, "all", _GROUP_N + _TRIALS_SEED, help="every suite over its full size grid")
+    for what, (suite, flags) in VERIFY_SUITES.items():
+        _command(suites, what, flags, groups=getattr(suite, "groups", None))
 
-    p_exotic = sub.add_parser("exotic", help="exotic-observable tools")
-    p_exotic.add_argument("action", choices=["validate", "enumerate", "evaluate", "invariance"])
-    p_exotic.add_argument("--spec", help="observable spec JSON file")
-    p_exotic.add_argument("--trials", type=int, default=50)
-    p_exotic.add_argument("--seed", type=int, default=0)
-    for name in ("r", "n1", "s", "n2", "t"):
-        p_exotic.add_argument(f"--{name}", type=int, default=0)
-    _add_global_flags(p_exotic, top_level=False)
-    p_exotic.set_defaults(func=cmd_exotic)
+    p_exotic = _command(commands, "exotic", help="exotic-observable tools")
+    actions = p_exotic.add_subparsers(dest="action", required=True)
+    for action, (func, flags) in EXOTIC_ACTIONS.items():
+        _command(actions, action, flags, trials=50).set_defaults(func=func)
 
-    p_bracket = sub.add_parser("bracket", help="symbolic bracket of two expressions")
+    p_bracket = _command(commands, "bracket", help="symbolic bracket of two expressions")
     p_bracket.add_argument("--lhs", required=True)
     p_bracket.add_argument("--rhs", required=True)
     p_bracket.add_argument("--check-closure", action="store_true")
     p_bracket.add_argument("--seed", type=int, default=0)
-    _add_global_flags(p_bracket, top_level=False)
     p_bracket.set_defaults(func=cmd_bracket)
     return parser
 
 
+# Building the parser tree takes a few milliseconds; do it once per process.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "exotic" and args.action in ("validate", "evaluate", "invariance"):
-        if not args.spec:
-            print("exotic: --spec FILE.json is required for this action", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -323,6 +323,8 @@ def invariance_test(inst: ObservableInstance, trials: int = 50, seed: int = 0,
     tr(M O_i) term is reported in the params and expected to exceed
     ``control_floor`` for a generic transform (degenerate draws resample).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     require_valid(inst.spec)
     with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
         base = evaluate(inst)

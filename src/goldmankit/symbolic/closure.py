@@ -83,10 +83,14 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
 
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
     rule) are quarantined: listed in the failures with a note, neither
-    checked nor failing the check.
+    checked nor failing the check.  An expression with no monomial outside
+    that quarantine (0 included) is refused: it would pass vacuously.
     """
     if gauge_trials < 1:
         raise ValueError("gauge_trials must be >= 1")
+    if all(m.extended for m in expr.monomials):
+        raise ValueError("closure check has no monomial to check "
+                         "(the expression is 0 or every monomial is extended)")
     trials = len(expr.monomials) * gauge_trials
     with CheckRun("symbolic-closure", seed=seed, trials=trials) as run:
         signatures = []

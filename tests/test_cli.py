@@ -1,8 +1,12 @@
 """CLI surface: exit codes, JSON stream, spec files, expression errors."""
 
 import json
+import shlex
+from pathlib import Path
 
-from goldmankit.cli import run
+import pytest
+
+from goldmankit.cli import build_parser, run
 
 
 def test_verify_casimir_g2(capsys):
@@ -112,10 +116,13 @@ def test_json_determinism(capsys):
     assert bodies(first) == bodies(second)
 
 
-def test_failed_check_exits_one_but_reports(capsys):
-    # an impossible tolerance forces a failure; the report is still emitted
-    code = run(["--json", "--tol-abs", "1e-30", "verify", "normalization",
-                "--group", "g2"])
+def test_failed_check_exits_one_but_reports(monkeypatch, capsys):
+    # a residual far above the pinned tolerance forces a failure; the report
+    # is still emitted
+    from goldmankit import bases
+
+    monkeypatch.setattr(bases, "normalization_residual", lambda basis: 1.0)
+    code = run(["--json", "verify", "normalization", "--group", "g2"])
     assert code == 1
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rows and not rows[0]["pass"]
@@ -179,7 +186,7 @@ def test_verify_defect_refuses_group_outside_sp_so(capsys):
         assert run(["verify", "defect"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: --group {argv[1]} is not supported")
+        assert f"argument --group: invalid choice: '{argv[1]}'" in captured.err
 
 
 def test_verify_suite_refuses_flags_it_does_not_take(capsys):
@@ -191,5 +198,87 @@ def test_verify_suite_refuses_flags_it_does_not_take(capsys):
         assert run(["verify", what, flag, value, "--trials", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: verify {what} does not take {flag}")
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
     assert run(["verify", "symplectic-inverse", "--n", "1", "--trials", "2"]) == 0
+
+
+def test_exotic_invariance_refuses_zero_trials(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"r": 1, "n1": 1, "s": 0, "n2": 0, "t": 1, "K": [[1]], "Q": []}))
+    for argv in (["exotic", "invariance", "--spec", str(path), "--trials", "0"],
+                 ["verify", "exotic", "--trials", "0"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trials must be >= 1")
+
+
+def test_bracket_closure_refuses_nothing_to_check(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from goldmankit import symbolic
+
+    def refused(lhs, rhs):
+        assert run(["bracket", "--lhs", lhs, "--rhs", rhs, "--check-closure"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: closure check has no monomial to check")
+
+    refused("tr(a)", "tr(a)")  # the bracket is 0
+    bracket = symbolic.bracket
+    monkeypatch.setattr(symbolic, "bracket", lambda lhs, rhs: symbolic.Expression(tuple(
+        replace(m, extended=True) for m in bracket(lhs, rhs).monomials)))
+    refused("tr(a)", "tr(b)")  # every monomial quarantined as extended
+
+
+# (argv, exit code): each command refuses, through argparse and before any
+# file is read or check run, every flag it does not honour
+FLAG_CASES = [(argv, 2) for argv in (
+    ["verify", "casimir", "--group", "su", "--n", "2", "--trials", "-3"],
+    ["verify", "normalization", "--group", "su", "--n", "2", "--trials", "0", "--seed", "5"],
+    ["verify", "split", "--trials", "2"],
+    ["verify", "tensor-lemmas", "--trials", "2"],
+    ["verify", "symbolic", "--trials", "2"],
+    ["verify", "octonion", "--tri", "2"],
+    ["verify", "octonion", "--n", "2"],
+    ["--tol-abs", "1e-30", "verify", "normalization"],
+    ["--tol-rel", "1e300", "verify", "bracket", "--group", "su", "--n", "2", "--trials", "2"],
+    ["verify", "bracket", "--group", "su", "--n", "2", "--trials", "2", "--tol-rel", "1e300"],
+    ["verify", "defect", "--group", "so", "--n", "3", "--tol-abs", "0", "--trials", "2"],
+    ["verify", "all", "--tol-abs", "0"],
+    ["exotic", "enumerate", "--r", "1", "--n1", "1", "--t", "1", "--seed", "5"],
+    ["exotic", "enumerate", "--r", "1", "--n1", "1", "--t", "1", "--trials", "-1"],
+    ["exotic", "evaluate", "--spec", "spec.json", "--trials", "3"],
+    ["exotic", "evaluate", "--spec", "spec.json", "--r", "1"],
+    ["exotic", "validate", "--spec", "spec.json", "--seed", "1"],
+    ["exotic", "invariance", "--spec", "spec.json", "--tol-rel", "1"],
+    ["bracket", "--lhs", "tr(a)", "--rhs", "tr(b)", "--trials", "2"],
+    ["bracket", "--lhs", "tr(a)", "--rhs", "tr(b)", "--check"],
+)] + [(argv, 0) for argv in (
+    ["verify", "split", "--seed", "1"],
+    ["verify", "tensor-lemmas", "--seed", "3"],
+    ["verify", "casimir", "--group", "su", "--n", "2", "--json", "--quiet"],
+    ["--quiet", "verify", "all", "--group", "sp", "--trials", "2"],
+)]
+
+
+@pytest.mark.parametrize("argv, code", FLAG_CASES, ids=[" ".join(a) for a, _ in FLAG_CASES])
+def test_each_command_takes_only_the_flags_it_honours(argv, code, capsys):
+    assert run(argv) == code
+    if code == 2:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: goldmankit")
+
+
+def test_readme_cli_examples_parse():
+    # every `goldmankit ...` line of the sh block under "## CLI" in README.md
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line, comments=True) for line in lines if line.strip()]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        assert argv[0] == "goldmankit"
+        parser.parse_args(argv[1:])

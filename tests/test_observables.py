@@ -180,6 +180,13 @@ def test_invariance_exact_for_identity_gauge():
     assert obs.evaluate(inst.conjugated(np.eye(7))) == base
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_invariance_refuses_fewer_than_one_trial(trials):
+    inst = obs.random_instance(FIRST, seed=23)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        obs.invariance_test(inst, trials=trials)
+
+
 def test_fixed_coefficients_are_not_invariant():
     # conjugating monodromies while HOLDING alpha fixed must move the value:
     # invariance is only claimed under simultaneous conjugation

@@ -1,5 +1,6 @@
 """Symbolic engine: parser, bracket rules, normalization, signatures, closure."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -360,6 +361,24 @@ def test_closure_refuses_zero_gauge_trials():
     e = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(b)"))
     with pytest.raises(ValueError, match="gauge_trials"):
         sym.closure_check(e, seed=0, gauge_trials=0)
+
+
+def test_closure_refuses_zero_expression():
+    e = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(a)"))
+    assert e.monomials == ()
+    with pytest.raises(ValueError, match="no monomial to check"):
+        sym.closure_check(e, seed=0)
+
+
+def test_closure_refuses_when_every_monomial_is_extended():
+    e = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(b)"))
+    quarantined = [replace(m, extended=True) for m in e.monomials]
+    with pytest.raises(ValueError, match="no monomial to check"):
+        sym.closure_check(sym.Expression(tuple(quarantined)), seed=0)
+    # one monomial left outside the quarantine is checked, and passes
+    mixed = sym.closure_check(sym.Expression((e.monomials[0], *quarantined[1:])), seed=0)
+    assert mixed.report.passed
+    assert len(mixed.failures) == len(quarantined) - 1
 
 
 def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
