@@ -90,11 +90,15 @@ def matrix_side(family: Family, n: int) -> int:
     return n
 
 
-def _check_n(family: Family, n: int) -> int:
+def check_size(family: Family, n: int) -> int:
+    """``n`` as an int if the family takes that size; ValueError otherwise.
+
+    G2 has no size parameter, so it takes n = 1 only.
+    """
     family = as_family(family)
-    if family is Family.G2:
-        return 1  # size parameter ignored
     n = int(n)
+    if family is Family.G2 and n != 1:
+        raise ValueError(f"g2 has no size parameter: n must be 1, got {n}")
     if n < 1:
         raise ValueError(f"{family.value} requires n >= 1, got {n}")
     if family is Family.SO and n < 2:
@@ -251,7 +255,7 @@ def build_basis(family, n: int = 1) -> LieBasis:
     the table rows; SO is lexicographic in (i, j); G2 is C_1..C_14.
     """
     family = as_family(family)
-    n = _check_n(family, n)
+    n = check_size(family, n)
     if family is Family.GL:
         gens, signs = _gl_basis(n)
     elif family is Family.U:
@@ -286,16 +290,22 @@ def normalization_residual(basis: LieBasis) -> float:
     return max_abs(gram - target)
 
 
-def check_normalization(basis: LieBasis, abs_tol: float = 1e-12) -> VerificationReport:
+_NORMALIZATION_TOL = 1e-12  # absolute, on normalization_residual
+
+
+def check_normalization(basis: LieBasis) -> VerificationReport:
     """Normalization condition (1/2) tr(t_a t_b) = f(a) delta_ab as a report."""
     with CheckRun("normalization", trials=len(basis) ** 2) as run:
         residual = normalization_residual(basis)
-        run.record(passed=residual < abs_tol, max_abs_err=residual,
+        run.record(passed=residual < _NORMALIZATION_TOL, max_abs_err=residual,
                    params={"group": basis.family.value, "n": basis.n})
     return run.report
 
 
-def closure_rank(basis: LieBasis, threshold: float = 1e-8) -> int:
+_RANK_TOL = 1e-8  # singular values below it count as zero in closure_rank
+
+
+def closure_rank(basis: LieBasis) -> int:
     """Rank of span({t_a} union {[t_a, t_b]}); equals dim for a closed algebra."""
     gens = [np.asarray(g, dtype=complex) for g in basis.generators]
     vecs = [g.ravel() for g in gens]
@@ -303,4 +313,4 @@ def closure_rank(basis: LieBasis, threshold: float = 1e-8) -> int:
         for b in range(a + 1, len(gens)):
             vecs.append((gens[a] @ gens[b] - gens[b] @ gens[a]).ravel())
     stack = np.array(vecs)
-    return int(np.linalg.matrix_rank(stack, tol=threshold))
+    return int(np.linalg.matrix_rank(stack, tol=_RANK_TOL))

@@ -44,21 +44,26 @@ class CasimirTensor:
     tensor: np.ndarray
 
 
-def casimir_tensor(basis: LieBasis, abs_tol: float = 1e-12) -> CasimirTensor:
+_NORMALIZATION_TOL = 1e-12  # absolute, as check_normalization; casimir_tensor refuses above it
+_CLOSED_FORM_TOL = 1e-12  # absolute, entrywise
+_LEMMA_TOL = 1e-13  # absolute, worst of the three tensor lemmas
+
+
+def casimir_tensor(basis: LieBasis) -> CasimirTensor:
     """Gamma = sum_a f(a) kron(t_a, t_a); real even for complex generators.
 
     One contraction over the stacked generators, in kron's block layout
     Gamma4[i,k,j,l] = sum_a f(a) t_a[i,j] t_a[k,l].
     """
     residual = normalization_residual(basis)
-    if residual >= abs_tol:
+    if residual >= _NORMALIZATION_TOL:
         raise NormalizationError(basis, residual)
     d = basis.side
     flat = np.stack(basis.generators).reshape(len(basis), d * d)
     signs = np.asarray(basis.signs, dtype=float)
     gamma4 = ((flat.T * signs) @ flat).reshape(d, d, d, d)
     gamma = gamma4.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    gamma = real_part(gamma, abs_tol) if np.iscomplexobj(gamma) else gamma
+    gamma = real_part(gamma)
     return CasimirTensor(basis.family, basis.side ** 2, gamma)
 
 
@@ -108,14 +113,14 @@ def closed_form(family, n: int) -> np.ndarray:
     return p + defect_matrix(Family.SO, 7) + oct_term / 3.0
 
 
-def verify_closed_form(family, n: int = 1, abs_tol: float = 1e-12) -> VerificationReport:
-    """Entrywise |Gamma_from_basis - closed form| < abs_tol."""
+def verify_closed_form(family, n: int = 1) -> VerificationReport:
+    """Entrywise |Gamma_from_basis - closed form| < _CLOSED_FORM_TOL."""
     family = as_family(family)
     with CheckRun("casimir-closed-form") as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         residual = max_abs(gamma - closed_form(family, n))
-        run.record(passed=residual < abs_tol, max_abs_err=residual,
+        run.record(passed=residual < _CLOSED_FORM_TOL, max_abs_err=residual,
                    params={"group": family.value, "n": basis.n})
     return run.report
 
@@ -155,9 +160,9 @@ def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> di
     }
 
 
-def verify_tensor_lemmas(n: int, seed: int = 0, abs_tol: float = 1e-13) -> VerificationReport:
+def verify_tensor_lemmas(n: int, seed: int = 0) -> VerificationReport:
     with CheckRun("tensor-lemmas", seed=seed, trials=3) as run:
         res = tensor_lemma_residuals(n, np.random.default_rng(np.random.SeedSequence(seed)))
         worst = max(res.values())
-        run.record(passed=worst < abs_tol, max_abs_err=worst, params={"n": n})
+        run.record(passed=worst < _LEMMA_TOL, max_abs_err=worst, params={"n": n})
     return run.report

@@ -25,12 +25,13 @@ from . import casimir as _casimir
 from . import goldman as _goldman
 from . import observables as _obs
 from . import symbolic as _sym
-from .bases import Family, build_basis, check_normalization
+from .bases import Family, build_basis, check_normalization, check_size
 from .linalg import NumericError
 from .octonions import conjugation_residual, structure_residual, unit_matrices
 from .reports import CheckRun, VerificationReport
 
 FAMILY_CHOICES = [f.value for f in Family]
+_CONJUGATION_TOL = 1e-8  # absolute, on octonions.conjugation_residual
 
 
 # Size grids for `verify all`; chosen to cover every family quickly.
@@ -61,11 +62,14 @@ class _Emitter:
 
 def _per_size(check, families=tuple(Family)):
     """Suite running ``check(family, size, **flags)`` on the given ``--group`` (or all
-    of ``families``, its choices) at the given ``--n`` (or the ``ALL_GRID`` sizes)."""
+    of ``families``, its choices) at the given ``--n`` (or the ``ALL_GRID`` sizes).
+    A size some family of the sweep does not take is refused before any check runs."""
     def suite(group=None, n=None, **flags):
-        for fam in families if group is None else [Family(group)]:
-            for size in (n,) if n is not None else ALL_GRID[fam]:
-                yield check(fam, size, **flags)
+        cells = [(fam, check_size(fam, size))
+                 for fam in (families if group is None else [Family(group)])
+                 for size in ((n,) if n is not None else ALL_GRID[fam])]
+        for fam, size in cells:
+            yield check(fam, size, **flags)
     suite.groups = [f.value for f in families]
     return suite
 
@@ -88,7 +92,7 @@ def _octonion(trials, seed):
                    for trial in range(trials)]
         gs, _, _ = _goldman.sample_elements(Family.G2, 1, streams)
         worst = max(conjugation_residual(g) for g in gs)
-        run.record(passed=worst < 1e-8, max_abs_err=worst)
+        run.record(passed=worst < _CONJUGATION_TOL, max_abs_err=worst)
     yield run.report
 
 
@@ -268,6 +272,8 @@ def _command(sub, name, flags=(), trials=100, groups=FAMILY_CHOICES, **kwargs):
             parser.add_argument("--group", choices=groups)
         elif flag == "spec":
             parser.add_argument("--spec", required=True, help="observable spec JSON file")
+        elif flag == "t":
+            parser.add_argument("--t", type=int, required=True, help="number of word traces")
         else:
             parser.add_argument(f"--{flag}", type=int,
                                 default={"trials": trials, "n": None}.get(flag, 0))

@@ -34,6 +34,11 @@ from .reports import CheckRun, VerificationReport
 
 _RESAMPLE_LIMIT = 8
 _MEMBERSHIP_TOL = 1e-8
+_REL_FLOOR = 1e-12  # relative errors divide by max(|rhs|, _REL_FLOOR)
+_BRACKET_TOL = 1e-9  # relative
+_DEFECT_TOL = 1e-10  # absolute
+_SYMPLECTIC_INVERSE_TOL = 1e-9  # absolute
+_SPLIT_TOL = 1e-9  # absolute, on the trace and bracket deviations
 
 
 @dataclass(frozen=True)
@@ -204,12 +209,12 @@ def _reduce(lhs: np.ndarray, rhs: np.ndarray):
     """(trial with the largest absolute error, that error, largest relative error)."""
     err = np.abs(lhs - rhs)
     worst = int(np.argmax(err))
-    rel = err / np.maximum(np.abs(rhs), 1e-12)
+    rel = err / np.maximum(np.abs(rhs), _REL_FLOOR)
     return worst, float(err[worst]), float(np.max(rel))
 
 
 def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0,
-                   scale: float = 1.0, rel_tol: float = 1e-9) -> VerificationReport:
+                   scale: float = 1.0) -> VerificationReport:
     """Bracket identity on ``trials`` independently sampled pairs.
 
     ``params["worst_trial"]`` is the trial t with the largest absolute error
@@ -221,14 +226,14 @@ def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0,
         gamma = casimir_tensor(basis).tensor
         (a, b), resamples = _trial_draws(family, basis, seed, trials, 2, scale)
         worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma))
-        run.record(passed=worst_rel < rel_tol, max_abs_err=worst_abs, max_rel_err=worst_rel,
+        run.record(passed=worst_rel < _BRACKET_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
                    params={"group": family.value, "n": basis.n, "intersections": 1,
                            "worst_trial": worst, "resamples": resamples})
     return run.report
 
 
 def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0,
-                  scale: float = 1.0, abs_tol: float = 1e-10) -> VerificationReport:
+                  scale: float = 1.0) -> VerificationReport:
     """tr_12[(A (x) B) chi] = -tr(A B^-1) for the SP/SO defect matrices."""
     family = as_family(family)
     if family not in (Family.SP, Family.SO):
@@ -239,7 +244,7 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0,
         (a, b), resamples = _trial_draws(family, basis, seed, trials, 2, scale)
         lhs = trace12_pairs(a, b, chi)
         worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)))
-        run.record(passed=worst_abs < abs_tol, max_abs_err=worst_abs, max_rel_err=worst_rel,
+        run.record(passed=worst_abs < _DEFECT_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
                    params={"group": family.value, "n": basis.n,
                            "worst_trial": worst, "resamples": resamples})
     return run.report
@@ -265,19 +270,18 @@ def symplectic_inverse_residual(b: np.ndarray, n: int):
 
 
 def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0,
-                              scale: float = 1.0, abs_tol: float = 1e-9) -> VerificationReport:
+                              scale: float = 1.0) -> VerificationReport:
     """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
     with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
         basis = build_basis(Family.SP, n)
         (b,), resamples = _trial_draws(Family.SP, basis, seed, trials, 1, scale)
         worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials))
-        run.record(passed=worst_abs < abs_tol, max_abs_err=worst_abs,
+        run.record(passed=worst_abs < _SYMPLECTIC_INVERSE_TOL, max_abs_err=worst_abs,
                    params={"n": n, "worst_trial": worst, "resamples": resamples})
     return run.report
 
 
-def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7,
-                  abs_tol: float = 1e-9) -> VerificationReport:
+def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7) -> VerificationReport:
     """Basepoint-split invariance of the bracket reduction.
 
     A loop's monodromy is split as M = T(x1, x2) Mtilde with the composition
@@ -298,7 +302,7 @@ def split_harness(family, n: int = 1, seed: int = 0, scale: float = 0.7,
         )
         (lhs,), (rhs,) = _bracket_stack(family, a[None], b[None], gamma)
         worst = max(trace_dev, abs(lhs - rhs))
-        run.record(passed=worst < abs_tol, max_abs_err=worst,
-                   max_rel_err=worst / max(abs(rhs), 1e-12),
+        run.record(passed=worst < _SPLIT_TOL, max_abs_err=worst,
+                   max_rel_err=worst / max(abs(rhs), _REL_FLOOR),
                    params={"group": family.value, "n": basis.n})
     return run.report

@@ -125,12 +125,15 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def real_part(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+_IMAG_TOL = 1e-12  # real_part drops imaginary entries below it as noise
+
+
+def real_part(a: np.ndarray) -> np.ndarray:
     """Drop an imaginary part that is certified to be numerical noise."""
     a = np.asarray(a)
     if not np.iscomplexobj(a):
         return a
     imag = max_abs(a.imag)
-    if imag >= tol:
-        raise NumericError(f"imaginary part {imag:.3e} exceeds tolerance {tol:.1e}")
+    if imag >= _IMAG_TOL:
+        raise NumericError(f"imaginary part {imag:.3e} exceeds tolerance {_IMAG_TOL:.1e}")
     return a.real.copy()

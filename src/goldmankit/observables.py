@@ -239,15 +239,22 @@ def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
     return np.einsum("...aa->...", x)
 
 
+_EINSUM_LABELS = 52  # numpy's einsum has 52 index labels
+
+
 def contract(traces, coeffs, value: float = 1.0) -> float:
     """value * sum over the index ids of prod tr(M O_word) * prod C[row, col].
 
     ``traces`` are (matrix, word) factors, a word being a sequence of index
     ids; ``coeffs`` are (matrix, row id, col id) factors.  Every id is summed
     over 1..7.  Empty-word traces are plain scalars; the rest is one greedy
-    einsum over the word tables and coefficient matrices.
+    einsum over the word tables and coefficient matrices.  More than 52
+    distinct ids are refused with ValueError before any table is built.
     """
-    labels: dict = {}  # einsum labels must stay below its symbol count
+    ids = {i for _, word in traces for i in word} | {i for _, *pair in coeffs for i in pair}
+    if len(ids) > _EINSUM_LABELS:
+        raise ValueError(f"{len(ids)} summed indices exceed einsum's {_EINSUM_LABELS} index labels")
+    labels: dict = {}
     lab = lambda i: labels.setdefault(i, len(labels))
     args = []
     for mat, word in traces:
@@ -315,13 +322,17 @@ def negative_control(m: np.ndarray, g: np.ndarray) -> float:
     )
 
 
-def invariance_test(inst: ObservableInstance, trials: int = 50, seed: int = 0,
-                    rel_tol: float = 1e-8, control_floor: float = 1e-3) -> VerificationReport:
+_INVARIANCE_TOL = 1e-8  # relative change of the observable
+_CONTROL_FLOOR = 1e-3  # the negative control must move at least this much
+
+
+def invariance_test(inst: ObservableInstance, trials: int = 50,
+                    seed: int = 0) -> VerificationReport:
     """Relative change of the observable under random simultaneous conjugation.
 
     Also runs the negative control: the largest movement of a single
     tr(M O_i) term is reported in the params and expected to exceed
-    ``control_floor`` for a generic transform (degenerate draws resample).
+    ``_CONTROL_FLOOR`` for a generic transform (degenerate draws resample).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -339,7 +350,7 @@ def invariance_test(inst: ObservableInstance, trials: int = 50, seed: int = 0,
             worst = max(worst, abs(value - base) / scale_ref)
             control = max(control, negative_control(inst.monodromies[0], g))
         run.record(
-            passed=worst < rel_tol and control > control_floor,
+            passed=worst < _INVARIANCE_TOL and control > _CONTROL_FLOOR,
             max_abs_err=worst * scale_ref,
             max_rel_err=worst,
             params={

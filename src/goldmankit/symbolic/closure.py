@@ -4,9 +4,9 @@ Base loop symbols are instantiated with random group elements, composites
 with the corresponding matrix products (``a.b -> M_a M_b``, ``a.~b ->
 M_a M_b^-1``), and abstract coefficient symbols with independent random
 group elements.  A monomial passes the closure check when its wiring earns a
-legal observable signature and its numeric value is invariant, to the given
-tolerance, under simultaneous conjugation of every loop and coefficient
-matrix by random group elements.
+legal observable signature and its numeric value is invariant, to a pinned
+relative tolerance, under simultaneous conjugation of every loop and
+coefficient matrix by random group elements.
 """
 
 from __future__ import annotations
@@ -77,8 +77,10 @@ class ClosureResult:
     failures: list = field(default_factory=list)
 
 
-def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
-                  rel_tol: float = 1e-7) -> ClosureResult:
+_CLOSURE_TOL = 1e-7  # relative change of a monomial under conjugation
+
+
+def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> ClosureResult:
     """Signature validity plus per-monomial numeric gauge invariance.
 
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
@@ -116,7 +118,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3,
             for g in gauges:
                 moved = evaluate_monomial(m, conjugate_env(env, g))
                 worst = max(worst, abs(moved - base) / scale_ref)
-        run.record(passed=worst < rel_tol and not unrecognized,
+        run.record(passed=worst < _CLOSURE_TOL and not unrecognized,
                    max_abs_err=worst, max_rel_err=worst,
                    params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials})
     return ClosureResult(run.report, signatures, failures)

@@ -53,7 +53,7 @@ def test_criterion_01_normalization():
     start = time.perf_counter()
     worst = 0.0
     for family, n in SIZE_GRID:
-        report = check_normalization(build_basis(family, n), abs_tol=1e-12)
+        report = check_normalization(build_basis(family, n))
         worst = max(worst, report.max_abs_err)
         assert report.passed, (family, n)
     elapsed = time.perf_counter() - start
@@ -65,7 +65,7 @@ def test_criterion_02_casimir_closed_forms():
     start = time.perf_counter()
     worst = 0.0
     for family, n in SIZE_GRID:
-        report = verify_closed_form(family, n, abs_tol=1e-12)
+        report = verify_closed_form(family, n)
         worst = max(worst, report.max_abs_err)
         assert report.passed, (family, n)
     elapsed = time.perf_counter() - start
@@ -86,7 +86,7 @@ def test_criterion_04_goldman_brackets():
     start = time.perf_counter()
     worst = 0.0
     for family, n in BRACKET_GRID:
-        report = verify_bracket(family, n, trials=100, seed=2026, rel_tol=1e-9)
+        report = verify_bracket(family, n, trials=100, seed=2026)
         worst = max(worst, report.max_rel_err)
         assert report.passed, (family, n, report.max_rel_err)
     elapsed = time.perf_counter() - start
@@ -98,7 +98,7 @@ def test_criterion_05_defect_lemmas():
     worst = 0.0
     for family, sizes in ((Family.SP, range(1, 4)), (Family.SO, range(3, 8))):
         for n in sizes:
-            report = verify_defect(family, n, trials=100, seed=11, abs_tol=1e-10)
+            report = verify_defect(family, n, trials=100, seed=11)
             worst = max(worst, report.max_abs_err)
             assert report.passed, (family, n)
     _announce(5, "defect lemmas", worst < 1e-10, f"max residual {worst:.2e}")
@@ -107,7 +107,7 @@ def test_criterion_05_defect_lemmas():
 def test_criterion_06_symplectic_inverse():
     worst = 0.0
     for n in range(1, 4):
-        report = verify_symplectic_inverse(n, trials=100, seed=17, abs_tol=1e-9)
+        report = verify_symplectic_inverse(n, trials=100, seed=17)
         worst = max(worst, report.max_abs_err)
         assert report.passed, n
     _announce(6, "inverse-symplectic formulas", worst < 1e-9,
@@ -155,7 +155,7 @@ def test_criterion_08_exotic_observables():
     control_min = np.inf
     for k, spec in enumerate((first, third)):
         inst = obs.random_instance(spec, seed=31 + k)
-        report = obs.invariance_test(inst, trials=50, seed=37 + k, rel_tol=1e-8)
+        report = obs.invariance_test(inst, trials=50, seed=37 + k)
         assert report.passed
         inv_worst = max(inv_worst, report.max_rel_err)
         control_min = min(control_min, report.params["negative_control"])
@@ -221,9 +221,7 @@ def test_criterion_09_symbolic_engine():
                         for j, spec in enumerate(obs.enumerate_specs(r, n1, s, n2, t)):
                             expr = sym.bracket(canon, sym.build_f_expression(spec))
                             res = sym.closure_check(
-                                expr, seed=5_000 + specs_checked, gauge_trials=2,
-                                rel_tol=1e-7,
-                            )
+                                expr, seed=5_000 + specs_checked, gauge_trials=2)
                             closure_ok = closure_ok and res.report.passed
                             worst = max(worst, res.report.max_rel_err)
                             specs_checked += 1

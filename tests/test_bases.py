@@ -127,6 +127,12 @@ def test_bad_sizes_rejected():
         build_basis(Family.GL, 0)
 
 
+@pytest.mark.parametrize("n", [0, 2, 5])
+def test_g2_refuses_a_size_other_than_one(n):
+    with pytest.raises(ValueError, match=f"g2 has no size parameter: n must be 1, got {n}"):
+        build_basis(Family.G2, n)
+
+
 def test_residual_helper_matches_report():
     basis = build_basis(Family.SU, 4)
     assert normalization_residual(basis) == check_normalization(basis).max_abs_err

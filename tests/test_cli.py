@@ -248,6 +248,7 @@ FLAG_CASES = [(argv, 2) for argv in (
     ["verify", "all", "--tol-abs", "0"],
     ["exotic", "enumerate", "--r", "1", "--n1", "1", "--t", "1", "--seed", "5"],
     ["exotic", "enumerate", "--r", "1", "--n1", "1", "--t", "1", "--trials", "-1"],
+    ["exotic", "enumerate", "--r", "1", "--n1", "1"],
     ["exotic", "evaluate", "--spec", "spec.json", "--trials", "3"],
     ["exotic", "evaluate", "--spec", "spec.json", "--r", "1"],
     ["exotic", "validate", "--spec", "spec.json", "--seed", "1"],
@@ -282,3 +283,30 @@ def test_readme_cli_examples_parse():
     for argv in examples:
         assert argv[0] == "goldmankit"
         parser.parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "bracket", "--group", "g2", "--n", "5", "--trials", "2"],
+     "g2 has no size parameter: n must be 1, got 5"),
+    (["verify", "casimir", "--group", "g2", "--n", "5"],
+     "g2 has no size parameter: n must be 1, got 5"),
+    # a sweep over every family is refused before its first report
+    (["verify", "normalization", "--n", "3"], "g2 has no size parameter: n must be 1, got 3"),
+    (["verify", "bracket", "--n", "1", "--trials", "2"], "so(n) requires n >= 2, got 1"),
+])
+def test_verify_refuses_a_size_a_family_does_not_take(argv, message, capsys):
+    assert run(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_exotic_evaluate_refuses_more_indices_than_einsum_labels(tmp_path, capsys):
+    # r = n1 = t = 53 with K the identity: 53 simple traces, 53 one-letter words
+    k = [[int(i == j) for j in range(53)] for i in range(53)]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"r": 53, "n1": 53, "s": 0, "n2": 0, "t": 53, "K": k, "Q": []}))
+    assert run(["exotic", "evaluate", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 53 summed indices exceed einsum's 52 index labels\n"
