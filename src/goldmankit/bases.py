@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,9 +254,18 @@ def build_basis(family, n: int = 1) -> LieBasis:
     Ordering: Gell-Mann families follow ``gell_mann`` order (GL keeps the
     real forms h, f_sym, i*f_anti; SL/SU drop the h_1 direction); SP follows
     the table rows; SO is lexicographic in (i, j); G2 is C_1..C_14.
+    Memoized per (family, n): every call for one size returns the same
+    basis, its generators read-only.
     """
     family = as_family(family)
-    n = check_size(family, n)
+    return _build_basis(family, check_size(family, n))
+
+
+_BASIS_CACHE_SIZE = 64  # bases kept; `verify all --seed 42` builds 14
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _build_basis(family: Family, n: int) -> LieBasis:
     if family is Family.GL:
         gens, signs = _gl_basis(n)
     elif family is Family.U:
@@ -272,6 +282,8 @@ def build_basis(family, n: int = 1) -> LieBasis:
         gens, signs = _so_basis(n)
     else:
         gens, signs = _g2_basis()
+    for g in gens:
+        g.setflags(write=False)
     basis = LieBasis(family, n, matrix_side(family, n), tuple(gens), tuple(signs))
     if len(basis) != algebra_dim(family, n):
         raise AssertionError(

@@ -6,10 +6,11 @@ refuses any other flag or abbreviation with exit 2.  ``--json``/``--quiet``
 go before or after the command.  Checks run at their library tolerances.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports still
-emitted), 2 usage or input error, a refused request or a numeric kernel
-failure.  With ``--json`` each report is one JSON object per line; otherwise
-a table line per check.  Identical argv + seed give identical report bodies;
-``elapsed_ms`` is wall-clock noise outside the deterministic portion.
+emitted; under ``verify all`` this includes a suite that raised), 2 usage or
+input error, a refused request or a numeric kernel failure.  With ``--json``
+each report is one JSON object per line; otherwise a table line per check.
+Identical argv + seed give identical report bodies; ``elapsed_ms`` is
+wall-clock noise outside the deterministic portion.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import argparse
 import functools
 import json
 import sys
+import traceback
+from pathlib import Path
 
 import numpy as np
 
@@ -138,14 +141,28 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
-    """Run one suite, or with ``all`` every suite over its full grid."""
+    """Run one suite, or with ``all`` every suite over its full grid.
+
+    Under ``all``, a suite that raises is reported as a failing
+    ``suite-error`` report naming it, the error and the line that raised it,
+    and the next suite runs; the exit code is then 1, as for any failed
+    check.
+    """
     em = _Emitter(args.json, args.quiet)
-    runs = ([(suite, [f for f in flags if f in _TRIALS_SEED])
-             for suite, flags in VERIFY_SUITES.values()]
-            if args.what == "all" else [VERIFY_SUITES[args.what]])
-    for suite, flags in runs:
-        for report in suite(**{flag: getattr(args, flag) for flag in flags}):
-            em.emit(report)
+    runs = ([(name, suite, [f for f in flags if f in _TRIALS_SEED])
+             for name, (suite, flags) in VERIFY_SUITES.items()]
+            if args.what == "all" else [(args.what, *VERIFY_SUITES[args.what])])
+    for name, suite, flags in runs:
+        try:
+            for report in suite(**{flag: getattr(args, flag) for flag in flags}):
+                em.emit(report)
+        except Exception as exc:
+            if args.what != "all":
+                raise
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            em.emit(VerificationReport("suite-error", passed=False, params={
+                "suite": name, "error": f"{type(exc).__name__}: {exc}",
+                "at": f"{Path(where.filename).name}:{where.lineno} in {where.name}"}))
     return em.exit_code()
 
 

@@ -20,9 +20,14 @@ Q columns bind l_{2n1-r+c}, and the trailing singleton Q columns alternate
 between the blocks l_{2n1-r+s+*} (odd offsets) and l_{2n1-r+n2+*} (even
 offsets).  Every index thus occurs in exactly two factors.
 
-``evaluate`` is the factorized einsum contraction ``contract``, which also
-evaluates the monomials of the symbolic engine; ``evaluate_brute`` is the
-reference oracle, a literal sum over all 7^#indices tuples refused above a
+``evaluate`` is the tensor-network contraction ``contract``, which also
+evaluates the monomials of the symbolic engine.  A word trace
+tr(M O_{i1} ... O_{ik}) enters it as a ring of k + 1 operands, the 7x7
+matrix M and one 7x7x7 letter tensor O[i, a, b] per index, joined by k + 1
+bond indices; the whole network is contracted pairwise along einsum's
+greedy path, planned once per index structure, so no 7^k word table is
+built.  ``evaluate_brute`` is the reference oracle, a literal sum over all
+7^#indices tuples of the word tables ``word_trace_table``, refused above a
 budget.  K and Q are plain tuples of 0/1 rows.  Invariance is under
 *simultaneous* conjugation of every monodromy and every alpha/beta by one
 group element; nothing is claimed when the coefficients are held fixed.
@@ -33,6 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from string import ascii_letters
 
 import numpy as np
 
@@ -231,7 +238,11 @@ def random_instance(spec: ObservableSpec, seed: int = 0, scale: float = 1.0) -> 
 
 
 def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
-    """T[i1..ik] = tr(M O_{i1} ... O_{ik}) as a (7,)*length array."""
+    """T[i1..ik] = tr(M O_{i1} ... O_{ik}) as a (7,)*length array.
+
+    The literal definition, read only by the oracle ``evaluate_brute``;
+    ``contract`` never builds it.
+    """
     o = unit_matrices()
     x = np.asarray(m)  # shape (..., 7, 7) growing one index axis per letter
     for _ in range(length):
@@ -240,6 +251,50 @@ def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
 
 
 _EINSUM_LABELS = 52  # numpy's einsum has 52 index labels
+_PLAN_CACHE_SIZE = 1024  # plans kept; criterion 9's sweep uses about 520
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(rings: tuple, plain: tuple, out: tuple = ()) -> list:
+    """The contraction of one network as a list of einsum steps.
+
+    The operands are, in order, each ring's matrix and letters, then the
+    ``plain`` operands.  ``rings`` holds each ring's word, ``plain`` and
+    ``out`` their label tuples; labels are compacted to 0, 1, ... in
+    first-seen order, and every axis has length 7, so one plan serves every
+    renaming of the ids.  A ring of k letters gets k + 1 fresh bond labels:
+    M[b0,b1] O[i1,b1,b2] ... O[ik,bk,b0].  The order is einsum's greedy
+    path; each step is (operand positions, highest first, subscripts), and
+    its result is appended to the operands.  The last step leaves ``out``.
+    """
+    free = 1 + max((x for labels in rings + plain for x in labels), default=-1)
+    structure = []
+    for word in rings:
+        bond = lambda j: free + j % (len(word) + 1)
+        structure.append((bond(0), bond(1)))
+        structure += [(i, bond(j), bond(j + 1)) for j, i in enumerate(word, 1)]
+        free += len(word) + 1
+    structure += plain
+    args = [x for labels in structure for x in (np.broadcast_to(0.0, (7,) * len(labels)), labels)]
+    path = np.einsum_path(*args, out, optimize="greedy")[0][1:]
+    spell = lambda labels: "".join(ascii_letters[x] for x in labels)
+    steps = []
+    for positions in path:
+        positions = sorted(positions, reverse=True)
+        taken = [structure.pop(p) for p in positions]
+        needed = set(out).union(*structure)
+        kept = tuple(dict.fromkeys(x for labels in taken for x in labels if x in needed))
+        kept = kept if structure else out
+        steps.append((positions, ",".join(map(spell, taken)) + "->" + spell(kept)))
+        structure.append(kept)
+    return steps
+
+
+def _run(steps, arrays) -> np.ndarray:
+    """Carry out a ``_plan`` on the operand arrays."""
+    for positions, subscripts in steps:
+        arrays.append(np.einsum(subscripts, *[arrays.pop(p) for p in positions]))
+    return arrays[0]
 
 
 def contract(traces, coeffs, value: float = 1.0) -> float:
@@ -247,28 +302,44 @@ def contract(traces, coeffs, value: float = 1.0) -> float:
 
     ``traces`` are (matrix, word) factors, a word being a sequence of index
     ids; ``coeffs`` are (matrix, row id, col id) factors.  Every id is summed
-    over 1..7.  Empty-word traces are plain scalars; the rest is one greedy
-    einsum over the word tables and coefficient matrices.  More than 52
-    distinct ids are refused with ValueError before any table is built.
+    over 1..7.  Empty-word traces are plain scalars.  Each other trace is a
+    ring of k + 1 operands, the 7x7 matrix and one 7x7x7 letter tensor O[i]
+    per id, joined by k + 1 bond labels.  The rings and the coefficient
+    matrices make one network, contracted pairwise on a plan made once per
+    label structure (``_plan``), so no 7^k word table is built.
+
+    More than 52 distinct ids are refused with ValueError.  When the ids and
+    the bond labels together exceed einsum's 52, the longest rings are first
+    contracted alone into their 7^k tensors, until the rest fits; a ring of
+    more than 25 letters cannot be, and is refused with ValueError.
     """
-    ids = {i for _, word in traces for i in word} | {i for _, *pair in coeffs for i in pair}
+    ids: dict = {}
+    compact = lambda labels: tuple(ids.setdefault(x, len(ids)) for x in labels)
+    rings = []
+    for mat, word in traces:
+        if word:
+            rings.append((mat, compact(word)))
+        else:
+            value *= float(np.einsum("aa->", mat))
+    plain = [(mat, compact((row, col))) for mat, row, col in coeffs]
     if len(ids) > _EINSUM_LABELS:
         raise ValueError(f"{len(ids)} summed indices exceed einsum's {_EINSUM_LABELS} index labels")
-    labels: dict = {}
-    lab = lambda i: labels.setdefault(i, len(labels))
-    args = []
-    for mat, word in traces:
-        table = word_trace_table(mat, len(word))
-        if not word:
-            value *= float(table)
-        else:
-            args.extend((table, [lab(i) for i in word]))
-    for mat, row, col in coeffs:
-        args.extend((mat, [lab(row), lab(col)]))
-    if not args:
+    o = unit_matrices()
+    excess = len(ids) + sum(len(word) + 1 for _, word in rings) - _EINSUM_LABELS
+    while excess > 0:
+        mat, word = rings.pop(max(range(len(rings)), key=lambda k: len(rings[k][1])))
+        if 2 * len(word) + 1 > _EINSUM_LABELS:
+            raise ValueError(f"a {len(word)}-letter word needs {2 * len(word) + 1} labels "
+                             f"to contract alone; einsum has {_EINSUM_LABELS}")
+        letters = tuple(range(len(word)))
+        table = _run(_plan((letters,), (), letters), [mat] + [o] * len(word))
+        plain.insert(0, (table, word))
+        excess -= len(word) + 1
+    if not rings and not plain:
         return value
-    args.append([])
-    return value * float(np.einsum(*args, optimize="greedy"))
+    steps = _plan(tuple(word for _, word in rings), tuple(labels for _, labels in plain))
+    arrays = [x for mat, word in rings for x in (mat, *(o,) * len(word))]
+    return value * float(_run(steps, arrays + [array for array, _ in plain]))
 
 
 def _factors(inst: ObservableInstance):

@@ -181,9 +181,8 @@ def test_criterion_08_exotic_observables():
               f"brute-vs-factorized {agree_worst:.2e} on {checked} specs")
 
 
-def test_evaluate_equals_symbolic_engine_bitwise():
-    # one contraction engine: the exotic evaluator and the symbolic monomial
-    # evaluator agree exactly on the same matrices
+def _universe_by_both_engines():
+    """(spec, exotic value, symbolic monomial value) over the acceptance universe."""
     for tup in _acceptance_spec_universe():
         for j, spec in enumerate(obs.enumerate_specs(*tup)):
             inst = obs.random_instance(spec, seed=j)
@@ -191,7 +190,20 @@ def test_evaluate_equals_symbolic_engine_bitwise():
             env = {("loop", f"g{k + 1}"): mat for k, mat in enumerate(inst.monodromies)}
             env.update({("sym", f"ca{k + 1}"): mat for k, mat in enumerate(inst.alphas)})
             env.update({("sym", f"cb{k + 1}"): mat for k, mat in enumerate(inst.betas)})
-            assert sym.evaluate_monomial(m, env) == obs.evaluate(inst), spec
+            yield spec, obs.evaluate(inst), sym.evaluate_monomial(m, env)
+
+
+def test_evaluate_equals_symbolic_engine_bitwise():
+    # one contraction engine: the exotic evaluator and the symbolic monomial
+    # evaluator agree exactly on the same matrices
+    for spec, exotic, symbolic in _universe_by_both_engines():
+        assert symbolic == exotic, spec
+
+
+def test_both_engines_build_no_word_table(monkeypatch):
+    # word_trace_table is the brute-force oracle's definition only
+    monkeypatch.setattr(obs, "word_trace_table", lambda *a: pytest.fail("table built"))
+    assert sum(1 for _ in _universe_by_both_engines()) == 41
 
 
 def test_criterion_09_symbolic_engine():

@@ -136,3 +136,11 @@ def test_g2_refuses_a_size_other_than_one(n):
 def test_residual_helper_matches_report():
     basis = build_basis(Family.SU, 4)
     assert normalization_residual(basis) == check_normalization(basis).max_abs_err
+
+
+def test_build_basis_is_memoized_and_read_only():
+    basis = build_basis(Family.G2)
+    assert build_basis("g2", 1) is basis
+    assert build_basis(Family.SU, 3) is build_basis("su", 3) is not build_basis(Family.SU, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        basis.generators[0][0, 0] = 1.0

@@ -310,3 +310,50 @@ def test_exotic_evaluate_refuses_more_indices_than_einsum_labels(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 53 summed indices exceed einsum's 52 index labels\n"
+
+
+def test_exotic_evaluate_refuses_a_word_too_long_for_einsum_labels(tmp_path, capsys):
+    # one 26-letter word: its 26 ids and 27 bond labels exceed 52
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"r": 0, "n1": 0, "s": 0, "n2": 13, "t": 1,
+                                "K": [[]], "Q": [[1] * 26]}))
+    assert run(["exotic", "evaluate", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a 26-letter word needs 53 labels to contract alone; "
+                            "einsum has 52\n")
+
+
+def test_exotic_evaluate_length_nine_word(tmp_path, capsys):
+    from goldmankit import observables as obs
+
+    obj = {"r": 0, "n1": 1, "s": 0, "n2": 4, "t": 1, "K": [[1]], "Q": [[1] * 8]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    assert run(["--json", "exotic", "evaluate", "--spec", str(path), "--seed", "3"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    spec = obs.spec_from_json_dict(obj)
+    assert value == obs.evaluate(obs.random_instance(spec, seed=3))
+
+
+def test_verify_all_reports_a_raising_suite_and_goes_on(monkeypatch, capsys):
+    from goldmankit import cli
+
+    def octonion(trials, seed):
+        yield from cli._octonion(trials, seed)
+        raise RuntimeError("boom")
+
+    argv = ["--json", "verify", "all", "--trials", "2", "--seed", "4"]
+    assert run(argv) == 0
+    clean = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    monkeypatch.setitem(cli.VERIFY_SUITES, "octonion", (octonion, ("trials", "seed")))
+    assert run(argv) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    at = [r["check"] for r in clean].index("octonion-conjugation") + 1
+    error = rows[at]
+    assert error["check"] == "suite-error" and not error["pass"]
+    assert error["params"]["suite"] == "octonion"
+    assert error["params"]["error"] == "RuntimeError: boom"
+    assert error["params"]["at"].startswith("test_cli.py:")
+    assert error["params"]["at"].endswith(" in octonion")
+    assert [r["check"] for r in rows[:at] + rows[at + 1:]] == [r["check"] for r in clean]

@@ -1,5 +1,6 @@
 """Exotic observables: validation, enumeration, both evaluators, invariance."""
 
+import itertools
 import json
 
 import numpy as np
@@ -163,6 +164,110 @@ def test_contract_refuses_more_ids_than_einsum_labels(monkeypatch):
     monkeypatch.setattr(obs, "word_trace_table", lambda *a: pytest.fail("table built"))
     with pytest.raises(ValueError, match="^53 summed indices exceed einsum's 52 index labels$"):
         obs.contract([(np.eye(7), (0, 1, 2))], chain)
+
+
+@pytest.mark.parametrize("second, order", [(None, (0, 1, 2, 3, 4, 5)), (7, (2, 0, 5, 1, 4, 3))])
+def test_contract_contracts_long_rings_alone_when_bond_labels_overflow(second, order, monkeypatch):
+    # 46 chain ids plus 6 word ids fill einsum's 52 labels; the two rings'
+    # 14 bond labels do not fit beside them.  The second word, on the same
+    # ids in the given order, is traced with I or with a sampled element.
+    m = sample_element("g2", 1, seed=5).matrix
+    n = np.eye(7) if second is None else sample_element("g2", 1, seed=second).matrix
+    chain = [(sample_element("g2", 1, seed=100 + k).matrix, k, k + 1) for k in range(45)]
+    word = tuple(100 + k for k in range(6))
+    ends = np.ones(7) @ np.linalg.multi_dot([c for c, _, _ in chain]) @ np.ones(7)
+    reference = ends * np.einsum(obs.word_trace_table(m, 6), range(6),
+                                 obs.word_trace_table(n, 6), order)
+    monkeypatch.setattr(obs, "word_trace_table", lambda *a: pytest.fail("table built"))
+    value = obs.contract([(m, word), (n, tuple(word[k] for k in order))], chain)
+    assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_contract_refuses_a_ring_too_long_to_contract_alone():
+    # 25 letters on distinct ids fit beside their 26 bond labels; 26 do not,
+    # and alone the ring would need 26 letter and 27 bond labels
+    m = sample_element("g2", 1, seed=11).matrix
+    power = np.linalg.matrix_power(unit_matrices().sum(axis=0), 25)
+    assert obs.contract([(m, tuple(range(25)))], []) == pytest.approx(
+        np.trace(m @ power), rel=1e-12)
+    with pytest.raises(ValueError, match="^a 26-letter word needs 53 labels to contract alone; "
+                                         "einsum has 52$"):
+        obs.contract([(np.eye(7), tuple(range(26)))], [])
+
+
+def test_plan_cache_hits_on_a_renamed_copy():
+    inst = obs.random_instance(THIRD, seed=3)
+    traces, coeffs = obs._factors(inst)
+    rename = {0: 9, 1: 4, 2: 7, 3: 1}  # out of the ids' numeric order
+    renamed = [(mat, tuple(rename[i] for i in word)) for mat, word in traces]
+    renamed_coeffs = [(mat, rename[row], rename[col]) for mat, row, col in coeffs]
+    obs._plan.cache_clear()
+    value = obs.contract(traces, coeffs)
+    assert obs._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert obs.contract(renamed, renamed_coeffs) == value
+    assert obs._plan.cache_info()[:2] == (1, 1)
+
+
+def test_plan_cache_is_bounded():
+    obs._plan.cache_clear()
+    size = obs._plan.cache_info().maxsize
+    assert size == obs._PLAN_CACHE_SIZE
+    structures = [((), ((i, j),)) for i in range(40) for j in range(40)][: size + 8]
+    for structure in structures:
+        obs._plan(*structure)
+    info = obs._plan.cache_info()
+    assert info.misses == size + 8 and info.currsize == size
+    obs._plan.cache_clear()
+
+
+def _paired_word_oracle(inst):
+    """One word trace summed by explicit 7x7 matrix products, without einsum.
+
+    Every beta pairs two letters of the word: the loop runs over the first
+    id of each pair, the second letter being sum_v beta[x, v] O_v.  Every
+    alpha joins a simple trace to a letter, which weighs that letter's id.
+    So a length-k word costs 7^(k/2) products.
+    """
+    o = unit_matrices()
+    spec = inst.spec
+    simple, (word,), alphas, betas = obs.index_layout(spec)
+    weight = {}
+    for j, ((row, col), alpha) in enumerate(zip(alphas, inst.alphas)):
+        assert row == simple[j]
+        traces = [np.trace(inst.monodromies[j] @ o[u]) for u in range(7)]
+        weight[col] = [sum(traces[u] * alpha[u, v] for u in range(7)) for v in range(7)]
+    partner = {}
+    for (row, col), beta in zip(betas, inst.betas):
+        partner[col] = (row, [sum(beta[x, v] * o[v] for v in range(7)) for x in range(7)])
+    free = [i for i in word if i not in partner]
+    assert len(free) + len(partner) == len(word) == spec.n_indices - spec.n1
+    total = 0.0
+    for values in itertools.product(range(7), repeat=len(free)):
+        x = dict(zip(free, values))
+        prod = inst.monodromies[spec.n1]
+        for i in word:
+            prod = prod @ (partner[i][1][x[partner[i][0]]] if i in partner else o[x[i]])
+        term = np.trace(prod)
+        for i, w in weight.items():
+            term *= w[x[i]]
+        total += term
+    return total
+
+
+LONG_WORDS = [
+    obs.ObservableSpec.make(0, 1, 0, 4, 1, [[1]], [[1] * 8]),  # length 9
+    obs.ObservableSpec.make(0, 0, 0, 5, 1, [[]], [[1] * 10]),  # length 10
+]
+
+
+@pytest.mark.parametrize("spec", LONG_WORDS, ids=["length9", "length10"])
+def test_long_words_match_an_explicit_loop(spec):
+    assert obs.validate_spec(spec) == []
+    inst = obs.random_instance(spec, seed=41)
+    value = obs.evaluate(inst)
+    assert abs(value - _paired_word_oracle(inst)) <= 1e-12 * max(1.0, abs(value))
+    report = obs.invariance_test(inst, trials=5, seed=43)
+    assert report.passed and report.max_rel_err < 1e-8
 
 
 @pytest.mark.parametrize("spec", [FIRST, ROW_K, THIRD])
