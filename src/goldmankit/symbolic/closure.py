@@ -103,6 +103,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
         streams = [np.random.SeedSequence(entropy=seed, spawn_key=(12, k))
                    for k in range(gauge_trials)]
         gauges, _, _ = sample_elements(Family.G2, 1, streams)
+        moved_envs = [conjugate_env(env, g) for g in gauges]
         for m in expr.monomials:
             sig = recognize(m)
             signatures.append(sig)
@@ -115,8 +116,8 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
                 continue
             base = evaluate_monomial(m, env)
             scale_ref = max(1.0, abs(base))
-            for g in gauges:
-                moved = evaluate_monomial(m, conjugate_env(env, g))
+            for moved_env in moved_envs:
+                moved = evaluate_monomial(m, moved_env)
                 worst = max(worst, abs(moved - base) / scale_ref)
         run.record(passed=worst < _CLOSURE_TOL and not unrecognized,
                    max_abs_err=worst, max_rel_err=worst,
@@ -124,33 +125,16 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
     return ClosureResult(run.report, signatures, failures)
 
 
-def build_f_expression(spec: ObservableSpec, loop_names=None,
-                       sym_prefix: str = "c") -> Expression:
+def build_f_expression(spec: ObservableSpec) -> Expression:
     """The symbolic observable for a spec, on fresh base loops.
 
-    Loops default to g1..g{n1+t} (simple slots first, then word rows);
-    coefficient symbols are {prefix}a1.. for the alpha block and {prefix}b1..
-    for the beta block.
+    Loops are g1..g{n1+t} (simple slots first, then word rows); coefficient
+    symbols are ca1.. for the alpha block and cb1.. for the beta block.
     """
     require_valid(spec)
-    if loop_names is None:
-        loop_names = [f"g{k + 1}" for k in range(spec.n_loops)]
-    if len(loop_names) != spec.n_loops:
-        raise ValueError(f"expected {spec.n_loops} loop names")
     simple, words, alphas, betas = index_layout(spec)
-    traces = [
-        TraceAtom(Loop(loop_names[j]), (simple[j],)) for j in range(spec.n1)
-    ]
-    traces += [
-        TraceAtom(Loop(loop_names[spec.n1 + m]), tuple(words[m]))
-        for m in range(spec.t)
-    ]
-    coeffs = [
-        CoeffAtom(f"{sym_prefix}a{m + 1}", row, col)
-        for m, (row, col) in enumerate(alphas)
-    ]
-    coeffs += [
-        CoeffAtom(f"{sym_prefix}b{k + 1}", row, col)
-        for k, (row, col) in enumerate(betas)
-    ]
+    words = [(i,) for i in simple] + [tuple(w) for w in words]
+    traces = [TraceAtom(Loop(f"g{k + 1}"), w) for k, w in enumerate(words)]
+    coeffs = [CoeffAtom(f"ca{m + 1}", row, col) for m, (row, col) in enumerate(alphas)]
+    coeffs += [CoeffAtom(f"cb{k + 1}", row, col) for k, (row, col) in enumerate(betas)]
     return Expression((Monomial(Fraction(1), tuple(traces), tuple(coeffs)),))

@@ -8,9 +8,10 @@ but unknown 7x7 group element), with every index id implicitly summed over
 intersecting once, by standing assumption -- or composites built by bracket
 resolution: ``a.b`` and ``a.~b`` for the two smoothings.
 
-Everything here is immutable; ``normalize`` merges monomials that agree up
-to index renaming and trace-factor reordering, and renumbers ids so no id is
-shared between two monomials' binders.
+Everything here is immutable.  ``wiring`` is the one reader of which atoms
+hold which ids; ``normalize`` merges monomials that agree up to index
+renaming and atom reordering, and renumbers ids so no id is shared between
+two monomials' binders.
 """
 
 from __future__ import annotations
@@ -79,12 +80,7 @@ class Monomial:
     extended: bool = False
 
     def indices(self) -> frozenset:
-        ids = set()
-        for t in self.traces:
-            ids.update(t.word)
-        for c in self.coeffs:
-            ids.update((c.row, c.col))
-        return frozenset(ids)
+        return frozenset(wiring(self)[1])
 
     def __str__(self):
         ids = sorted(self.indices())
@@ -170,43 +166,64 @@ def _shift_ids(m: Monomial, offset: int) -> Monomial:
     return rename_indices(m, {i: i + offset for i in ids})
 
 
-def canonical_encoding(m: Monomial):
-    """Hashable form invariant under index renaming and trace reordering.
+def wiring(m: Monomial):
+    """The index wiring of a monomial, as (atoms, holders).
 
-    Trace atoms are sorted by (loop string, word length); within tie groups
-    all orderings are tried and the lexicographically smallest relabelled
-    encoding wins.  Groups are tiny in practice, so the search is cheap.
+    ``atoms`` lists the traces as ``(("tr", loop), word)``, then the
+    coefficients as ``(("c", sym), (row, col))``.  ``holders`` maps each id,
+    in order of first occurrence, to the atom of each slot holding it.
     """
-    keyed = sorted(m.traces, key=lambda t: (str(t.loop), len(t.word)))
-    groups = [
-        list(g) for _, g in itertools.groupby(
-            keyed, key=lambda t: (str(t.loop), len(t.word))
-        )
-    ]
-    best = None
-    for perm_choice in itertools.product(*[itertools.permutations(g) for g in groups]):
-        order = [t for group in perm_choice for t in group]
-        table = {}
-        for t in order:
-            for i in t.word:
-                table.setdefault(i, len(table))
-        coeff_atoms = list(m.coeffs)
-        # ids seen only on coefficient atoms are assigned in a stable order
-        for c in sorted(coeff_atoms, key=lambda c: (c.sym,
-                                                    table.get(c.row, 1 << 30),
-                                                    table.get(c.col, 1 << 30))):
-            table.setdefault(c.row, len(table))
-            table.setdefault(c.col, len(table))
-        enc_traces = tuple(
-            (str(t.loop), tuple(table[i] for i in t.word)) for t in order
-        )
-        enc_coeffs = tuple(sorted(
-            (c.sym, table[c.row], table[c.col]) for c in coeff_atoms
-        ))
-        enc = (enc_traces, enc_coeffs, m.extended)
-        if best is None or enc < best:
-            best = enc
-    return best
+    atoms = [(("tr", str(t.loop)), t.word) for t in m.traces]
+    atoms += [(("c", c.sym), (c.row, c.col)) for c in m.coeffs]
+    holders: dict[int, list] = {}
+    for a, (_, ids) in enumerate(atoms):
+        for i in ids:
+            holders.setdefault(i, []).append(a)
+    return atoms, holders
+
+
+def _walks(atoms, holders, order, placed, number, pos=0):
+    """Every walk on from ``order[pos]``, as (encoding, atom order).
+
+    A walk visits atoms in order, numbers each one's ids in slot order and
+    appends the atoms sharing each newly numbered id; its encoding lists the
+    atoms visited, each as its label and its ids' numbers.  Slots are ordered,
+    so the start fixes the walk, except for the order of the new atoms of an
+    id held by three or more atoms: there the walk branches.
+    """
+    while pos < len(order):
+        groups = []
+        for i in atoms[order[pos]][1]:
+            if i not in number:
+                number[i] = len(number)
+                groups.append([b for b in dict.fromkeys(holders[i]) if b not in placed])
+                placed.update(groups[-1])
+        pos += 1
+        if any(len(g) > 1 for g in groups):
+            for choice in itertools.product(*map(itertools.permutations, groups)):
+                more = [b for g in choice for b in g]
+                yield from _walks(atoms, holders, order + more, set(placed), dict(number), pos)
+            return
+        order += [b for g in groups for b in g]
+    yield tuple((atoms[a][0], tuple(number[i] for i in atoms[a][1])) for a in order), order
+
+
+def canonical_encoding(m: Monomial):
+    """Hashable form shared exactly by renamings and reorderings of ``m``.
+
+    Each connected component of the wiring is encoded by its smallest walk
+    from any of its atoms; the key is the sorted encodings plus ``extended``.
+    """
+    atoms, holders = wiring(m)
+    best = {}  # component, as its set of atoms -> its smallest walk so far
+    for s in sorted(range(len(atoms)), key=lambda a: atoms[a][0]):
+        # a walk opens with its start's label, so only the smallest can win
+        if any(s in part and enc[0][0] < atoms[s][0] for part, enc in best.items()):
+            continue
+        for enc, order in _walks(atoms, holders, [s], {s}, {}):
+            part = frozenset(order)
+            best[part] = min(best.get(part, enc), enc)
+    return tuple(sorted(best.values())), m.extended
 
 
 def normalize(expr: Expression) -> Expression:

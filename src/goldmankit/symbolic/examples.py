@@ -51,13 +51,11 @@ def _golden_monomial(coeff, atoms, coeff_entries) -> Monomial:
 
 def _anon_key(m: Monomial):
     """Canonical encoding with coefficient symbols anonymized."""
-    enc_traces, enc_coeffs, extended = canonical_encoding(m)
+    components, extended = canonical_encoding(m)
     order = {}
-    anon = []
-    for sym, row, col in enc_coeffs:
-        order.setdefault(sym, len(order))
-        anon.append((order[sym], row, col))
-    return (enc_traces, tuple(sorted(anon)), extended)
+    return tuple(sorted(tuple(
+        (("c", order.setdefault(name, len(order))) if kind == "c" else (kind, name), ids)
+        for (kind, name), ids in walk) for walk in components)), extended
 
 
 @dataclass

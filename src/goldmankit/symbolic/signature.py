@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..observables import ObservableSpec, spec_to_json_dict, validate_spec
-from .core import Monomial, normalize
+from .core import Monomial, normalize, wiring
 
 _ILLEGAL = "wiring does not match any legal simple/word split"
 
@@ -82,30 +82,24 @@ def normalize_and_recognize(expr):
     return normalized, [recognize(m) for m in normalized.monomials]
 
 
-def _links(decorated, coeffs):
+def _links(monomial):
     """The wiring as (trace links, coefficient links), or a failure reason.
 
-    A trace link is the pair of atoms one index joins directly, a coefficient
-    link the pair of atoms one coefficient joins; both come in order of first
-    occurrence of their indices, trace slots before coefficient slots.
+    A trace link is the pair of traces one index joins directly, a
+    coefficient link the pair one coefficient joins; traces are named by
+    their position, and links come in ``core.wiring``'s order of indices.
     """
-    occ: dict[int, list] = {}
-    for a, atom in enumerate(decorated):
-        for i in atom.word:
-            occ.setdefault(i, []).append(a)
-    for c, atom in enumerate(coeffs):
-        occ.setdefault(atom.row, []).append(("c", c))
-        occ.setdefault(atom.col, []).append(("c", c))
-    for i, ends in occ.items():
+    _, holders = wiring(monomial)
+    for i, ends in holders.items():
         if len(ends) != 2:
             return f"index i{i} occurs {len(ends)} time(s), expected exactly 2"
+    n = len(monomial.traces)
     trace_links, halves = [], {}
-    for a, b in occ.values():
-        if isinstance(a, int) and isinstance(b, int):
+    for a, b in holders.values():
+        if a < n and b < n:
             trace_links.append((a, b))
-        elif isinstance(a, int) or isinstance(b, int):
-            atom, coeff = (a, b) if isinstance(a, int) else (b, a)
-            halves.setdefault(coeff, []).append(atom)
+        elif a < n:  # wiring lists trace slots before coefficient slots
+            halves.setdefault(b, []).append(a)
         else:
             return _ILLEGAL
     return trace_links, [tuple(ends) for ends in halves.values()]
@@ -114,21 +108,21 @@ def _links(decorated, coeffs):
 def recognize(monomial: Monomial) -> Signature:
     """Classify one monomial; see the module docstring."""
     canonical = sorted(str(t.loop) for t in monomial.traces if not t.word)
-    decorated = [t for t in monomial.traces if t.word]
+    decorated = [a for a, atom in enumerate(monomial.traces) if atom.word]
     if not decorated:
         if monomial.coeffs:
             return Signature(reason="coefficient atoms without decorated traces")
         return Signature(canonical_loops=canonical, valid=True)
-    links = _links(decorated, monomial.coeffs)
+    links = _links(monomial)
     if isinstance(links, str):
         return Signature(reason=links)
     trace_links, coeff_links = links
 
-    single = [len(atom.word) == 1 for atom in decorated]
+    single = [len(atom.word) == 1 for atom in monomial.traces]
     partner = {}
     for a, b in trace_links + coeff_links:
         partner[a], partner[b] = b, a
-    simple = {a for a in range(len(decorated))
+    simple = {a for a in decorated
               if single[a] and not (single[partner[a]] and partner[a] < a)}
 
     def by_simple_end(pairs):
@@ -143,8 +137,8 @@ def recognize(monomial: Monomial) -> Signature:
 
     direct, doubles = by_simple_end(trace_links)
     alphas, betas = by_simple_end(coeff_links)
-    loop = [str(atom.loop) for atom in decorated]
-    word_order = sorted((a for a in range(len(decorated)) if a not in simple),
+    loop = [str(atom.loop) for atom in monomial.traces]
+    word_order = sorted((a for a in decorated if a not in simple),
                         key=loop.__getitem__)
     rank = {a: w for w, a in enumerate(word_order)}
     t = len(word_order)

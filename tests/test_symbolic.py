@@ -1,5 +1,7 @@
 """Symbolic engine: parser, bracket rules, normalization, signatures, closure."""
 
+import importlib.util
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,14 +10,19 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from canonical_oracle import encode_by_search
 from signature_oracle import recognize_by_search
 
 from goldmankit import symbolic as sym
 from goldmankit.bases import Family
 from goldmankit.goldman import sample_element
 from goldmankit.observables import ObservableSpec, enumerate_specs
-from goldmankit.symbolic import closure, signature
-from goldmankit.symbolic.core import CoeffAtom, Composite, Loop, Monomial, TraceAtom
+from goldmankit.symbolic import closure, core, signature
+from goldmankit.symbolic.core import (CoeffAtom, Composite, Loop, Monomial, TraceAtom,
+                                      rename_indices)
+
+# the package exports the function ``bracket`` under the module's name
+_bracket_module = importlib.import_module("goldmankit.symbolic.bracket")
 
 
 # ---------------------------------------------------------------- parser ----
@@ -234,7 +241,7 @@ def test_signature_worked_example_third_type():
 
 def test_signature_first_summand_bookkeeping_reachable():
     spec = ObservableSpec.make(1, 1, 0, 0, 1, [[1]], [])
-    f = sym.build_f_expression(spec, ["g1", "g2"])
+    f = sym.build_f_expression(spec)
     e = sym.bracket(sym.parse_expr("tr(c)"), f)
     thirds = [m for m in e.monomials if len(m.traces) == 3]
     assert len(thirds) == 2
@@ -278,6 +285,141 @@ def _sweep_specs():
                     for s in range(n2 + 1):
                         for t in range(1, n1 + 2 * n2 + 1):
                             yield from enumerate_specs(r, n1, s, n2, t)
+
+
+# ---------------------------------------------------- canonical encoding ----
+
+def _with_slots(m, ids):
+    """m with the ids of its slots, in slot order (traces, then coefficients), replaced."""
+    ids = iter(ids)
+    traces = tuple(TraceAtom(t.loop, tuple(next(ids) for _ in t.word)) for t in m.traces)
+    coeffs = tuple(CoeffAtom(c.sym, next(ids), next(ids)) for c in m.coeffs)
+    return Monomial(m.coeff, traces, coeffs, m.extended)
+
+
+def _slots(m):
+    return [i for t in m.traces for i in t.word] + [i for c in m.coeffs for i in (c.row, c.col)]
+
+
+@st.composite
+def _wirings(draw, max_traces=4, max_coeffs=4):
+    """A monomial whose ids each fill one to three slots, anywhere."""
+    lengths = draw(st.lists(st.integers(0, 3), max_size=max_traces))
+    n_coeffs = draw(st.integers(0, max_coeffs))
+    slots = sum(lengths) + 2 * n_coeffs
+    ids = []
+    while len(ids) < slots:
+        ids += [len(ids)] * draw(st.integers(1, 3))
+    traces = tuple(TraceAtom(Loop(draw(st.sampled_from("ab"))), (0,) * n) for n in lengths)
+    coeffs = tuple(CoeffAtom(draw(st.sampled_from("xy")), 0, 0) for _ in range(n_coeffs))
+    m = Monomial(Fraction(1), traces, coeffs, draw(st.booleans()))
+    return _with_slots(m, draw(st.permutations(ids[:slots])))
+
+
+def _scrambled(m, data):
+    """m with its ids renamed and its traces and coefficient atoms reordered."""
+    ids = sorted(m.indices())
+    new = data.draw(st.lists(st.integers(0, 999), min_size=len(ids), max_size=len(ids),
+                             unique=True))
+    reordered = Monomial(m.coeff, tuple(data.draw(st.permutations(m.traces))),
+                         tuple(data.draw(st.permutations(m.coeffs))), m.extended)
+    return rename_indices(reordered, dict(zip(ids, new)))
+
+
+def test_encoding_of_a_coefficient_only_cycle_ignores_renaming_and_order():
+    # h[i3,i1] * h[i1,i2] * g[i4,i0] * h[i4,i0] * h[i3,i2]: no id is on a trace
+    cycle = [CoeffAtom("h", 3, 1), CoeffAtom("h", 1, 2), CoeffAtom("g", 4, 0),
+             CoeffAtom("h", 4, 0), CoeffAtom("h", 3, 2)]
+    keys = {
+        core.canonical_encoding(rename_indices(Monomial(Fraction(1), (), order),
+                                               dict(enumerate(ids))))
+        for ids in itertools.permutations(range(5))
+        for order in itertools.permutations(cycle)
+    }
+    assert len(keys) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encoding_is_invariant_under_renaming_and_reordering(data):
+    # coefficient-only cycles and ids on three atoms included
+    m = data.draw(_wirings())
+    assert core.canonical_encoding(_scrambled(m, data)) == core.canonical_encoding(m), str(m)
+
+
+def _graph(m):
+    """m as a labelled graph: one node per atom, per slot and per id."""
+    import networkx as nx
+
+    atoms = [(("tr", str(t.loop)), t.word) for t in m.traces]
+    atoms += [(("c", c.sym), (c.row, c.col)) for c in m.coeffs]
+    g = nx.Graph()
+    g.add_node("flag", label=("extended", m.extended))
+    for a, (label, ids) in enumerate(atoms):
+        g.add_node(("atom", a), label=label)
+        for p, i in enumerate(ids):
+            g.add_node(("slot", a, p), label=("slot", p))
+            g.add_node(("id", i), label="id")
+            g.add_edges_from([(("atom", a), ("slot", a, p)), (("slot", a, p), ("id", i))])
+    return g
+
+
+@pytest.mark.skipif(importlib.util.find_spec("networkx") is None,
+                    reason="networkx is not installed")
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_encoding_separates_exactly_the_isomorphism_classes(data):
+    import networkx as nx
+
+    m = data.draw(_wirings(max_traces=6, max_coeffs=5))
+    slots = _slots(m)
+    # swapping the ids of two slots gives an isomorphic monomial or not
+    if len(slots) > 1:
+        p, q = data.draw(st.permutations(range(len(slots))))[:2]
+        slots[p], slots[q] = slots[q], slots[p]
+    other = _scrambled(_with_slots(m, slots), data)
+    same = nx.is_isomorphic(_graph(m), _graph(other),
+                            node_match=lambda x, y: x["label"] == y["label"])
+    assert (core.canonical_encoding(m) == core.canonical_encoding(other)) == same, str(m)
+
+
+def test_encoding_partitions_bracket_outputs_as_the_search_oracle(monkeypatch):
+    monkeypatch.setattr(_bracket_module, "normalize", lambda expr: expr)
+    canon, tr_c = sym.parse_expr("tr(z)"), sym.parse_expr("tr(c)")
+    corpus = []
+    for spec in _sweep_specs():
+        corpus += sym.bracket(canon, sym.build_f_expression(spec)).monomials
+    for pairs in (2, 3, 4):
+        corpus += sym.bracket(tr_c, _tied(pairs)).monomials
+    # the oracle is exact here: no id fills more than two slots, and every
+    # coefficient atom has an id on a trace
+    for m in corpus:
+        slots, on_traces = _slots(m), {i for t in m.traces for i in t.word}
+        assert all(slots.count(i) <= 2 for i in slots)
+        assert all({c.row, c.col} & on_traces for c in m.coeffs)
+    new = [core.canonical_encoding(m) for m in corpus]
+    old = [encode_by_search(m) for m in corpus]
+    assert len(set(new)) < len(corpus)
+    assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
+
+
+@pytest.mark.parametrize("pairs", [6, 7, 8])
+def test_tied_pairs_normalize_in_at_most_one_walk_per_atom(monkeypatch, pairs):
+    walks = []
+    walk = core._walks
+
+    def counting(*args):
+        for w in walk(*args):
+            walks.append(w)
+            yield w
+
+    monkeypatch.setattr(core, "_walks", counting)
+    (m,) = _tied(pairs).monomials
+    ids = sorted(m.indices())
+    copy = rename_indices(replace(m, traces=m.traces[::-1]), dict(zip(ids, ids[::-1])))
+    (merged,) = sym.normalize(sym.Expression((m, copy))).monomials
+    assert merged.coeff == 2
+    assert len(walks) <= 2 * (2 * pairs)
 
 
 def test_recognize_equals_split_search_oracle():
@@ -400,14 +542,14 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     monkeypatch.setattr(closure, "conjugate_env",
                         lambda env, g: gauges.append(g) or conjugate(env, g))
     sym.closure_check(e, seed=9, gauge_trials=3)
-    assert len(gauges) == 3 * len(e.monomials)
+    assert len(gauges) == 3
     for k, g in enumerate(gauges[:3]):
         assert np.array_equal(g, single((12, k)))
 
 
 def test_closure_canonical_times_first_observable():
     spec = ObservableSpec.make(1, 1, 0, 0, 1, [[1]], [])
-    f = sym.build_f_expression(spec, ["g1", "g2"])
+    f = sym.build_f_expression(spec)
     e = sym.bracket(sym.parse_expr("tr(c)"), f)
     result = sym.closure_check(e, seed=5)
     assert result.report.passed
