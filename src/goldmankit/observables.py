@@ -44,7 +44,7 @@ from string import ascii_letters
 import numpy as np
 
 from .bases import Family
-from .goldman import sample_elements
+from .goldman import sample_substreams
 from .octonions import unit_matrices
 from .reports import CheckRun, VerificationReport
 
@@ -223,14 +223,11 @@ class ObservableInstance:
         )
 
 
-def random_instance(spec: ObservableSpec, seed: int = 0, scale: float = 1.0) -> ObservableInstance:
+def random_instance(spec: ObservableSpec, seed: int = 0) -> ObservableInstance:
     require_valid(spec)
     n_coeff = (spec.n1 - spec.r) + (spec.n2 - spec.s)
-    streams = [
-        np.random.SeedSequence(entropy=seed, spawn_key=(0, k))
-        for k in range(spec.n_loops + n_coeff)
-    ]
-    mats, _, _ = sample_elements(Family.G2, 1, streams, scale)
+    keys = [(0, k) for k in range(spec.n_loops + n_coeff)]
+    mats, _, _ = sample_substreams(Family.G2, 1, seed, keys)
     monos = tuple(mats[: spec.n_loops])
     alphas = tuple(mats[spec.n_loops: spec.n_loops + spec.n1 - spec.r])
     betas = tuple(mats[spec.n_loops + spec.n1 - spec.r:])
@@ -413,9 +410,7 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
         scale_ref = max(1.0, abs(base))
         worst = 0.0
         control = 0.0
-        streams = [np.random.SeedSequence(entropy=seed, spawn_key=(1, trial))
-                   for trial in range(trials)]
-        gauges, _, _ = sample_elements(Family.G2, 1, streams)
+        gauges, _, _ = sample_substreams(Family.G2, 1, seed, [(1, t) for t in range(trials)])
         for g in gauges:
             value = evaluate(inst.conjugated(g))
             worst = max(worst, abs(value - base) / scale_ref)

@@ -44,10 +44,10 @@ from .core import (
     TraceAtom,
     CoeffAtom,
     ZERO,
-    base_loops,
     expressions_equal,
     normalize,
     rename_indices,
+    symbols,
 )
 
 HALF = Fraction(1, 2)
@@ -59,11 +59,12 @@ class BracketError(ValueError):
 
 
 class _Fresh:
-    """Per-computation allocators for index ids and coefficient symbols."""
+    """One atom pair's allocators: ids above ``used_ids``, and symbols outside
+    ``used_syms``, the call-wide set every minted symbol joins."""
 
-    def __init__(self, used_ids, used_syms):
+    def __init__(self, used_ids, used_syms: set):
         self.next_id = max(used_ids, default=-1) + 1
-        self.used_syms = set(used_syms)
+        self.used_syms = used_syms
         self.counters = {}
 
     def index(self) -> int:
@@ -193,16 +194,10 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
     (unless they are structurally identical, in which case the bracket is 0
     by antisymmetry).
     """
-    def bases(expr):
-        out = set()
-        for m in expr.monomials:
-            for t in m.traces:
-                out |= base_loops(t.loop)
-        return out
-
+    (loops_l, syms_l), (loops_r, syms_r) = symbols(lhs), symbols(rhs)
     # Only operands sharing a loop can be equal (traceless ones bracket to 0
     # anyway), so the canonical-encoding equality test runs only then.
-    shared = bases(lhs) & bases(rhs)
+    shared = set(loops_l) & set(loops_r)
     if shared:
         if expressions_equal(lhs, rhs):
             return ZERO
@@ -211,9 +206,7 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
             f"{sorted(shared)}; atom pairs must bracket across distinct loops"
         )
 
-    used_syms = {
-        c.sym for e in (lhs, rhs) for m in e.monomials for c in m.coeffs
-    }
+    used_syms = set(syms_l + syms_r)
     out = []
     for ml in lhs.monomials:
         for mr_orig in rhs.monomials:
@@ -232,7 +225,6 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
                             ml.coeffs + mr.coeffs + coeff_atoms,
                             ml.extended or mr.extended or ext,
                         ))
-                    used_syms |= fresh.used_syms
     return normalize(Expression(tuple(out)))
 
 

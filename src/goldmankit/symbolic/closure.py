@@ -17,31 +17,19 @@ from fractions import Fraction
 import numpy as np
 
 from ..bases import Family
-from ..goldman import sample_elements
+from ..goldman import sample_substreams
 from ..observables import ObservableSpec, contract, index_layout, require_valid
 from ..reports import CheckRun, VerificationReport
-from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, base_loops
+from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, symbols
 from .signature import recognize
 
 
-def _collect_symbols(expr: Expression):
-    loops, syms = set(), set()
-    for m in expr.monomials:
-        for t in m.traces:
-            loops |= base_loops(t.loop)
-        for c in m.coeffs:
-            syms.add(c.sym)
-    return sorted(loops), sorted(syms)
-
-
-def instantiate(expr: Expression, seed: int = 0, scale: float = 1.0):
+def instantiate(expr: Expression, seed: int = 0):
     """Random group matrices for every base loop and coefficient symbol."""
-    loops, syms = _collect_symbols(expr)
-    keys = [("loop", name) for name in loops] + [("sym", name) for name in syms]
-    streams = [np.random.SeedSequence(entropy=seed, spawn_key=(10, k)) for k in range(len(loops))]
-    streams += [np.random.SeedSequence(entropy=seed, spawn_key=(11, k)) for k in range(len(syms))]
-    mats, _, _ = sample_elements(Family.G2, 1, streams, scale)
-    return dict(zip(keys, mats))
+    loops, syms = symbols(expr)
+    keys = [(10, k) for k in range(len(loops))] + [(11, k) for k in range(len(syms))]
+    mats, _, _ = sample_substreams(Family.G2, 1, seed, keys)
+    return dict(zip([("loop", name) for name in loops] + [("sym", name) for name in syms], mats))
 
 
 def _loop_value(term, env) -> np.ndarray:
@@ -100,9 +88,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
         unrecognized = False
         worst = 0.0
         env = instantiate(expr, seed)
-        streams = [np.random.SeedSequence(entropy=seed, spawn_key=(12, k))
-                   for k in range(gauge_trials)]
-        gauges, _, _ = sample_elements(Family.G2, 1, streams)
+        gauges, _, _ = sample_substreams(Family.G2, 1, seed, [(12, k) for k in range(gauge_trials)])
         moved_envs = [conjugate_env(env, g) for g in gauges]
         for m in expr.monomials:
             sig = recognize(m)

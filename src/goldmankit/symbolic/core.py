@@ -50,6 +50,15 @@ def base_loops(term: LoopTerm) -> frozenset:
     return base_loops(term.left) | base_loops(term.right)
 
 
+def symbols(expr: "Expression"):
+    """(sorted base-loop names, sorted coefficient symbols) of an expression."""
+    loops, syms = set(), set()
+    for m in expr.monomials:
+        loops.update(*(base_loops(t.loop) for t in m.traces))
+        syms.update(c.sym for c in m.coeffs)
+    return sorted(loops), sorted(syms)
+
+
 @dataclass(frozen=True)
 class TraceAtom:
     loop: LoopTerm

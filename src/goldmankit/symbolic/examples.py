@@ -12,7 +12,8 @@ which fresh symbol a rule mints is not part of the contract, the wiring is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bracket import bracket
@@ -50,12 +51,16 @@ def _golden_monomial(coeff, atoms, coeff_entries) -> Monomial:
 
 
 def _anon_key(m: Monomial):
-    """Canonical encoding with coefficient symbols anonymized."""
-    components, extended = canonical_encoding(m)
-    order = {}
-    return tuple(sorted(tuple(
-        (("c", order.setdefault(name, len(order))) if kind == "c" else (kind, name), ids)
-        for (kind, name), ids in walk) for walk in components)), extended
+    """Smallest canonical encoding over every renaming of the k coefficient
+    symbols to placeholders (k! encodings)."""
+    syms = sorted({c.sym for c in m.coeffs})
+
+    def renamed(perm):
+        names = dict(zip(syms, perm))
+        return canonical_encoding(replace(m, coeffs=tuple(
+            CoeffAtom(f"sym{names[c.sym]}", c.row, c.col) for c in m.coeffs)))
+
+    return min(map(renamed, itertools.permutations(range(len(syms)))))
 
 
 @dataclass

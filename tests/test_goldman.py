@@ -11,6 +11,7 @@ from goldmankit.goldman import (
     membership_residual,
     sample_element,
     sample_elements,
+    sample_substreams,
     split_harness,
     symplectic_inverse_residual,
     verify_bracket,
@@ -218,18 +219,15 @@ def test_sampler_residual_sweep(family, n):
 
 @pytest.mark.parametrize("family,n", ALL_FAMILIES)
 def test_batched_rows_equal_single_draws(family, n):
-    # row t of a stacked draw is bitwise the element drawn alone from its substream
+    # row k of a stacked draw is bitwise the element drawn alone from substream keys[k]
     basis = build_basis(family, n)
-    trials = 9
-    streams = [np.random.SeedSequence(entropy=6, spawn_key=(t, k))
-               for k in range(2) for t in range(trials)]
-    mats, residuals, _ = sample_elements(family, n, streams, 1.0, basis)
-    for row, stream in enumerate(streams):
-        t, k = stream.spawn_key
-        alone = sample_element(family, n, np.random.SeedSequence(entropy=6, spawn_key=(t, k)),
+    keys = [(t, k) for k in range(2) for t in range(9)] + [(t,) for t in range(3)]
+    mats, residuals, _ = sample_substreams(family, n, 6, keys, 1.0, basis)
+    for row, key in enumerate(keys):
+        alone = sample_element(family, n, np.random.SeedSequence(entropy=6, spawn_key=key),
                                1.0, basis)
-        assert np.array_equal(mats[row], alone.matrix), (t, k)
-        assert residuals[row] < 1e-8
+        assert np.array_equal(mats[row], alone.matrix), key
+        assert residuals[row] == alone.membership_residual < 1e-8
 
 
 def test_verify_bracket_report_is_reproducible():
@@ -240,12 +238,12 @@ def test_verify_bracket_report_is_reproducible():
 
 @pytest.mark.parametrize("family,n", [(Family.G2, 1), (Family.GL, 12), (Family.SU, 3)])
 def test_worst_trial_replays_alone(family, n):
-    report = verify_bracket(family, n, trials=30, seed=4, scale=2.0)
+    report = verify_bracket(family, n, trials=30, seed=4)
     worst = report.params["worst_trial"]
     assert 0 <= worst < 30 and report.params["resamples"] == 0
     basis = build_basis(family, n)
     a, b = (sample_element(family, n, np.random.SeedSequence(entropy=4, spawn_key=(worst, k)),
-                           2.0, basis) for k in range(2))
+                           1.0, basis) for k in range(2))
     lhs, rhs = bracket_sides(family, a, b)
     assert abs(abs(lhs - rhs) - report.max_abs_err) <= 1e-13
 

@@ -1,5 +1,6 @@
 """Module boundaries: no goldmankit module imports another module's private names,
-and every function the benchmark traces by name exists."""
+one module builds the seed substreams, and every function the benchmark traces by
+name exists."""
 
 import ast
 import importlib
@@ -22,6 +23,13 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{path.relative_to(SRC)}:{node.lineno}: from {source} import {a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_one_module_builds_seed_substreams():
+    # every sampled check draws through goldman.sample_substreams
+    builders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                if "spawn_key=" in path.read_text()]
+    assert builders == ["goldman.py"]
 
 
 def test_every_traced_function_resolves():

@@ -17,7 +17,7 @@ from goldmankit import symbolic as sym
 from goldmankit.bases import Family
 from goldmankit.goldman import sample_element
 from goldmankit.observables import ObservableSpec, enumerate_specs
-from goldmankit.symbolic import closure, core, signature
+from goldmankit.symbolic import closure, core, examples, signature
 from goldmankit.symbolic.core import (CoeffAtom, Composite, Loop, Monomial, TraceAtom,
                                       rename_indices)
 
@@ -526,16 +526,16 @@ def test_closure_refuses_when_every_monomial_is_extended():
 def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     # loops on substreams (10, k), symbols on (11, k), gauges on (12, k)
     e = sym.worked_example_bracket()
-    env = sym.instantiate(e, seed=9, scale=0.5)
-    single = lambda key, scale=1.0: sample_element(
-        Family.G2, 1, np.random.SeedSequence(entropy=9, spawn_key=key), scale).matrix
+    env = sym.instantiate(e, seed=9)
+    single = lambda key: sample_element(
+        Family.G2, 1, np.random.SeedSequence(entropy=9, spawn_key=key)).matrix
     loops = sorted(name for kind, name in env if kind == "loop")
     syms = sorted(name for kind, name in env if kind == "sym")
     assert len(loops) == 4 and len(syms) == 12
     for k, name in enumerate(loops):
-        assert np.array_equal(env[("loop", name)], single((10, k), 0.5))
+        assert np.array_equal(env[("loop", name)], single((10, k)))
     for k, name in enumerate(syms):
-        assert np.array_equal(env[("sym", name)], single((11, k), 0.5))
+        assert np.array_equal(env[("sym", name)], single((11, k)))
 
     gauges = []
     conjugate = closure.conjugate_env
@@ -579,6 +579,15 @@ def test_worked_example_reproduction():
     assert diff.passed
     assert diff.term_count == 12
     assert diff.coeff_multiset == {"1/6": 4, "1/2": 8}
+
+
+def test_worked_example_key_ignores_coefficient_names():
+    # the anonymized key of the golden diff must not depend on which symbol is which
+    traces = tuple(TraceAtom(Loop(name), (i,)) for i, name in enumerate("abcd"))
+    key = lambda s1, s2: examples._anon_key(Monomial(
+        Fraction(1), traces, (CoeffAtom(s1, 0, 1), CoeffAtom(s2, 2, 3))))
+    assert key("p", "q") == key("q", "p") == key("x", "y")
+    assert key("p", "p") == key("q", "q") != key("p", "q")
 
 
 def test_build_f_expression_roundtrip():

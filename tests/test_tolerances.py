@@ -1,4 +1,5 @@
-"""Every pass threshold is a module constant: pinned value, no keyword, README table."""
+"""Every pass threshold is a module constant: pinned value, no keyword, README table.
+Every sampled check draws at a pinned scale: no ``scale`` keyword."""
 
 from pathlib import Path
 
@@ -61,3 +62,19 @@ def test_real_part_refuses_imaginary_part_at_the_pin():
     with pytest.raises(linalg.NumericError, match="exceeds tolerance 1.0e-12"):
         linalg.real_part(np.array([1.0 + 1e-12j]))
     assert linalg.real_part(np.array([1.0 + 0.9e-12j])).tolist() == [1.0]
+
+
+# Functions that used to take the sampling scale as a keyword; each now draws
+# c_a uniform on [-1, 1], except split_harness on [-_SPLIT_SCALE, _SPLIT_SCALE].
+SCALE_PINS = [goldman.verify_bracket, goldman.verify_defect, goldman.verify_symplectic_inverse,
+              goldman.split_harness, observables.random_instance, closure.instantiate]
+
+
+@pytest.mark.parametrize("func", SCALE_PINS, ids=[f.__name__ for f in SCALE_PINS])
+def test_sampled_checks_refuse_a_scale(func):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'scale'"):
+        func(scale=1.0)
+
+
+def test_split_harness_scale_is_pinned():
+    assert goldman._SPLIT_SCALE == 0.7
