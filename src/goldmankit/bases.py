@@ -48,9 +48,6 @@ def as_family(f) -> Family:
     return Family(str(f).lower())
 
 
-COMPLEX_FAMILIES = (Family.U, Family.SU)
-
-
 @dataclass(frozen=True)
 class LieBasis:
     """An ordered generator list with its normalization signs."""

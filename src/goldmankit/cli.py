@@ -7,10 +7,12 @@ go before or after the command.  Checks run at their library tolerances.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports still
 emitted; under ``verify all`` this includes a suite that raised), 2 usage or
-input error, a refused request or a numeric kernel failure.  With ``--json``
-each report is one JSON object per line; otherwise a table line per check.
-Identical argv + seed give identical report bodies; ``elapsed_ms`` is
-wall-clock noise outside the deterministic portion.
+input error, a refused request or a numeric kernel failure.  Handlers refuse
+by raising; ``run`` alone prints the one ``error: <reason>`` line.  Every
+report goes through ``_Emitter``: one JSON object per line with ``--json``,
+else a table line, and under ``--quiet`` only failing reports.  Identical
+argv + seed give identical report bodies; ``elapsed_ms`` is wall-clock noise
+outside the deterministic portion.
 """
 
 from __future__ import annotations
@@ -43,19 +45,16 @@ ALL_GRID = {
 
 
 class _Emitter:
-    def __init__(self, as_json: bool, quiet: bool):
-        self.as_json = as_json
-        self.quiet = quiet
+    """Prints each report (under ``--quiet`` only a failing one); tracks the exit code."""
+
+    def __init__(self, args):
+        self.as_json, self.quiet = args.json, args.quiet
         self.all_passed = True
 
     def emit(self, report: VerificationReport):
         self.all_passed = self.all_passed and report.passed
-        if self.quiet and report.passed:
-            return
-        if self.as_json:
-            print(report.to_json())
-        else:
-            print(report.summary_line())
+        if not (self.quiet and report.passed):
+            print(report.to_json() if self.as_json else report.summary_line())
 
     def exit_code(self) -> int:
         return 0 if self.all_passed else 1
@@ -144,7 +143,7 @@ def cmd_verify(args) -> int:
     and the next suite runs; the exit code is then 1, as for any failed
     check.
     """
-    em = _Emitter(args.json, args.quiet)
+    em = _Emitter(args)
     runs = ([(name, suite, [f for f in flags if f in _TRIALS_SEED])
              for name, (suite, flags) in VERIFY_SUITES.items()]
             if args.what == "all" else [(args.what, *VERIFY_SUITES[args.what])])
@@ -163,20 +162,12 @@ def cmd_verify(args) -> int:
 
 
 def _load_spec(path: str):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             obj = json.load(fh)
-    except OSError as exc:
-        print(f"cannot read spec file: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        return obj, _obs.spec_from_json_dict(obj)
-    except _obs.SpecJsonError as exc:
-        print(f"bad observable spec in {path} at {exc.path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+            raise ValueError(f"malformed JSON in {path}: {exc}") from None
+    return obj, _obs.spec_from_json_dict(obj)
 
 
 def _load_instance(path: str, seed: int):
@@ -184,11 +175,7 @@ def _load_instance(path: str, seed: int):
     obj, spec = _load_spec(path)
     if "monodromies" not in obj:
         return _obs.random_instance(spec, seed=seed)
-    try:
-        return _obs.instance_from_json_dict(obj)
-    except _obs.SpecJsonError as exc:
-        print(f"bad instance at {exc.path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    return _obs.instance_from_json_dict(obj)
 
 
 def cmd_validate(args) -> int:
@@ -218,10 +205,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    em = _Emitter(args)
     inst = _load_instance(args.spec, args.seed)
-    report = _obs.invariance_test(inst, trials=args.trials, seed=args.seed)
-    print(report.to_json() if args.json else report.summary_line())
-    return 0 if report.passed else 1
+    em.emit(_obs.invariance_test(inst, trials=args.trials, seed=args.seed))
+    return em.exit_code()
 
 
 # Every `exotic` action with its handler and the flags it takes.
@@ -234,17 +221,7 @@ EXOTIC_ACTIONS = {
 
 
 def cmd_bracket(args) -> int:
-    try:
-        lhs = _sym.parse_expr(args.lhs)
-        rhs = _sym.parse_expr(args.rhs)
-    except _sym.ParseError as exc:
-        print(f"expression error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = _sym.bracket(lhs, rhs)
-    except _sym.BracketError as exc:
-        print(f"bracket error: {exc}", file=sys.stderr)
-        return 2
+    result = _sym.bracket(_sym.parse_expr(args.lhs), _sym.parse_expr(args.rhs))
     # bracket output is normalized already; closure_check recognizes it too
     closure = _sym.closure_check(result, seed=args.seed) if args.check_closure else None
     signatures = (closure.signatures if closure is not None
@@ -259,13 +236,12 @@ def cmd_bracket(args) -> int:
                 print(f"    F(r={f.r}, n1={f.n1}, s={f.s}, n2={f.n2}, t={f.t})")
             elif not sig.valid:
                 print(f"    unrecognized: {sig.reason}")
+    em = _Emitter(args)
     if closure is not None:
-        if not args.quiet:
-            print(closure.report.to_json() if args.json else closure.report.summary_line())
-        for mono, why in closure.failures:
+        em.emit(closure.report)
+        for _, why in closure.failures:
             print(f"closure failure: {why}", file=sys.stderr)
-        return 0 if closure.report.passed else 1
-    return 0
+    return em.exit_code()
 
 
 def _add_global_flags(parser, default):
@@ -335,8 +311,6 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -260,9 +260,7 @@ def normalize(expr: Expression) -> Expression:
 
 
 def expressions_equal(a: Expression, b: Expression) -> bool:
-    def bag(e):
-        return sorted((repr(canonical_encoding(m)), m.coeff) for m in normalize(e).monomials)
-    return bag(a) == bag(b)
+    return not normalize(a + b.scale(-1)).monomials
 
 
 def to_json(expr: Expression, signatures=None) -> str:

@@ -14,7 +14,9 @@ Grammar (whitespace-insensitive)::
 
 ``sum i j:`` binds index names for the rest of the term; an index used
 outside any binder is a positioned parse error.  All bound indices are
-summation indices over 1..7.
+summation indices over 1..7.  Parenthesised exprs and loop terms, ``sum``
+binders and ``.``/``.~`` links together nest at most 100 deep; deeper input
+is a positioned parse error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .core import Composite, Expression, Loop, LoopTerm, Monomial, TraceAtom, ZE
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[().;:+*/,~-]))")
 
 _KEYWORDS = {"sum", "tr", "O"}
+
+# far deeper input overflows Python's recursion limit here or in Composite.__str__
+_MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -80,6 +85,7 @@ class _Parser:
         self.text = text
         self.scopes: list[dict] = []
         self.next_id = 0
+        self.nesting = 0
 
     # -- helpers -----------------------------------------------------------
     def _lookup(self, name: str, pos: int) -> int:
@@ -91,6 +97,12 @@ class _Parser:
     def _fresh(self) -> int:
         self.next_id += 1
         return self.next_id - 1
+
+    def _nest(self, pos: int):
+        """Open one nesting level at ``pos``; its construct closes it when done."""
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos, self.text)
 
     # -- grammar -----------------------------------------------------------
     def end(self, result):
@@ -120,11 +132,12 @@ class _Parser:
         if not scope:
             raise ParseError("'sum' needs at least one index name", tok[2], self.text)
         self.toks.expect("punct", ":")
+        self._nest(tok[2])
         self.scopes.append(scope)
-        try:
-            return self.term()
-        finally:
-            self.scopes.pop()
+        out = self.term()
+        self.scopes.pop()
+        self.nesting -= 1
+        return out
 
     def term(self) -> Expression:
         tok = self.toks.peek()
@@ -181,8 +194,10 @@ class _Parser:
             return atom_expr(TraceAtom(loop, word))
         if tok[0:2] == ("punct", "("):
             self.toks.next()
+            self._nest(tok[2])
             inner = self.expr()
             self.toks.expect("punct", ")")
+            self.nesting -= 1
             return inner
         raise ParseError(f"expected 'tr(' or '(', found {tok[1]!r}", tok[2], self.text)
 
@@ -204,14 +219,17 @@ class _Parser:
 
     def loopterm(self):
         left = self.loopatom()
+        links = 0
         while self.toks.peek()[0:2] == ("punct", "."):
-            self.toks.next()
+            self._nest(self.toks.next()[2])
+            links += 1
             invert = False
             if self.toks.peek()[0:2] == ("punct", "~"):
                 self.toks.next()
                 invert = True
             right = self.loopatom()
             left = Composite(left, right, invert)
+        self.nesting -= links
         return left
 
     def loopatom(self):
@@ -221,8 +239,10 @@ class _Parser:
                 raise ParseError(f"{tok[1]!r} is reserved", tok[2], self.text)
             return Loop(tok[1])
         if tok[0:2] == ("punct", "("):
+            self._nest(tok[2])
             inner = self.loopterm()
             self.toks.expect("punct", ")")
+            self.nesting -= 1
             return inner
         raise ParseError(f"expected a loop name, found {tok[1]!r}", tok[2], self.text)
 

@@ -44,12 +44,12 @@ def test_bracket_command(capsys):
 
 def test_bracket_parse_error(capsys):
     assert run(["bracket", "--lhs", "tr(", "--rhs", "tr(b)"]) == 2
-    assert "expression error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: parse error at offset")
 
 
 def test_bracket_shared_loop_error(capsys):
     assert run(["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)"]) == 2
-    assert "bracket error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: expressions share base loops")
 
 
 def test_exotic_validate_and_evaluate(tmp_path, capsys):
@@ -357,3 +357,83 @@ def test_verify_all_reports_a_raising_suite_and_goes_on(monkeypatch, capsys):
     assert error["params"]["at"].startswith("test_cli.py:")
     assert error["params"]["at"].endswith(" in octonion")
     assert [r["check"] for r in rows[:at] + rows[at + 1:]] == [r["check"] for r in clean]
+
+
+FIRST_SPEC = {"r": 1, "n1": 1, "s": 0, "n2": 0, "t": 1, "K": [[1]], "Q": []}
+
+# (name, argv with {dir} for a scratch directory, spec file text, expected
+# start of the reason): every refusal after argument parsing
+REFUSALS = [
+    ("missing spec file", ["exotic", "validate", "--spec", "{dir}/missing.json"], None,
+     "[Errno 2] No such file or directory: '{dir}/missing.json'"),
+    ("malformed JSON", ["exotic", "evaluate", "--spec", "{dir}/spec.json"], '{"r": 1,',
+     "malformed JSON in {dir}/spec.json: "),
+    ("bad spec field", ["exotic", "validate", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, K=[[5]])), "$.K[0][0]: "),
+    ("bad instance matrix", ["exotic", "invariance", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, monodromies=[[1, 2], [0] * 49], alphas=[], betas=[])),
+     "$.monodromies[0]: "),
+    ("parse error", ["bracket", "--lhs", "tr(a", "--rhs", "tr(b)"], None,
+     "parse error at offset 4"),
+    ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],
+     None, "expressions share base loops"),
+]
+
+
+@pytest.mark.parametrize("name, argv, text, reason", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_every_refusal_is_one_error_line(name, argv, text, reason, tmp_path, capsys):
+    if text is not None:
+        (tmp_path / "spec.json").write_text(text)
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + reason.format(dir=tmp_path))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_quiet_hides_a_passing_invariance_report(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(FIRST_SPEC))
+    assert run(["--quiet", "exotic", "invariance", "--spec", str(path), "--trials", "3"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_quiet_shows_a_failing_closure_report(capsys):
+    # each monomial of this bracket holds an index once, so none is recognized
+    argv = ["bracket", "--lhs", "sum i: tr(a; O i)", "--rhs", "tr(b)", "--check-closure"]
+    assert run(["--quiet", "--json", *argv]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out.splitlines()[-1])
+    assert report["check"] == "symbolic-closure" and not report["pass"]
+    assert captured.err.count("closure failure: unrecognized monomial") == 3
+
+
+def _nested(shape, depth):
+    """An --lhs nesting ``depth`` levels of one kind."""
+    return {
+        "parentheses": "(" * depth + "tr(a)" + ")" * depth,
+        "loop chain": "tr(" + ".".join(f"a{k}" for k in range(depth + 1)) + ")",
+        "loop parentheses": "tr(" + "(" * depth + "a" + ")" * depth + ")",
+        "sum binders": "".join(f"sum i{k}: " for k in range(depth)) + "tr(a)",
+    }[shape]
+
+
+NESTINGS = [("parentheses", 400), ("loop chain", 399), ("loop parentheses", 1000),
+            ("sum binders", 1000)]
+
+
+@pytest.mark.parametrize("shape, depth", NESTINGS, ids=[s for s, _ in NESTINGS])
+def test_bracket_refuses_deep_nesting(shape, depth, capsys):
+    assert run(["bracket", "--lhs", _nested(shape, depth), "--rhs", "tr(b)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parse error at offset ")
+    assert captured.err.endswith(": nesting deeper than 100 levels\n")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("shape", [s for s, _ in NESTINGS])
+def test_bracket_parses_nesting_at_the_bound(shape, capsys):
+    assert run(["bracket", "--lhs", _nested(shape, 100), "--rhs", "tr(b)"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["bracket", "--lhs", _nested(shape, 101), "--rhs", "tr(b)"]) == 2

@@ -293,6 +293,18 @@ def test_invariance_exact_for_identity_gauge():
     assert obs.evaluate(inst.conjugated(np.eye(7))) == base
 
 
+def test_invariance_fails_when_no_gauge_moves_the_control(monkeypatch):
+    # identity gauges leave the value exactly invariant, but they cannot show
+    # that a single tr(M O_i) term moves, so the report must fail
+    inst = obs.random_instance(FIRST, seed=23)
+    monkeypatch.setattr(obs, "sample_substreams", lambda family, n, seed, keys: (
+        np.broadcast_to(np.eye(7), (len(keys), 7, 7)), None, 0))
+    report = obs.invariance_test(inst, trials=4, seed=19)
+    assert not report.passed
+    assert report.params["negative_control"] == 0.0
+    assert report.max_rel_err == 0.0
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_invariance_refuses_fewer_than_one_trial(trials):
     inst = obs.random_instance(FIRST, seed=23)

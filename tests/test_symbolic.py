@@ -77,6 +77,18 @@ def test_parse_trailing_garbage():
         sym.parse_expr("tr(a) tr(b)")
 
 
+def test_parse_loop_counts_links_and_parentheses_toward_one_bound():
+    from goldmankit.symbolic.parse import parse_loop
+
+    def right_nested(levels):  # each level is one link and one parenthesis
+        return "a.(" * levels + "b" + ")" * levels
+
+    assert str(parse_loop(right_nested(50))).count(".") == 50
+    with pytest.raises(sym.ParseError, match="nesting deeper than 100 levels"):
+        parse_loop(right_nested(51))
+    assert sym.parse_expr(f"tr({right_nested(50)})").monomials
+
+
 # ------------------------------------------------------------- normalize ----
 
 def test_normalize_merges_up_to_renaming():
@@ -85,6 +97,10 @@ def test_normalize_merges_up_to_renaming():
     merged = sym.normalize(a + b)
     assert len(merged.monomials) == 1
     assert merged.monomials[0].coeff == 1
+    assert sym.expressions_equal(a, b)
+    assert not sym.expressions_equal(a, b.scale(2))
+    assert not sym.expressions_equal(a, sym.Expression(tuple(
+        replace(m, extended=True) for m in b.monomials)))
 
 
 def test_normalize_drops_zero():
