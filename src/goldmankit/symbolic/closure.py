@@ -7,6 +7,10 @@ group elements.  A monomial passes the closure check when its wiring earns a
 legal observable signature and its numeric value is invariant, to a pinned
 relative tolerance, under simultaneous conjugation of every loop and
 coefficient matrix by random group elements.
+
+The environment is conjugated by a stack of gauges under the identity
+(``observables.gauge_stacks``), and each monomial is contracted once over
+the stack: row 0 is its base value, the other rows its moved values.
 """
 
 from __future__ import annotations
@@ -18,18 +22,25 @@ import numpy as np
 
 from ..bases import Family
 from ..goldman import sample_substreams
-from ..observables import ObservableSpec, contract, index_layout, require_valid
+from ..observables import (ObservableSpec, conjugate, contract, gauge_stacks, index_layout,
+                           require_valid)
 from ..reports import CheckRun, VerificationReport
 from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, symbols
 from .signature import recognize
 
 
+def _draw(expr: Expression, seed: int, gauges: int = 0):
+    """``instantiate``'s keys and matrices, then gauges (12, k), in one draw."""
+    loops, syms = symbols(expr)
+    names = [("loop", name) for name in loops] + [("sym", name) for name in syms]
+    keys = [(10, k) for k in range(len(loops))] + [(11, k) for k in range(len(syms))]
+    mats, _, _ = sample_substreams(Family.G2, 1, seed, keys + [(12, k) for k in range(gauges)])
+    return names, mats[:len(names)], mats[len(names):]
+
+
 def instantiate(expr: Expression, seed: int = 0):
     """Random group matrices for every base loop and coefficient symbol."""
-    loops, syms = symbols(expr)
-    keys = [(10, k) for k in range(len(loops))] + [(11, k) for k in range(len(syms))]
-    mats, _, _ = sample_substreams(Family.G2, 1, seed, keys)
-    return dict(zip([("loop", name) for name in loops] + [("sym", name) for name in syms], mats))
+    return dict(zip(*_draw(expr, seed)[:2]))
 
 
 def _loop_value(term, env) -> np.ndarray:
@@ -42,13 +53,8 @@ def _loop_value(term, env) -> np.ndarray:
     return left @ right
 
 
-def conjugate_env(env, g: np.ndarray):
-    gi = g.T
-    return {key: g @ m @ gi for key, m in env.items()}
-
-
-def evaluate_monomial(m: Monomial, env) -> float:
-    """Contract one monomial numerically (indices summed over 1..7)."""
+def evaluate_monomial(m: Monomial, env):
+    """Contract one monomial (indices summed over 1..7); stacks in ``env`` give a value per row."""
     traces = [(_loop_value(t.loop, env), t.word) for t in m.traces]
     coeffs = [(env[("sym", c.sym)], c.row, c.col) for c in m.coeffs]
     return contract(traces, coeffs, float(m.coeff))
@@ -83,28 +89,21 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
                          "(the expression is 0 or every monomial is extended)")
     trials = len(expr.monomials) * gauge_trials
     with CheckRun("symbolic-closure", seed=seed, trials=trials) as run:
-        signatures = []
-        failures = []
-        unrecognized = False
+        signatures = [recognize(m) for m in expr.monomials]
+        pairs = list(zip(expr.monomials, signatures))
+        failures = [(m, "extended rule output, quarantined" if m.extended
+                     else f"unrecognized monomial: {sig.reason}\n  {m}")
+                    for m, sig in pairs if m.extended or not sig.valid]
+        checked = [m for m, sig in pairs if sig.valid and not m.extended]
+        unrecognized = any(not (m.extended or sig.valid) for m, sig in pairs)
         worst = 0.0
-        env = instantiate(expr, seed)
-        gauges, _, _ = sample_substreams(Family.G2, 1, seed, [(12, k) for k in range(gauge_trials)])
-        moved_envs = [conjugate_env(env, g) for g in gauges]
-        for m in expr.monomials:
-            sig = recognize(m)
-            signatures.append(sig)
-            if m.extended:
-                failures.append((m, "extended rule output, quarantined"))
-                continue
-            if not sig.valid:
-                unrecognized = True
-                failures.append((m, f"unrecognized monomial: {sig.reason}\n  {m}"))
-                continue
-            base = evaluate_monomial(m, env)
-            scale_ref = max(1.0, abs(base))
-            for moved_env in moved_envs:
-                moved = evaluate_monomial(m, moved_env)
-                worst = max(worst, abs(moved - base) / scale_ref)
+        names, mats, gauges = _draw(expr, seed, gauge_trials)
+        for stack in gauge_stacks(gauge_trials, lambda part: gauges[part]):
+            moved = dict(zip(names, conjugate(stack, mats)))
+            for m in checked:
+                values = np.broadcast_to(evaluate_monomial(m, moved), len(stack))
+                scale_ref = max(1.0, abs(float(values[0])))
+                worst = max(worst, float(np.max(np.abs(values[1:] - values[0]))) / scale_ref)
         run.record(passed=worst < _CLOSURE_TOL and not unrecognized,
                    max_abs_err=worst, max_rel_err=worst,
                    params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials})

@@ -373,6 +373,12 @@ REFUSALS = [
     ("bad instance matrix", ["exotic", "invariance", "--spec", "{dir}/spec.json"],
      json.dumps(dict(FIRST_SPEC, monodromies=[[1, 2], [0] * 49], alphas=[], betas=[])),
      "$.monodromies[0]: "),
+    ("null instance entry", ["exotic", "evaluate", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, monodromies=[[0] * 49, [None] * 49], alphas=[], betas=[])),
+     "$.monodromies[1]: expected 49 finite row-major entries"),
+    ("NaN instance entry", ["exotic", "invariance", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, monodromies=[[float("nan")] * 49, [0] * 49], alphas=[],
+                     betas=[])), "$.monodromies[0]: expected 49 finite row-major entries"),
     ("parse error", ["bracket", "--lhs", "tr(a", "--rhs", "tr(b)"], None,
      "parse error at offset 4"),
     ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],

@@ -208,6 +208,44 @@ def test_plan_cache_hits_on_a_renamed_copy():
     assert obs._plan.cache_info()[:2] == (1, 1)
 
 
+def test_stacked_and_single_contraction_share_one_plan():
+    inst = obs.random_instance(THIRD, seed=3)
+    stack = np.stack([np.eye(7), sample_element("g2", 1, seed=4).matrix])
+    obs._plan.cache_clear()
+    single = obs.evaluate(inst)
+    rows = obs.evaluate(inst.conjugated(stack))
+    assert obs._plan.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert isinstance(single, float) and rows.shape == (2,)
+    assert abs(rows[0] - single) <= 1e-14 * max(1.0, abs(single))
+
+
+def test_conjugated_stack_rows_equal_single_conjugations():
+    inst = obs.random_instance(THIRD, seed=5)
+    stack = np.stack([sample_element("g2", 1, seed=6 + b).matrix for b in range(3)])
+    moved = inst.conjugated(stack)
+    for b in range(3):
+        single = inst.conjugated(stack[b])
+        for x, y in zip(moved.monodromies + moved.alphas + moved.betas,
+                        single.monodromies + single.alphas + single.betas):
+            assert np.array_equal(x[b], y)
+
+
+def test_contract_stacks_rings_contracted_alone(monkeypatch):
+    # the 7^k table fallback of contract, on a stack of three matrices per word
+    stack = lambda seed: np.stack([sample_element("g2", 1, seed=seed + b).matrix for b in range(3)])
+    m, n = stack(5), stack(8)
+    chain = [(sample_element("g2", 1, seed=100 + k).matrix, k, k + 1) for k in range(45)]
+    word = tuple(100 + k for k in range(6))
+    traces = lambda rows: [(m[rows], word), (n[rows], word[::-1])]
+    monkeypatch.setattr(obs, "word_trace_table", lambda *a: pytest.fail("table built"))
+    values = obs.contract(traces(slice(None)), chain)
+    assert values.shape == (3,)
+    for b in range(3):
+        single = obs.contract(traces(b), chain)
+        assert abs(values[b] - single) <= 1e-14 * max(1.0, abs(single))
+    assert np.array_equal(obs.contract(traces(slice(0, 2)), chain), values[:2])
+
+
 def test_plan_cache_is_bounded():
     obs._plan.cache_clear()
     size = obs._plan.cache_info().maxsize
@@ -293,6 +331,14 @@ def test_invariance_exact_for_identity_gauge():
     assert obs.evaluate(inst.conjugated(np.eye(7))) == base
 
 
+def test_invariance_does_not_depend_on_the_gauge_chunk(monkeypatch):
+    inst = obs.random_instance(THIRD, seed=7)
+    body = obs.invariance_test(inst, trials=70, seed=8).body()
+    assert obs._GAUGE_CHUNK < 70  # the default splits 70 trials too
+    monkeypatch.setattr(obs, "_GAUGE_CHUNK", 1)
+    assert obs.invariance_test(inst, trials=70, seed=8).body() == body
+
+
 def test_invariance_fails_when_no_gauge_moves_the_control(monkeypatch):
     # identity gauges leave the value exactly invariant, but they cannot show
     # that a single tr(M O_i) term moves, so the report must fail
@@ -362,3 +408,11 @@ def test_instance_json():
     obj["betas"] = []
     loaded = obs.instance_from_json_dict(obj)
     assert abs(obs.evaluate(loaded) - obs.evaluate(inst)) < 1e-12
+
+
+@pytest.mark.parametrize("entry", [None, float("nan"), float("inf"), float("-inf")])
+def test_instance_json_refuses_a_non_finite_entry(entry):
+    obj = dict(obs.spec_to_json_dict(FIRST), alphas=[], betas=[])
+    obj["monodromies"] = [[0.0] * 49, [0.0] * 48 + [entry]]
+    with pytest.raises(obs.SpecJsonError, match=r"^\$\.monodromies\[1\]: expected 49 finite"):
+        obs.instance_from_json_dict(json.loads(json.dumps(obj)))

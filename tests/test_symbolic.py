@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from canonical_oracle import encode_by_search
 from signature_oracle import recognize_by_search
 
+from goldmankit import observables
 from goldmankit import symbolic as sym
 from goldmankit.bases import Family
-from goldmankit.goldman import sample_element
-from goldmankit.observables import ObservableSpec, enumerate_specs
+from goldmankit.goldman import sample_element, sample_substreams
+from goldmankit.observables import ObservableSpec, conjugate, enumerate_specs
 from goldmankit.symbolic import closure, core, examples, signature
 from goldmankit.symbolic.core import (CoeffAtom, Composite, Loop, Monomial, TraceAtom,
                                       rename_indices)
@@ -553,14 +554,90 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     for k, name in enumerate(syms):
         assert np.array_equal(env[("sym", name)], single((11, k)))
 
-    gauges = []
-    conjugate = closure.conjugate_env
-    monkeypatch.setattr(closure, "conjugate_env",
-                        lambda env, g: gauges.append(g) or conjugate(env, g))
+    # the environment is conjugated by one stack: the identity, then the gauges
+    stacks = []
+    conjugate = closure.conjugate
+    monkeypatch.setattr(closure, "conjugate",
+                        lambda g, mats: stacks.append(g) or conjugate(g, mats))
     sym.closure_check(e, seed=9, gauge_trials=3)
+    assert len(stacks) == 1 and np.array_equal(stacks[0][0], np.eye(7))
+    gauges = list(stacks[0][1:])
     assert len(gauges) == 3
     for k, g in enumerate(gauges[:3]):
         assert np.array_equal(g, single((12, k)))
+
+
+# A stacked contraction sums in another order than a single-environment one.
+# Over the 342 rows below the difference is at most 1.4e-15 * max(1, |value|),
+# and 96 rows are bitwise equal.
+STACK_ROUNDOFF = 1e-14
+
+
+def _stacked_env(expr, seed, gauges=5):
+    """``instantiate``'s environment under the identity and ``gauges`` conjugations."""
+    env = sym.instantiate(expr, seed)
+    drawn, _, _ = sample_substreams(Family.G2, 1, seed, [(12, k) for k in range(gauges)])
+    stack = np.concatenate([np.eye(7)[None], drawn])
+    return env, dict(zip(env, conjugate(stack, np.stack(list(env.values())))))
+
+
+def _row(env, rows):
+    return {key: mat[rows] for key, mat in env.items()}
+
+
+def _stack_exprs():
+    canon = sym.parse_expr("tr(z)")
+    for tup in ((0, 0, 0, 1, 2), (1, 1, 1, 1, 2), (0, 2, 0, 0, 2), (1, 3, 0, 0, 2)):
+        yield sym.bracket(canon, sym.build_f_expression(enumerate_specs(*tup)[0]))
+    yield sym.worked_example_bracket()
+    # only empty-word traces, a composite among them; a coefficient-only
+    # monomial; a constant
+    yield sym.Expression((
+        Monomial(Fraction(2), (TraceAtom(Loop("a")),
+                               TraceAtom(Composite(Loop("b"), Loop("c"), True))), ()),
+        Monomial(Fraction(1), (), (CoeffAtom("x", 0, 1), CoeffAtom("y", 1, 2),
+                                   CoeffAtom("x", 2, 0))),
+        Monomial(Fraction(3), (), ()),
+    ))
+
+
+def test_stacked_monomial_rows_match_single_environments():
+    rows = 0
+    for seed, expr in enumerate(_stack_exprs()):
+        env, stacked = _stacked_env(expr, seed)
+        for key, mat in env.items():
+            assert np.array_equal(stacked[key][0], mat)  # the identity moves nothing
+        for m in expr.monomials:
+            values = np.broadcast_to(sym.evaluate_monomial(m, stacked), 6)
+            for r in range(6):
+                single = sym.evaluate_monomial(m, _row(stacked, r))
+                assert abs(values[r] - single) <= STACK_ROUNDOFF * max(1.0, abs(single)), (m, r)
+                rows += 1
+    assert rows == 342
+
+
+def test_stacked_monomial_rows_do_not_depend_on_the_split():
+    for seed, expr in enumerate(_stack_exprs()):
+        _, stacked = _stacked_env(expr, seed, gauges=7)
+        for m in expr.monomials:
+            whole = sym.evaluate_monomial(m, stacked)
+            for cuts in ((0, 2, 8), (0, 3, 5, 8), (0, 6, 8)):
+                parts = [sym.evaluate_monomial(m, _row(stacked, slice(a, b)))
+                         for a, b in zip(cuts, cuts[1:])]
+                parts = [np.broadcast_to(part, b - a) for part, a, b in zip(parts, cuts, cuts[1:])]
+                assert np.array_equal(np.concatenate(parts), np.broadcast_to(whole, 8)), (m, cuts)
+
+
+def test_closure_check_passes_constant_and_trace_only_monomials():
+    result = sym.closure_check(sym.parse_expr("2 + 3 * tr(a) * tr(b.~c)"), seed=4)
+    assert result.report.passed and result.report.trials == 6
+
+
+def test_closure_check_body_does_not_depend_on_the_gauge_chunk(monkeypatch):
+    expr = sym.worked_example_bracket()
+    body = sym.closure_check(expr, seed=3, gauge_trials=5).report.body()
+    monkeypatch.setattr(observables, "_GAUGE_CHUNK", 2)
+    assert sym.closure_check(expr, seed=3, gauge_trials=5).report.body() == body
 
 
 def test_closure_canonical_times_first_observable():
