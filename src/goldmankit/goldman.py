@@ -19,13 +19,20 @@ hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
 row k from its own substream (seed, key) through ``sample_substreams``, so
 results do not depend on the batch: a check draws all its trials as one
 stack, exponentiates it in one call and contracts it with Gamma in O(d^4).
+The substreams' PCG64 seed words are mixed for the whole stack in one array
+pass of numpy's SeedSequence hashing, and the coefficients are converted
+from the raw draws in one step, bitwise as ``default_rng(SeedSequence(seed,
+spawn_key=key)).uniform(-scale, scale)`` draws them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bases import Family, LieBasis, as_family, build_basis, symplectic_form
 from .casimir import casimir_tensor, defect_matrix
@@ -83,40 +90,20 @@ def sample_elements(family, n: int, seeds, scale: float = 1.0,
                     basis: LieBasis | None = None):
     """(T, d, d) stack of exp(sum_a c_a t_a), c_a ~ U[-scale, scale], one row per seed.
 
-    Row t draws from its own generator seeded by ``seeds[t]`` (an int or a
-    SeedSequence), so it is bitwise ``sample_element`` on that seed whatever
-    the batch: the unoptimized einsum sums the generators in order and
-    ``mat_exp`` exponentiates each row alone.  Rows outside the 1e-8
-    membership band (none at these scales) are redrawn from their own
-    generators a handful of times, then NumericError is raised.  Returns the
-    stack, its membership residuals and the number of redraws.
+    Row t draws the coefficients ``default_rng(seeds[t]).uniform(-scale,
+    scale)`` would (``seeds[t]`` an int or a SeedSequence), from a PCG64
+    seeded with that SeedSequence's state words.  So a row is bitwise
+    ``sample_element`` on its seed whatever the batch: the unoptimized einsum
+    sums the generators in order and ``mat_exp``'s result for a row depends
+    on that row alone.  Rows outside the 1e-8 membership band (none at these
+    scales) are redrawn from their own generators a handful of times, then
+    NumericError is raised.  Returns the stack, its membership residuals and
+    the number of redraws.
     """
-    if not 0.0 < scale <= 2.0:
-        raise ValueError(f"scale must lie in (0, 2], got {scale}")
-    family = as_family(family)
-    if basis is None:
-        basis = build_basis(family, n)
-    gens = np.stack(basis.generators)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    mats = np.empty((len(rngs), basis.side, basis.side), dtype=gens.dtype)
-    res = np.empty(len(rngs))
-    pending = np.arange(len(rngs))
-    draws = 0
-    for _ in range(_RESAMPLE_LIMIT):
-        coeffs = np.reshape(
-            [rngs[t].uniform(-scale, scale, size=len(basis)) for t in pending],
-            (len(pending), len(basis)),
-        )
-        draws += len(pending)
-        mats[pending] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
-        res[pending] = membership_residual(family, basis.n, mats[pending])
-        pending = pending[~(res[pending] < _MEMBERSHIP_TOL)]
-        if not pending.size:
-            return mats, res, draws - len(rngs)
-    raise NumericError(
-        f"could not sample a {family.value} element within residual "
-        f"{_MEMBERSHIP_TOL:.1e} (last residual {res[pending].max():.3e})"
-    )
+    streams = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+               for s in seeds]
+    words = np.array([s.generate_state(4, np.uint64) for s in streams], dtype=np.uint64)
+    return _draw(build_basis(family, n) if basis is None else basis, words.reshape(-1, 4), scale)
 
 
 def sample_element(family, n: int, seed, scale: float = 1.0,
@@ -131,11 +118,190 @@ def sample_element(family, n: int, seed, scale: float = 1.0,
     return GroupElement(basis.family, basis.n, mats[0], float(res[0]))
 
 
+_SAMPLE_BYTES = 1 << 28  # sample_substreams refuses a result stack larger than 256 MiB
+
+
 def sample_substreams(family, n: int, seed: int, keys, scale: float = 1.0,
                       basis: LieBasis | None = None):
-    """``sample_elements``, row k drawn from SeedSequence(entropy=seed, spawn_key=keys[k])."""
-    streams = [np.random.SeedSequence(entropy=seed, spawn_key=key) for key in keys]
-    return sample_elements(family, n, streams, scale, basis)
+    """``sample_elements``, row k drawn from SeedSequence(entropy=seed, spawn_key=keys[k]).
+
+    ``keys`` is a sequence of tuples of non-negative ints, or a (T, W) int
+    array.  The rows' PCG64 seed words are mixed for the whole stack at once
+    (``_substream_words``), bitwise those of the SeedSequences.  A negative
+    or non-integer seed is refused with ValueError, and so is a stack whose
+    result would exceed ``_SAMPLE_BYTES`` (256 MiB), before anything is
+    drawn.  Rows are drawn in chunks of ``_DRAW_CHUNK_BYTES``, so the draw's
+    temporaries add a bounded few tens of MiB to the result.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    basis = build_basis(family, n) if basis is None else basis
+    _require_sample_budget(basis, len(keys))
+    return _draw(basis, _substream_words(int(seed), keys), scale)
+
+
+def _require_sample_budget(basis: LieBasis, rows: int) -> None:
+    itemsize = np.result_type(basis.generators[0], np.float64).itemsize
+    size = rows * basis.side * basis.side * itemsize
+    if size > _SAMPLE_BYTES:
+        raise ValueError(
+            f"{rows} draws of {basis.family.value}({basis.n}) need {size / 2 ** 20:.0f} MiB, "
+            f"over the {_SAMPLE_BYTES >> 20} MiB sampling budget")
+
+
+# numpy.random.SeedSequence's hash and mix constants (a pool of four 32-bit words)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _hash_constants(const: int, mult: int, count: int):
+    """The (xor, multiply) constants of ``count`` successive hashmix calls from ``const``."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((const, const * mult & _MASK32))
+        const = pairs[-1][1]
+    return pairs
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix, on Python ints or uint32 arrays."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _int_words(value) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=64)
+def _entropy_pool(seed: int):
+    """(4, 1) uint32 SeedSequence pool after the seed's words, and the next hash constant.
+
+    SeedSequence zero-pads the seed's words to four when it has a spawn key;
+    without one its pool hashes the same zeros, so the padding always holds.
+    """
+    run = _int_words(seed)
+    run += [0] * (4 - len(run))
+    consts = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(run) + 1))
+    pool = [_hashmix(word, *next(consts)) for word in run[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for word in run[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
+    return np.array(pool, dtype=np.uint32)[:, None], next(consts)[0]
+
+
+@lru_cache(maxsize=64)
+def _constant_arrays(const: int, mult: int, count: int) -> np.ndarray:
+    """``_hash_constants`` as a (2, count, 1) uint32 array: xor constants, then multipliers."""
+    return np.array(_hash_constants(const, mult, count), dtype=np.uint32).T[:, :, None]
+
+
+def _key_words(keys):
+    """(T, W) uint32 words of each spawn key, and each key's word count (None: all W)."""
+    try:
+        arr = np.asarray(keys)
+    except ValueError:  # ragged keys
+        arr = None
+    if (arr is not None and arr.ndim == 2 and arr.dtype.kind in "iu"
+            and (arr.size == 0 or (arr.min() >= 0 and arr.max() <= _MASK32))):
+        return arr.astype(np.uint32), None
+    rows = [[w for part in key for w in _int_words(part)] for key in keys]
+    counts = np.array([len(r) for r in rows], dtype=int)
+    words = np.zeros((len(rows), counts.max(initial=0)), dtype=np.uint32)
+    for t, row in enumerate(rows):
+        words[t, :len(row)] = row
+    return words, counts
+
+
+def _substream_words(seed: int, keys) -> np.ndarray:
+    """(T, 4) uint64 PCG64 seed words of SeedSequence(seed, spawn_key=keys[t]), all rows at once.
+
+    The seed's words are mixed once, as scalars (``_entropy_pool``).  Each
+    key word is then hashed and mixed into all four pool words of every row
+    as uint32 arrays, and the pool is hashed out as ``generate_state(4,
+    np.uint64)`` does.
+    """
+    shared, const = _entropy_pool(seed)
+    words, counts = _key_words(keys)
+    xor, mult = _constant_arrays(const, _MULT_A, 4 * words.shape[1]).reshape(2, -1, 4, 1)
+    hashed = _hashmix(words.T[:, None], xor, mult)  # (W, 4, T): each key word for each pool word
+    pool = np.repeat(shared, len(words), axis=1)  # (4, T)
+    for j in range(words.shape[1]):
+        mixed = _mix(pool, hashed[j])
+        pool = mixed if counts is None else np.where(counts > j, mixed, pool)
+    state = _hashmix(np.concatenate([pool, pool]), *_constant_arrays(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 four precomputed seed words in place of a SeedSequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _uniforms(words: np.ndarray, attempt: int, count: int, scale: float) -> np.ndarray:
+    """(T, count) coefficients: each row's ``attempt``-th ``Generator.uniform(-scale, scale,
+    count)`` draw, from a PCG64 on the row's seed words advanced past the earlier draws."""
+    raw = np.empty((len(words), count), dtype=np.uint64)
+    for t, row in enumerate(words):
+        bits = np.random.PCG64(_StateWords(row))
+        if attempt:
+            bits.advance(attempt * count)
+        raw[t] = bits.random_raw(count)
+    # Generator.uniform: low + (high - low) * (53 random bits) / 2^53
+    return -scale + (2 * scale) * ((raw >> np.uint64(11)) * (1.0 / 9007199254740992.0))
+
+
+_DRAW_CHUNK_BYTES = 1 << 23  # rows drawn at once: 8 MiB of matrices, so temporaries stay bounded
+
+
+def _draw(basis: LieBasis, words: np.ndarray, scale: float):
+    """``sample_elements`` on the (T, 4) PCG64 seed words of its rows, in chunks of rows."""
+    if not 0.0 < scale <= 2.0:
+        raise ValueError(f"scale must lie in (0, 2], got {scale}")
+    gens = np.stack(basis.generators)
+    mats = np.empty((len(words), basis.side, basis.side), dtype=gens.dtype)
+    res = np.empty(len(words))
+    step = max(1, _DRAW_CHUNK_BYTES // (basis.side ** 2 * gens.itemsize))
+    pending = np.arange(len(words))
+    draws = 0
+    for attempt in range(_RESAMPLE_LIMIT):
+        for lo in range(0, len(pending), step):
+            rows = pending[lo:lo + step]
+            coeffs = _uniforms(words[rows], attempt, len(basis), scale)
+            mats[rows] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
+            res[rows] = membership_residual(basis.family, basis.n, mats[rows])
+        draws += len(pending)
+        pending = pending[~(res[pending] < _MEMBERSHIP_TOL)]
+        if not pending.size:
+            return mats, res, draws - len(words)
+    raise NumericError(
+        f"could not sample a {basis.family.value} element within residual "
+        f"{_MEMBERSHIP_TOL:.1e} (last residual {res[pending].max():.3e})"
+    )
 
 
 def _trial_draws(family, basis: LieBasis, seed: int, trials: int, count: int,
@@ -143,7 +309,9 @@ def _trial_draws(family, basis: LieBasis, seed: int, trials: int, count: int,
     """``count`` (trials, d, d) stacks (row t of stack k from substream (t, k)), redraws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    keys = [(t, k) for k in range(count) for t in range(trials)]
+    _require_sample_budget(basis, trials * count)
+    keys = np.stack([np.tile(np.arange(trials), count), np.repeat(np.arange(count), trials)],
+                    axis=1)
     mats, _, resamples = sample_substreams(family, basis.n, seed, keys, scale, basis)
     return mats.reshape(count, trials, basis.side, basis.side), resamples
 

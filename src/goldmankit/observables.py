@@ -498,7 +498,7 @@ def spec_from_json_dict(obj: dict) -> ObservableSpec:
 
 
 def instance_from_json_dict(obj: dict) -> ObservableInstance:
-    """Instance with matrices embedded as row-major 7x7 number arrays."""
+    """Instance with matrices embedded as row-major 7x7 arrays of JSON numbers."""
     spec = spec_from_json_dict(obj)
 
     def read_mats(name, count):
@@ -507,9 +507,11 @@ def instance_from_json_dict(obj: dict) -> ObservableInstance:
             raise SpecJsonError(f"$.{name}", f"expected {count} matrices")
         out = []
         for i, flat in enumerate(raw):
-            try:  # ragged, not all numbers, not 49 of them or not finite (null reads as NaN)
+            try:  # 49 finite JSON numbers: a string, boolean or null would convert to a float
+                if not (isinstance(flat, list) and all(type(v) in (int, float) for v in flat)):
+                    raise TypeError
                 out.append(np.asarray_chkfinite(flat, dtype=float).reshape(7, 7))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SpecJsonError(f"$.{name}[{i}]",
                                     "expected 49 finite row-major entries") from None
         return tuple(out)

@@ -379,6 +379,21 @@ REFUSALS = [
     ("NaN instance entry", ["exotic", "invariance", "--spec", "{dir}/spec.json"],
      json.dumps(dict(FIRST_SPEC, monodromies=[[float("nan")] * 49, [0] * 49], alphas=[],
                      betas=[])), "$.monodromies[0]: expected 49 finite row-major entries"),
+    ("string entry", ["exotic", "evaluate", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, monodromies=[["0.5"] * 49, [0] * 49], alphas=[], betas=[])),
+     "$.monodromies[0]: expected 49 finite row-major entries"),
+    ("boolean entry", ["exotic", "evaluate", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, monodromies=[[0] * 49, [True] * 49], alphas=[], betas=[])),
+     "$.monodromies[1]: expected 49 finite row-major entries"),
+    ("negative seed, verify bracket", ["verify", "bracket", "--group", "su", "--n", "2",
+                                       "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    ("negative seed, exotic invariance", ["exotic", "invariance", "--spec", "{dir}/spec.json",
+                                          "--seed", "-1"], json.dumps(FIRST_SPEC),
+     "seed must be a non-negative integer, got -1"),
+    ("negative seed, closure", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(b)", "--check-closure",
+                                "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
     ("parse error", ["bracket", "--lhs", "tr(a", "--rhs", "tr(b)"], None,
      "parse error at offset 4"),
     ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],

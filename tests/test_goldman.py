@@ -18,7 +18,7 @@ from goldmankit.goldman import (
     verify_defect,
     verify_symplectic_inverse,
 )
-from goldmankit.linalg import max_abs, trace12
+from goldmankit.linalg import mat_exp, max_abs, trace12
 from goldmankit.octonions import unit_matrices
 
 ALL_FAMILIES = [
@@ -274,3 +274,103 @@ def test_stacked_residuals_match_single():
         mats, residuals, _ = sample_elements(family, n, range(4))
         for t in range(4):
             assert abs(membership_residual(family, n, mats[t]) - residuals[t]) <= 1e-15
+
+
+SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, int(np.random.default_rng(12).integers(2 ** 63))]
+# mixed lengths, and elements of one, two and three 32-bit words
+MIXED_KEYS = [(0,), (1, 2), (7, 0, 3), (2 ** 32, 5), (3, 2 ** 40 + 1), (2 ** 64 + 9,),
+              (4, 4, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_words_equal_seed_sequence(seed):
+    from goldmankit.goldman import _substream_words
+
+    for keys in (MIXED_KEYS, [(t, k) for k in range(2) for t in range(40)],
+                 np.array([[t, 1] for t in range(5)])):
+        got = _substream_words(seed, keys)
+        want = np.array([np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(w) for w in key))
+                         .generate_state(4, np.uint64) for key in keys])
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+def _stacks_fed_to_mat_exp(monkeypatch):
+    from goldmankit import goldman
+
+    fed = []
+    monkeypatch.setattr(goldman, "mat_exp", lambda x: fed.append(x.copy()) or mat_exp(x))
+    return fed
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+@pytest.mark.parametrize("family,n", [(Family.G2, 1), (Family.SU, 3), (Family.SP, 2)])
+def test_exponent_stack_is_the_default_rng_draw(family, n, scale, monkeypatch):
+    # X = sum_a c_a t_a is bitwise the stack of default_rng(SeedSequence(seed, key)).uniform
+    fed = _stacks_fed_to_mat_exp(monkeypatch)
+    basis = build_basis(family, n)
+    gens = np.stack(basis.generators)
+    for seed in SEEDS:
+        sample_substreams(family, n, seed, MIXED_KEYS, scale, basis)
+        coeffs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+                  .uniform(-scale, scale, size=len(basis)) for key in MIXED_KEYS]
+        assert np.array_equal(fed.pop(), np.einsum("ta,aij->tij", np.array(coeffs), gens))
+
+
+def test_redraws_continue_each_row_own_stream(monkeypatch):
+    from goldmankit import goldman
+
+    fed = _stacks_fed_to_mat_exp(monkeypatch)
+    calls = []
+
+    def reject_rows_1_and_3_once(family, n, g):
+        calls.append(len(g))
+        res = membership_residual(family, n, g)
+        if len(calls) == 1:
+            res[[1, 3]] = np.inf
+        return res
+
+    monkeypatch.setattr(goldman, "membership_residual", reject_rows_1_and_3_once)
+    keys = [(t, 0) for t in range(5)]
+    mats, residuals, resamples = sample_substreams(Family.SO, 4, 8, keys)
+    assert calls == [5, 2] and resamples == 2 and residuals.max() < 1e-8
+    gens = np.stack(build_basis(Family.SO, 4).generators)
+    for t in (1, 3):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=8, spawn_key=keys[t]))
+        rng.uniform(-1.0, 1.0, size=len(gens))
+        second = np.einsum("a,aij->ij", rng.uniform(-1.0, 1.0, size=len(gens)), gens)
+        assert np.array_equal(fed[1][(1, 3).index(t)], second)
+        assert np.array_equal(mats[t], mat_exp(second[None])[0])
+
+
+def test_draw_chunks_do_not_change_rows(monkeypatch):
+    from goldmankit import goldman
+
+    keys = [(t, k) for k in range(2) for t in range(9)]
+    mats, residuals, _ = sample_substreams(Family.SU, 3, 2, keys)
+    monkeypatch.setattr(goldman, "_DRAW_CHUNK_BYTES", 2 * 9 * 16)  # two su(3) rows per chunk
+    chunked, chunked_residuals, _ = sample_substreams(Family.SU, 3, 2, keys)
+    assert np.array_equal(chunked, mats) and np.array_equal(chunked_residuals, residuals)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_sample_substreams_refuses_a_seed_that_is_not_a_non_negative_int(seed, monkeypatch):
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        sample_substreams(Family.G2, 1, seed, [(0,)])
+
+
+def test_sampling_refuses_a_stack_over_the_byte_budget(monkeypatch):
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    monkeypatch.setattr(goldman, "_substream_words", lambda *a: pytest.fail("mixed first"))
+    rows = goldman._SAMPLE_BYTES // (16 * 16 * 8) + 1  # one gl(16) row past 256 MiB
+    with pytest.raises(ValueError, match=r"need 256 MiB, over the 256 MiB sampling budget"):
+        sample_substreams(Family.GL, 16, 0, range(rows))
+    with pytest.raises(ValueError, match="sampling budget"):
+        verify_bracket(Family.U, 16, trials=rows // 4 + 1)  # complex pairs: four times the bytes
+    monkeypatch.setattr(goldman, "_draw", lambda *a: "drawn")
+    monkeypatch.setattr(goldman, "_substream_words", lambda *a: None)
+    assert sample_substreams(Family.GL, 16, 0, range(rows - 1)) == "drawn"

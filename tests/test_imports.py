@@ -1,9 +1,12 @@
 """Module boundaries: no goldmankit module imports another module's private names,
-one module builds the seed substreams, and every function the benchmark traces by
-name exists."""
+one module builds the seed substreams, every function the benchmark traces by
+name exists, and the package does not load scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import goldmankit
@@ -43,3 +46,13 @@ def test_every_traced_function_resolves():
     missing = [f"{mod}.{fn}" for mod, fn in traced
                if not callable(getattr(importlib.import_module(f"goldmankit.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_package_loads_no_scipy():
+    # scipy is a test oracle only; a fresh interpreter importing goldmankit loads none of it
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = ("import sys, goldmankit, goldmankit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goldmankit import linalg
+from goldmankit.bases import Family, build_basis
 from goldmankit.linalg import (
     NumericError,
     Tolerance,
@@ -114,6 +117,66 @@ def test_mat_exp_inverse_pairing():
     x = rng.standard_normal((4, 4))
     x /= max(1.0, np.linalg.norm(x))
     assert max_abs(mat_exp(x) @ mat_exp(-x) - np.eye(4)) < 1e-10
+
+
+EXP_FAMILIES = [(Family.GL, 3), (Family.SL, 3), (Family.U, 2), (Family.SU, 3), (Family.SP, 2),
+                (Family.SO, 4), (Family.G2, 1), (Family.GL, 12)]
+
+
+def _exponents(family, n, scale, rows=48):
+    """(rows, d, d) stack of sum_a c_a t_a with c_a ~ U[-scale, scale], as the samplers draw it."""
+    gens = np.stack(build_basis(family, n).generators)
+    coeffs = np.random.default_rng(31).uniform(-scale, scale, size=(rows, len(gens)))
+    return np.einsum("ta,aij->tij", coeffs, gens)
+
+
+def _long_double_exp(x):
+    """exp of each row by a 30-term Taylor series in long double at 1-norm <= 1/2, squared back."""
+    x = x.astype(np.clongdouble if np.iscomplexobj(x) else np.longdouble)
+    squarings = max(0, int(np.ceil(np.log2(2 * np.abs(x).sum(axis=1).max()))))
+    x = x / 2 ** squarings
+    term = np.broadcast_to(np.eye(x.shape[-1], dtype=x.dtype), x.shape)
+    total = term.copy()
+    for k in range(1, 30):
+        term = term @ x / k
+        total += term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def _row_err(a, b, size):
+    return np.abs(a - b).max(axis=(1, 2)) / size
+
+
+@pytest.mark.parametrize("scale", [0.7, 1.0, 2.0])
+@pytest.mark.parametrize("family,n", EXP_FAMILIES)
+def test_mat_exp_matches_scipy_and_a_long_double_series(family, n, scale):
+    x = _exponents(family, n, scale)
+    e, ref, theirs = mat_exp(x), _long_double_exp(x), scipy.linalg.expm(x)
+    size = np.abs(theirs).max(axis=(1, 2))
+    assert _row_err(e, ref, size).max() < 1e-14
+    if scale < 2.0:
+        assert _row_err(e, theirs, size).max() < 1e-13
+    else:
+        # scipy's expm is itself up to ~7e-13 off the series for gl, sl and sp rows at
+        # scale 2; beyond 1e-13 the two may differ only by scipy's own error
+        assert np.all(_row_err(e, theirs, size) < 1e-13 + _row_err(theirs, ref, size))
+
+
+@pytest.mark.parametrize("family,n", [(Family.GL, 3), (Family.SU, 3), (Family.G2, 1)])
+def test_mat_exp_rows_do_not_depend_on_stack_or_chunk(family, n, monkeypatch):
+    x = _exponents(family, n, 2.0, rows=40)
+    norms = np.abs(x).sum(axis=1).max(axis=1)
+    # some rows are scaled and squared back, some are not
+    assert (norms > linalg._THETA_13).any() and (norms <= linalg._THETA_13).any()
+    whole = mat_exp(x)
+    for t in range(len(x)):
+        assert np.array_equal(mat_exp(x[t]), whole[t])
+    assert np.array_equal(mat_exp(x[::3]), whole[::3])
+    for entries in (1, 5 * x[0].size):
+        monkeypatch.setattr(linalg, "_EXP_CHUNK_ENTRIES", entries)
+        assert np.array_equal(mat_exp(x), whole)
 
 
 def test_mat_exp_rejects_nonfinite():
