@@ -88,10 +88,15 @@ def matrix_side(family: Family, n: int) -> int:
     return n
 
 
+_BUILD_BYTES = 1 << 28  # check_size refuses generators or a Casimir tensor over 256 MiB
+
+
 def check_size(family: Family, n: int) -> int:
     """``n`` as an int if the family takes that size; ValueError otherwise.
 
-    G2 has no size parameter, so it takes n = 1 only.
+    G2 has no size parameter, so it takes n = 1 only.  Refuses a size whose
+    generators or Casimir tensor (about side^4 entries each, complex for u
+    and su) would exceed ``_BUILD_BYTES``, so nothing that large is built.
     """
     family = as_family(family)
     n = int(n)
@@ -101,6 +106,12 @@ def check_size(family: Family, n: int) -> int:
         raise ValueError(f"{family.value} requires n >= 1, got {n}")
     if family is Family.SO and n < 2:
         raise ValueError(f"so(n) requires n >= 2, got {n}")
+    side = matrix_side(family, n)
+    size = (max(algebra_dim(family, n) * side ** 2, side ** 4)
+            * (16 if family in (Family.U, Family.SU) else 8))
+    if size > _BUILD_BYTES:
+        raise ValueError(f"{family.value}({n}) needs {size / 2 ** 20:.0f} MiB for its generators "
+                         f"or Casimir tensor, over the {_BUILD_BYTES >> 20} MiB budget")
     return n
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
-    Family, LieBasis, as_family, build_basis, gell_mann, matrix_side, normalization_residual,
+    Family, LieBasis, as_family, build_basis, check_size, gell_mann, matrix_side,
+    normalization_residual,
 )
 from .linalg import kron, max_abs, permutation_matrix, real_part, unit_matrix
 from .octonions import unit_matrices
@@ -78,7 +79,7 @@ def defect_matrix(family, n: int) -> np.ndarray:
     family = as_family(family)
     if family not in (Family.SP, Family.SO):
         raise ValueError(f"defect matrix is defined for sp/so only, got {family.value}")
-    m = matrix_side(family, n)
+    m = matrix_side(family, check_size(family, n))
     chi = np.zeros((m * m, m * m))
 
     def add(sign, i, j, k, l):  # sign * e_ij (x) e_kl, 1-based
@@ -99,7 +100,7 @@ def defect_matrix(family, n: int) -> np.ndarray:
 def closed_form(family, n: int) -> np.ndarray:
     """The family's closed-form Casimir tensor."""
     family = as_family(family)
-    side = matrix_side(family, n)
+    side = matrix_side(family, check_size(family, n))
     p = permutation_matrix(side)
     if family in (Family.GL, Family.U):
         return 2.0 * p

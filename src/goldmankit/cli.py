@@ -80,8 +80,6 @@ def _symplectic_inverse(trials, seed, n=None):
 
 
 def _octonion(trials, seed):
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     with CheckRun("octonion-structure", trials=49) as run:
         unit_matrices()  # includes the rebuild self-test
         structural = structure_residual()
@@ -138,11 +136,15 @@ VERIFY_SUITES = {
 def cmd_verify(args) -> int:
     """Run one suite, or with ``all`` every suite over its full grid.
 
-    Under ``all``, a suite that raises is reported as a failing
-    ``suite-error`` report naming it, the error and the line that raised it,
-    and the next suite runs; the exit code is then 1, as for any failed
-    check.
+    A negative ``--seed`` or a ``--trials`` below 1 is refused before the
+    first suite runs.  Under ``all``, a suite that raises is reported as a
+    failing ``suite-error`` report naming it, the error and the line that
+    raised it, and the next suite runs; the exit code is then 1, as for any
+    failed check.
     """
+    _goldman.check_seed(getattr(args, "seed", 0))
+    if getattr(args, "trials", 1) < 1:
+        raise ValueError("trials must be >= 1")
     em = _Emitter(args)
     runs = ([(name, suite, [f for f in flags if f in _TRIALS_SEED])
              for name, (suite, flags) in VERIFY_SUITES.items()]

@@ -15,19 +15,18 @@ Composite monodromies of the two intersection resolutions are realised
 algebraically as AB and AB^-1; only a single transversal intersection is
 modelled (reports carry an ``intersections`` field for a future summation
 hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
-[-1, 1] (on [-0.7, 0.7] in the split harness).  Every sampled check draws
-row k from its own substream (seed, key) through ``sample_substreams``, so
-results do not depend on the batch: a check draws all its trials as one
-stack, exponentiates it in one call and contracts it with Gamma in O(d^4).
-The substreams' PCG64 seed words are mixed for the whole stack in one array
-pass of numpy's SeedSequence hashing, and the coefficients are converted
-from the raw draws in one step, bitwise as ``default_rng(SeedSequence(seed,
-spawn_key=key)).uniform(-scale, scale)`` draws them.
+[-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path:
+``_substream_words`` mixes the PCG64 seed words of each row's substream
+(seed, key) in one array pass of numpy's SeedSequence hashing, and ``_draw``
+turns them into coefficients bitwise as ``default_rng(SeedSequence(seed,
+spawn_key=key)).uniform(-scale, scale)`` draws them, then exponentiates and
+membership-tests the rows in small chunks.  Results do not depend on the
+batch: a check draws all its trials as one stack (``sample_substreams``) and
+contracts it with Gamma in O(d^4); ``sample_element`` draws a single row.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,58 +85,49 @@ def membership_residual(family, n: int, g: np.ndarray):
     return float(res[0]) if g.ndim == 2 else res
 
 
-def sample_elements(family, n: int, seeds, scale: float = 1.0,
-                    basis: LieBasis | None = None):
-    """(T, d, d) stack of exp(sum_a c_a t_a), c_a ~ U[-scale, scale], one row per seed.
-
-    Row t draws the coefficients ``default_rng(seeds[t]).uniform(-scale,
-    scale)`` would (``seeds[t]`` an int or a SeedSequence), from a PCG64
-    seeded with that SeedSequence's state words.  So a row is bitwise
-    ``sample_element`` on its seed whatever the batch: the unoptimized einsum
-    sums the generators in order and ``mat_exp``'s result for a row depends
-    on that row alone.  Rows outside the 1e-8 membership band (none at these
-    scales) are redrawn from their own generators a handful of times, then
-    NumericError is raised.  Returns the stack, its membership residuals and
-    the number of redraws.
-    """
-    streams = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-               for s in seeds]
-    words = np.array([s.generate_state(4, np.uint64) for s in streams], dtype=np.uint64)
-    return _draw(build_basis(family, n) if basis is None else basis, words.reshape(-1, 4), scale)
-
-
 def sample_element(family, n: int, seed, scale: float = 1.0,
                    basis: LieBasis | None = None) -> GroupElement:
     """Random group element exp(sum_a c_a t_a), c_a ~ U[-scale, scale].
 
-    ``seed`` may be an int or a numpy SeedSequence, such as a row's substream
-    from ``sample_substreams``.  The one-row case of ``sample_elements``.
+    ``seed`` is an int (the empty spawn key) or a numpy SeedSequence with int
+    entropy and pool size 4, such as a row's substream; the element is the
+    row ``sample_substreams`` draws for that entropy and spawn key.
     """
     basis = build_basis(family, n) if basis is None else basis
-    mats, res, _ = sample_elements(family, n, [seed], scale, basis)
+    key = ()
+    if isinstance(seed, np.random.SeedSequence):
+        if seed.pool_size != 4:  # _substream_words mixes numpy's default four-word pool
+            raise ValueError(f"a SeedSequence seed needs pool_size 4, got {seed.pool_size}")
+        seed, key = seed.entropy, seed.spawn_key
+    mats, res, _ = _draw(basis, _substream_words(seed, [key]), scale)
     return GroupElement(basis.family, basis.n, mats[0], float(res[0]))
 
 
 _SAMPLE_BYTES = 1 << 28  # sample_substreams refuses a result stack larger than 256 MiB
 
 
-def sample_substreams(family, n: int, seed: int, keys, scale: float = 1.0,
-                      basis: LieBasis | None = None):
-    """``sample_elements``, row k drawn from SeedSequence(entropy=seed, spawn_key=keys[k]).
+def sample_substreams(family, n: int, seed: int, keys, scale: float = 1.0):
+    """(T, d, d) stack of exp(sum_a c_a t_a), row t from SeedSequence(seed, spawn_key=keys[t]).
 
-    ``keys`` is a sequence of tuples of non-negative ints, or a (T, W) int
-    array.  The rows' PCG64 seed words are mixed for the whole stack at once
-    (``_substream_words``), bitwise those of the SeedSequences.  A negative
-    or non-integer seed is refused with ValueError, and so is a stack whose
-    result would exceed ``_SAMPLE_BYTES`` (256 MiB), before anything is
-    drawn.  Rows are drawn in chunks of ``_DRAW_CHUNK_BYTES``, so the draw's
-    temporaries add a bounded few tens of MiB to the result.
+    ``keys`` is a rectangular (T, W) array-like of ints in [0, 2^32), such as
+    a list of equal-length tuples.  Row t's coefficients are bitwise those
+    ``default_rng(SeedSequence(seed, spawn_key=keys[t])).uniform(-scale,
+    scale)`` draws, whatever the batch.  Refused with ValueError before
+    anything is drawn: a seed that is not a non-negative int, ragged,
+    negative or too large keys, and a stack whose result would exceed
+    ``_SAMPLE_BYTES`` (256 MiB).  Returns the stack, its membership residuals
+    and the number of redraws (``_draw``).
     """
+    basis = build_basis(family, n)
+    _require_sample_budget(basis, len(keys))
+    return _draw(basis, _substream_words(seed, keys), scale)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int if it is a non-negative integer; ValueError otherwise."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    basis = build_basis(family, n) if basis is None else basis
-    _require_sample_budget(basis, len(keys))
-    return _draw(basis, _substream_words(int(seed), keys), scale)
+    return int(seed)
 
 
 def _require_sample_budget(basis: LieBasis, rows: int) -> None:
@@ -175,27 +165,15 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _int_words(value) -> list:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
 @lru_cache(maxsize=64)
 def _entropy_pool(seed: int):
     """(4, 1) uint32 SeedSequence pool after the seed's words, and the next hash constant.
 
-    SeedSequence zero-pads the seed's words to four when it has a spawn key;
-    without one its pool hashes the same zeros, so the padding always holds.
+    SeedSequence splits the seed into little-endian 32-bit words and
+    zero-pads them to four when it has a spawn key; without one its pool
+    hashes the same zeros, so the padding always holds.
     """
-    run = _int_words(seed)
-    run += [0] * (4 - len(run))
+    run = [seed >> 32 * k & _MASK32 for k in range(max(4, -(-seed.bit_length() // 32)))]
     consts = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(run) + 1))
     pool = [_hashmix(word, *next(consts)) for word in run[:4]]
     for src in range(4):
@@ -211,42 +189,37 @@ def _entropy_pool(seed: int):
 @lru_cache(maxsize=64)
 def _constant_arrays(const: int, mult: int, count: int) -> np.ndarray:
     """``_hash_constants`` as a (2, count, 1) uint32 array: xor constants, then multipliers."""
-    return np.array(_hash_constants(const, mult, count), dtype=np.uint32).T[:, :, None]
+    return np.array(_hash_constants(const, mult, count), np.uint32).reshape(-1, 2).T[:, :, None]
 
 
-def _key_words(keys):
-    """(T, W) uint32 words of each spawn key, and each key's word count (None: all W)."""
+def _key_array(keys) -> np.ndarray:
+    """``keys`` as a (T, W) uint32 array; ValueError unless rectangular ints in [0, 2^32)."""
     try:
         arr = np.asarray(keys)
-    except ValueError:  # ragged keys
+    except ValueError:  # ragged rows
         arr = None
-    if (arr is not None and arr.ndim == 2 and arr.dtype.kind in "iu"
-            and (arr.size == 0 or (arr.min() >= 0 and arr.max() <= _MASK32))):
-        return arr.astype(np.uint32), None
-    rows = [[w for part in key for w in _int_words(part)] for key in keys]
-    counts = np.array([len(r) for r in rows], dtype=int)
-    words = np.zeros((len(rows), counts.max(initial=0)), dtype=np.uint32)
-    for t, row in enumerate(rows):
-        words[t, :len(row)] = row
-    return words, counts
+    if arr is not None and arr.shape == (0,):  # no rows
+        arr = arr.reshape(0, 0)
+    if arr is None or arr.ndim != 2 or arr.size and not (
+            arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= _MASK32):
+        raise ValueError("spawn keys must be a rectangular (T, W) array of ints in [0, 2^32)")
+    return arr.astype(np.uint32)
 
 
 def _substream_words(seed: int, keys) -> np.ndarray:
     """(T, 4) uint64 PCG64 seed words of SeedSequence(seed, spawn_key=keys[t]), all rows at once.
 
-    The seed's words are mixed once, as scalars (``_entropy_pool``).  Each
-    key word is then hashed and mixed into all four pool words of every row
-    as uint32 arrays, and the pool is hashed out as ``generate_state(4,
-    np.uint64)`` does.
+    ``check_seed`` and ``_key_array`` check the seed and keys.  The seed's
+    words are mixed once, as scalars (``_entropy_pool``).  Each key word is
+    then hashed and mixed into all four pool words of every row as uint32
+    arrays, and the pool is hashed out as ``generate_state(4, np.uint64)`` does.
     """
-    shared, const = _entropy_pool(seed)
-    words, counts = _key_words(keys)
+    shared, const = _entropy_pool(check_seed(seed))
+    words = _key_array(keys)
     xor, mult = _constant_arrays(const, _MULT_A, 4 * words.shape[1]).reshape(2, -1, 4, 1)
-    hashed = _hashmix(words.T[:, None], xor, mult)  # (W, 4, T): each key word for each pool word
     pool = np.repeat(shared, len(words), axis=1)  # (4, T)
-    for j in range(words.shape[1]):
-        mixed = _mix(pool, hashed[j])
-        pool = mixed if counts is None else np.where(counts > j, mixed, pool)
+    for hashed in _hashmix(words.T[:, None], xor, mult):  # each key word for each pool word
+        pool = _mix(pool, hashed)
     state = _hashmix(np.concatenate([pool, pool]), *_constant_arrays(_INIT_B, _MULT_B, 8))
     state = state.astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
@@ -275,17 +248,25 @@ def _uniforms(words: np.ndarray, attempt: int, count: int, scale: float) -> np.n
     return -scale + (2 * scale) * ((raw >> np.uint64(11)) * (1.0 / 9007199254740992.0))
 
 
-_DRAW_CHUNK_BYTES = 1 << 23  # rows drawn at once: 8 MiB of matrices, so temporaries stay bounded
+_DRAW_CHUNK_ENTRIES = 1 << 14  # matrix entries drawn at once: 128 KiB of float64
 
 
 def _draw(basis: LieBasis, words: np.ndarray, scale: float):
-    """``sample_elements`` on the (T, 4) PCG64 seed words of its rows, in chunks of rows."""
+    """exp(sum_a c_a t_a) for each row of (T, 4) PCG64 seed words: (stack, residuals, redraws).
+
+    The one chunk loop of a draw: the generator sum, ``mat_exp`` and
+    ``membership_residual`` see at most ``_DRAW_CHUNK_ENTRIES`` matrix entries
+    (or one row) at a time, and each works row by row, so no row depends on
+    its chunk.  Rows outside the 1e-8 membership band (none at these scales)
+    are redrawn from their own generators a handful of times, then
+    NumericError is raised.
+    """
     if not 0.0 < scale <= 2.0:
         raise ValueError(f"scale must lie in (0, 2], got {scale}")
     gens = np.stack(basis.generators)
     mats = np.empty((len(words), basis.side, basis.side), dtype=gens.dtype)
     res = np.empty(len(words))
-    step = max(1, _DRAW_CHUNK_BYTES // (basis.side ** 2 * gens.itemsize))
+    step = max(1, _DRAW_CHUNK_ENTRIES // basis.side ** 2)
     pending = np.arange(len(words))
     draws = 0
     for attempt in range(_RESAMPLE_LIMIT):
@@ -304,15 +285,14 @@ def _draw(basis: LieBasis, words: np.ndarray, scale: float):
     )
 
 
-def _trial_draws(family, basis: LieBasis, seed: int, trials: int, count: int,
-                 scale: float = 1.0):
+def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: float = 1.0):
     """``count`` (trials, d, d) stacks (row t of stack k from substream (t, k)), redraws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _require_sample_budget(basis, trials * count)
     keys = np.stack([np.tile(np.arange(trials), count), np.repeat(np.arange(count), trials)],
                     axis=1)
-    mats, _, resamples = sample_substreams(family, basis.n, seed, keys, scale, basis)
+    mats, _, resamples = sample_substreams(basis.family, basis.n, seed, keys, scale)
     return mats.reshape(count, trials, basis.side, basis.side), resamples
 
 
@@ -363,7 +343,7 @@ def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0) -> Veri
     with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
-        (a, b), resamples = _trial_draws(family, basis, seed, trials, 2)
+        (a, b), resamples = _trial_draws(basis, seed, trials, 2)
         worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma))
         run.record(passed=worst_rel < _BRACKET_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
                    params={"group": family.value, "n": basis.n, "intersections": 1,
@@ -379,7 +359,7 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0) -> Verif
     with CheckRun("defect-lemma", seed=seed, trials=trials) as run:
         basis = build_basis(family, n)
         chi = defect_matrix(family, n)
-        (a, b), resamples = _trial_draws(family, basis, seed, trials, 2)
+        (a, b), resamples = _trial_draws(basis, seed, trials, 2)
         lhs = trace12_pairs(a, b, chi)
         worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)))
         run.record(passed=worst_abs < _DEFECT_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
@@ -411,7 +391,7 @@ def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0) -> V
     """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
     with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
         basis = build_basis(Family.SP, n)
-        (b,), resamples = _trial_draws(Family.SP, basis, seed, trials, 1)
+        (b,), resamples = _trial_draws(basis, seed, trials, 1)
         worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials))
         run.record(passed=worst_abs < _SYMPLECTIC_INVERSE_TOL, max_abs_err=worst_abs,
                    params={"n": n, "worst_trial": worst, "resamples": resamples})
@@ -434,7 +414,7 @@ def split_harness(family, n: int = 1, seed: int = 0) -> VerificationReport:
     with CheckRun("split-harness", seed=seed) as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
-        mats, _ = _trial_draws(family, basis, seed, 1, 6, _SPLIT_SCALE)
+        mats, _ = _trial_draws(basis, seed, 1, 6, _SPLIT_SCALE)
         t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = mats[:, 0]
         a = t_0_x2 @ mtilde1 @ t_x1_0
         b = t_0_y2 @ mtilde2 @ t_y1_0

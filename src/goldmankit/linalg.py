@@ -3,8 +3,9 @@
 Everything downstream works on the n^2-dimensional tensor space R^n (x) R^n,
 realised concretely as Kronecker blocks of square numpy arrays.  The helpers
 here are thin, contract-checked wrappers over numpy kernels; ``mat_exp`` is a
-stacked scaling-and-squaring Pade exponential in numpy (this package does not
-import scipy, which the tests keep as an oracle).
+stacked scaling-and-squaring Pade exponential in numpy that exponentiates a
+whole stack in one pass, leaving chunking to its caller (this package does
+not import scipy, which the tests keep as an oracle).
 
 Index convention: formulas in docstrings use 1-based entries e_{ij} (the
 matrix with a single 1 at row i, column j); storage is ordinary 0-based numpy.
@@ -107,29 +108,24 @@ _PADE_13 = tuple(b / 64764752532480000.0 for b in (
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
     40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 _THETA_13 = 5.371920351148152
-_EXP_CHUNK_ENTRIES = 1 << 14  # matrix entries per temporary: 128 KiB of float64
 
 
 def mat_exp(x: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with the [13/13] Pade approximant.
 
-    ``x`` may be a (T, d, d) stack, exponentiated in chunks of at most
-    ``_EXP_CHUNK_ENTRIES`` entries per temporary.  Each row is scaled by
-    2^-s, with s the smallest power that brings its own 1-norm under
-    theta_13 = 5.37 (Higham 2005), approximated by r_13 and squared back s
-    times.  A row's result depends on that row alone: it is bitwise the same
-    whatever the stack or chunk holding it.  Samplers feed this arguments
-    with norm O(1), where the result is accurate to ~1e-15 relative.  Raises
-    NumericError if the result is not finite.
+    ``x`` may be a (T, d, d) stack, exponentiated in one pass with
+    temporaries a few times its size; callers chunk large stacks (``_draw``
+    does).  Each row is scaled by 2^-s, with s the smallest power that brings
+    its own 1-norm under theta_13 = 5.37 (Higham 2005), approximated by r_13
+    and squared back s times, so a row's result is bitwise the same whatever
+    the stack holding it.  Samplers feed this arguments with norm O(1), where
+    the result is accurate to ~1e-15 relative.  Raises NumericError if the
+    result is not finite.
     """
     x = _require_square(x, "X", stack=True)
     if not np.isfinite(x).all():
         raise NumericError("mat_exp input has non-finite entries")
-    stack = x.reshape(-1, *x.shape[-2:])
-    step = max(1, _EXP_CHUNK_ENTRIES // max(1, x.shape[-1] ** 2))
-    e = np.empty(stack.shape, dtype=np.result_type(stack, np.float64))
-    for lo in range(0, len(stack), step):
-        e[lo:lo + step] = _pade_13_scaled(stack[lo:lo + step])
+    e = _pade_13_scaled(x.reshape(-1, *x.shape[-2:]))
     if not np.isfinite(e).all():
         raise NumericError(
             f"mat_exp did not converge: input norm {np.linalg.norm(x):.3e}, "

@@ -173,14 +173,22 @@ def index_layout(spec: ObservableSpec):
     return simple, words, alphas, betas
 
 
+_SPEC_BUDGET = 10 ** 5  # enumerate_specs refuses to build more specs than this
+
+
 def enumerate_specs(r: int, n1: int, s: int, n2: int, t: int) -> list[ObservableSpec]:
     """All (K, Q) choices for fixed parameters, in lexicographic column order.
 
-    The count is t^n1 * C(t,2)^s * t^(2*n2-2*s).
+    The count is t^n1 * C(t,2)^s * t^(2*n2-2*s); a count over ``_SPEC_BUDGET``
+    is refused with ValueError before any spec is built.
     """
     param_errors = _parameter_errors(r, n1, s, n2, t)
     if param_errors:
         raise ValueError("invalid parameters: " + "; ".join(param_errors))
+    count = spec_count(r, n1, s, n2, t)
+    if count > _SPEC_BUDGET:
+        raise ValueError(f"parameters ({r}, {n1}, {s}, {n2}, {t}) give {count} specs, "
+                         f"over the budget of {_SPEC_BUDGET}")
     unit_cols = [tuple(1 if i == pick else 0 for i in range(t)) for pick in range(t)]
     double_cols = [
         tuple(1 if i in pair else 0 for i in range(t))

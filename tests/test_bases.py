@@ -133,6 +133,26 @@ def test_g2_refuses_a_size_other_than_one(n):
         build_basis(Family.G2, n)
 
 
+def test_sizes_over_the_build_budget_are_refused_before_building(monkeypatch, capsys):
+    from goldmankit import bases, casimir
+    from goldmankit.cli import run
+
+    monkeypatch.setattr(bases, "_build_basis", lambda *a: pytest.fail("built before refusing"))
+    monkeypatch.setattr(casimir, "permutation_matrix", lambda *a: pytest.fail("built P first"))
+    # gl(200): 40000^2 doubles for each of the generator stack and the Casimir tensor
+    for build in (build_basis, casimir.closed_form):
+        with pytest.raises(ValueError, match=r"gl\(200\) needs 12207 MiB .* the 256 MiB budget"):
+            build(Family.GL, 200)
+    assert run(["verify", "casimir", "--group", "gl", "--n", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: gl(200) needs 12207 MiB")
+    # the largest sizes at or under 256 MiB, real and complex, and one past each
+    for family, largest in ((Family.GL, 76), (Family.U, 64), (Family.SP, 38), (Family.SO, 76)):
+        assert bases.check_size(family, largest) == largest
+        with pytest.raises(ValueError, match="256 MiB budget"):
+            bases.check_size(family, largest + 1)
+
+
 def test_residual_helper_matches_report():
     basis = build_basis(Family.SU, 4)
     assert normalization_residual(basis) == check_normalization(basis).max_abs_err

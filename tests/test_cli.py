@@ -394,6 +394,15 @@ REFUSALS = [
     ("negative seed, closure", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(b)", "--check-closure",
                                 "--seed", "-1"], None,
      "seed must be a non-negative integer, got -1"),
+    ("negative seed, verify all", ["verify", "all", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    ("zero trials, verify all", ["verify", "all", "--trials", "0"], None, "trials must be >= 1"),
+    ("negative seed, verify octonion", ["verify", "octonion", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    ("negative seed, verify tensor-lemmas", ["verify", "tensor-lemmas", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    ("too many specs", ["exotic", "enumerate", "--n1", "11", "--t", "3"], None,
+     "parameters (0, 11, 0, 0, 3) give 177147 specs, over the budget of 100000"),
     ("parse error", ["bracket", "--lhs", "tr(a", "--rhs", "tr(b)"], None,
      "parse error at offset 4"),
     ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],

@@ -10,7 +10,6 @@ from goldmankit.goldman import (
     bracket_sides,
     membership_residual,
     sample_element,
-    sample_elements,
     sample_substreams,
     split_harness,
     symplectic_inverse_residual,
@@ -163,7 +162,7 @@ def _literal_symplectic_residual(b, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_symplectic_residual_matches_relation_table(n):
-    mats, _, _ = sample_elements(Family.SP, n, range(6))
+    mats, _, _ = sample_substreams(Family.SP, n, 0, [(t,) for t in range(6)])
     stacked = symplectic_inverse_residual(mats, n)
     for t in range(6):
         assert stacked[t] == symplectic_inverse_residual(mats[t], n)
@@ -211,8 +210,7 @@ def test_membership_residual_families():
 @pytest.mark.parametrize("family,n", ALL_FAMILIES)
 def test_sampler_residual_sweep(family, n):
     # 10^4 draws per family at scale 1 never leave the 1e-8 membership band
-    streams = [np.random.SeedSequence(entropy=99, spawn_key=(trial,)) for trial in range(10_000)]
-    _, residuals, resamples = sample_elements(family, n, streams, 1.0)
+    _, residuals, resamples = sample_substreams(family, n, 99, [(t,) for t in range(10_000)])
     assert residuals.shape == (10_000,) and resamples == 0
     assert residuals.max() < 1e-8
 
@@ -221,13 +219,14 @@ def test_sampler_residual_sweep(family, n):
 def test_batched_rows_equal_single_draws(family, n):
     # row k of a stacked draw is bitwise the element drawn alone from substream keys[k]
     basis = build_basis(family, n)
-    keys = [(t, k) for k in range(2) for t in range(9)] + [(t,) for t in range(3)]
-    mats, residuals, _ = sample_substreams(family, n, 6, keys, 1.0, basis)
-    for row, key in enumerate(keys):
-        alone = sample_element(family, n, np.random.SeedSequence(entropy=6, spawn_key=key),
-                               1.0, basis)
-        assert np.array_equal(mats[row], alone.matrix), key
-        assert residuals[row] == alone.membership_residual < 1e-8
+    for keys in ([(t, k) for k in range(2) for t in range(9)], [(t,) for t in range(3)], [()]):
+        mats, residuals, _ = sample_substreams(family, n, 6, keys)
+        for row, key in enumerate(keys):
+            alone = sample_element(family, n, np.random.SeedSequence(entropy=6, spawn_key=key),
+                                   1.0, basis)
+            assert np.array_equal(mats[row], alone.matrix), key
+            assert residuals[row] == alone.membership_residual < 1e-8
+    assert np.array_equal(mats[0], sample_element(family, n, 6).matrix)  # the empty key
 
 
 def test_verify_bracket_report_is_reproducible():
@@ -271,27 +270,39 @@ def test_verify_rejects_zero_trials():
 
 def test_stacked_residuals_match_single():
     for family, n in ALL_FAMILIES:
-        mats, residuals, _ = sample_elements(family, n, range(4))
+        mats, residuals, _ = sample_substreams(family, n, 0, [(t,) for t in range(4)])
         for t in range(4):
             assert abs(membership_residual(family, n, mats[t]) - residuals[t]) <= 1e-15
 
 
 SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, int(np.random.default_rng(12).integers(2 ** 63))]
-# mixed lengths, and elements of one, two and three 32-bit words
-MIXED_KEYS = [(0,), (1, 2), (7, 0, 3), (2 ** 32, 5), (3, 2 ** 40 + 1), (2 ** 64 + 9,),
-              (4, 4, 4, 4, 4)]
+# one rectangular key set per key length, from the empty key to five words
+KEY_SETS = [[()], [(0,), (2 ** 32 - 1,)], [(1, 2), (2 ** 32 - 1, 5)], [(7, 0, 3)],
+            [(4, 4, 4, 4, 4)], [(t, k) for k in range(2) for t in range(40)],
+            np.array([[t, 1] for t in range(5)])]
+# ragged keys, and keys outside [0, 2^32)
+BAD_KEYS = [[(0,), (1, 2)], [(2 ** 32, 5)], [(3, 2 ** 40 + 1)], [(2 ** 64 + 9,)], [(-1,)],
+            [(0.5,)], [0, 1]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substream_words_equal_seed_sequence(seed):
     from goldmankit.goldman import _substream_words
 
-    for keys in (MIXED_KEYS, [(t, k) for k in range(2) for t in range(40)],
-                 np.array([[t, 1] for t in range(5)])):
+    for keys in KEY_SETS:
         got = _substream_words(seed, keys)
         want = np.array([np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(w) for w in key))
                          .generate_state(4, np.uint64) for key in keys])
         assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("keys", BAD_KEYS, ids=str)
+def test_sample_substreams_refuses_keys_that_are_not_rectangular_words(keys, monkeypatch):
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match=r"rectangular \(T, W\) array of ints in \[0, 2\^32\)"):
+        sample_substreams(Family.G2, 1, 0, keys)
 
 
 def _stacks_fed_to_mat_exp(monkeypatch):
@@ -310,10 +321,11 @@ def test_exponent_stack_is_the_default_rng_draw(family, n, scale, monkeypatch):
     basis = build_basis(family, n)
     gens = np.stack(basis.generators)
     for seed in SEEDS:
-        sample_substreams(family, n, seed, MIXED_KEYS, scale, basis)
-        coeffs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-                  .uniform(-scale, scale, size=len(basis)) for key in MIXED_KEYS]
-        assert np.array_equal(fed.pop(), np.einsum("ta,aij->tij", np.array(coeffs), gens))
+        for keys in KEY_SETS:
+            sample_substreams(family, n, seed, keys, scale)
+            coeffs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+                      .uniform(-scale, scale, size=len(basis)) for key in np.asarray(keys).tolist()]
+            assert np.array_equal(fed.pop(), np.einsum("ta,aij->tij", np.array(coeffs), gens))
 
 
 def test_redraws_continue_each_row_own_stream(monkeypatch):
@@ -347,7 +359,7 @@ def test_draw_chunks_do_not_change_rows(monkeypatch):
 
     keys = [(t, k) for k in range(2) for t in range(9)]
     mats, residuals, _ = sample_substreams(Family.SU, 3, 2, keys)
-    monkeypatch.setattr(goldman, "_DRAW_CHUNK_BYTES", 2 * 9 * 16)  # two su(3) rows per chunk
+    monkeypatch.setattr(goldman, "_DRAW_CHUNK_ENTRIES", 2 * 9)  # two su(3) rows per chunk
     chunked, chunked_residuals, _ = sample_substreams(Family.SU, 3, 2, keys)
     assert np.array_equal(chunked, mats) and np.array_equal(chunked_residuals, residuals)
 
@@ -374,3 +386,25 @@ def test_sampling_refuses_a_stack_over_the_byte_budget(monkeypatch):
     monkeypatch.setattr(goldman, "_draw", lambda *a: "drawn")
     monkeypatch.setattr(goldman, "_substream_words", lambda *a: None)
     assert sample_substreams(Family.GL, 16, 0, range(rows - 1)) == "drawn"
+
+
+def test_draw_chunks_bound_every_stack_it_computes_on(monkeypatch):
+    # a 400-row g2 draw holds 19 600 entries; no stack handed on may exceed 2^14
+    from goldmankit import goldman
+
+    sizes = []
+    seen = lambda f: lambda *a: sizes.append(a[-1].size) or f(*a)
+    monkeypatch.setattr(goldman, "mat_exp", seen(mat_exp))
+    monkeypatch.setattr(goldman, "membership_residual", seen(membership_residual))
+    mats, _, _ = sample_substreams(Family.G2, 1, 3, [(t,) for t in range(400)])
+    assert len(sizes) == 4 and sum(sizes) == 2 * mats.size and max(sizes) <= 1 << 14
+
+
+def test_sample_element_refuses_a_seed_sequence_without_int_entropy(monkeypatch):
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got \\[1, 2\\]"):
+        sample_element(Family.G2, 1, np.random.SeedSequence([1, 2]))
+    with pytest.raises(ValueError, match="needs pool_size 4, got 8"):
+        sample_element(Family.G2, 1, np.random.SeedSequence(1, pool_size=8))

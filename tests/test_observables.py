@@ -65,6 +65,18 @@ def test_enumerate_refuses_bad_parameters():
         obs.enumerate_specs(3, 2, 0, 0, 1)
 
 
+def test_enumerate_refuses_more_specs_than_the_budget(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(obs.ObservableSpec, "from_columns",
+                  classmethod(lambda *a: pytest.fail("built a spec before refusing")))
+        with pytest.raises(ValueError, match=r"give 8916100448256 specs, over the budget of 100000"):
+            obs.enumerate_specs(0, 12, 0, 0, 12)  # exotic enumerate --n1 12 --t 12
+    monkeypatch.setattr(obs, "_SPEC_BUDGET", 27)
+    assert len(obs.enumerate_specs(0, 3, 0, 0, 3)) == 27  # at the budget
+    with pytest.raises(ValueError, match="give 81 specs, over the budget of 27"):
+        obs.enumerate_specs(0, 4, 0, 0, 3)
+
+
 def test_enumerate_forced_cases():
     only = obs.enumerate_specs(1, 1, 0, 0, 1)
     assert len(only) == 1 and only[0] == FIRST

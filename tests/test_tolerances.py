@@ -23,7 +23,7 @@ PINS = [
      casimir.verify_closed_form, "abs_tol"),
     ("`verify_tensor_lemmas`", "abs", casimir, "_LEMMA_TOL", 1e-13,
      casimir.verify_tensor_lemmas, "abs_tol"),
-    ("`sample_elements` membership", "abs", goldman, "_MEMBERSHIP_TOL", 1e-8, None, None),
+    ("`sample_substreams` membership", "abs", goldman, "_MEMBERSHIP_TOL", 1e-8, None, None),
     ("`verify_bracket`", "rel", goldman, "_BRACKET_TOL", 1e-9, goldman.verify_bracket, "rel_tol"),
     ("`verify_defect`", "abs", goldman, "_DEFECT_TOL", 1e-10, goldman.verify_defect, "abs_tol"),
     ("`verify_symplectic_inverse`", "abs", goldman, "_SYMPLECTIC_INVERSE_TOL", 1e-9,
