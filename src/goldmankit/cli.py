@@ -80,6 +80,7 @@ def _symplectic_inverse(trials, seed, n=None):
 
 
 def _octonion(trials, seed):
+    _goldman.check_draws(Family.G2, 1, trials)
     with CheckRun("octonion-structure", trials=49) as run:
         unit_matrices()  # includes the rebuild self-test
         structural = structure_residual()

@@ -16,9 +16,10 @@ algebraically as AB and AB^-1; only a single transversal intersection is
 modelled (reports carry an ``intersections`` field for a future summation
 hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
 [-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path:
-``_substream_words`` mixes the PCG64 seed words of each row's substream
-(seed, key) in one array pass of numpy's SeedSequence hashing, and ``_draw``
-turns them into coefficients bitwise as ``default_rng(SeedSequence(seed,
+``check_draws`` refuses an oversize stack before any key is built, numpy's
+SeedSequence mixes the seed once, ``_substream_words`` continues its hashing
+over the spawn keys of all rows in one array pass, and ``_draw`` turns the
+words into coefficients bitwise as ``default_rng(SeedSequence(seed,
 spawn_key=key)).uniform(-scale, scale)`` draws them, then exponentiates and
 membership-tests the rows in small chunks.  Results do not depend on the
 batch: a check draws all its trials as one stack (``sample_substreams``) and
@@ -33,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bases import Family, LieBasis, as_family, build_basis, symplectic_form
+from .bases import (Family, LieBasis, as_family, build_basis, check_size, matrix_side,
+                    symplectic_form)
 from .casimir import casimir_tensor, defect_matrix
 from .linalg import NumericError, mat_exp, trace12_pairs
 from .octonions import automorphism_residual, unit_matrices
@@ -91,19 +93,23 @@ def sample_element(family, n: int, seed, scale: float = 1.0,
 
     ``seed`` is an int (the empty spawn key) or a numpy SeedSequence with int
     entropy and pool size 4, such as a row's substream; the element is the
-    row ``sample_substreams`` draws for that entropy and spawn key.
+    row ``sample_substreams`` draws for that entropy and spawn key, from the
+    basis of (family, n).  A ``basis`` of another (family, n) is refused.
     """
-    basis = build_basis(family, n) if basis is None else basis
+    own = build_basis(family, n)
+    if basis is not None and (basis.family, basis.n) != (own.family, own.n):
+        raise ValueError(f"a {basis.family.value}({basis.n}) basis was given "
+                         f"for {own.family.value}({own.n})")
     key = ()
     if isinstance(seed, np.random.SeedSequence):
-        if seed.pool_size != 4:  # _substream_words mixes numpy's default four-word pool
+        if seed.pool_size != 4:  # _substream_words continues numpy's default four-word pool
             raise ValueError(f"a SeedSequence seed needs pool_size 4, got {seed.pool_size}")
         seed, key = seed.entropy, seed.spawn_key
-    mats, res, _ = _draw(basis, _substream_words(seed, [key]), scale)
-    return GroupElement(basis.family, basis.n, mats[0], float(res[0]))
+    mats, res, _ = _draw(own, _substream_words(seed, [key]), scale)
+    return GroupElement(own.family, own.n, mats[0], float(res[0]))
 
 
-_SAMPLE_BYTES = 1 << 28  # sample_substreams refuses a result stack larger than 256 MiB
+_SAMPLE_BYTES = 1 << 28  # sampling refuses a result stack larger than 256 MiB
 
 
 def sample_substreams(family, n: int, seed: int, keys, scale: float = 1.0):
@@ -113,14 +119,13 @@ def sample_substreams(family, n: int, seed: int, keys, scale: float = 1.0):
     a list of equal-length tuples.  Row t's coefficients are bitwise those
     ``default_rng(SeedSequence(seed, spawn_key=keys[t])).uniform(-scale,
     scale)`` draws, whatever the batch.  Refused with ValueError before
-    anything is drawn: a seed that is not a non-negative int, ragged,
-    negative or too large keys, and a stack whose result would exceed
-    ``_SAMPLE_BYTES`` (256 MiB).  Returns the stack, its membership residuals
-    and the number of redraws (``_draw``).
+    anything is drawn: more rows than ``check_draws`` allows (callers that
+    build many keys ask it first), a seed that is not a non-negative int, and
+    ragged, negative or too large keys.  Returns the stack, its membership
+    residuals and the number of redraws (``_draw``).
     """
-    basis = build_basis(family, n)
-    _require_sample_budget(basis, len(keys))
-    return _draw(basis, _substream_words(seed, keys), scale)
+    check_draws(family, n, len(keys))
+    return _draw(build_basis(family, n), _substream_words(seed, keys), scale)
 
 
 def check_seed(seed) -> int:
@@ -130,12 +135,15 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def _require_sample_budget(basis: LieBasis, rows: int) -> None:
-    itemsize = np.result_type(basis.generators[0], np.float64).itemsize
-    size = rows * basis.side * basis.side * itemsize
+def check_draws(family, n: int, rows: int) -> None:
+    """ValueError unless a stack of ``rows`` family(n) elements fits ``_SAMPLE_BYTES``
+    (256 MiB) and ``check_size`` takes n."""
+    family = as_family(family)
+    side = matrix_side(family, check_size(family, n))
+    size = rows * side * side * (16 if family in (Family.U, Family.SU) else 8)
     if size > _SAMPLE_BYTES:
         raise ValueError(
-            f"{rows} draws of {basis.family.value}({basis.n}) need {size / 2 ** 20:.0f} MiB, "
+            f"{rows} draws of {family.value}({n}) need {size / 2 ** 20:.0f} MiB, "
             f"over the {_SAMPLE_BYTES >> 20} MiB sampling budget")
 
 
@@ -144,17 +152,8 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def _hash_constants(const: int, mult: int, count: int):
-    """The (xor, multiply) constants of ``count`` successive hashmix calls from ``const``."""
-    pairs = []
-    for _ in range(count):
-        pairs.append((const, const * mult & _MASK32))
-        const = pairs[-1][1]
-    return pairs
-
-
 def _hashmix(value, xor, mult):
-    """SeedSequence's hashmix, on Python ints or uint32 arrays."""
+    """SeedSequence's hashmix, on uint32 arrays."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
@@ -167,29 +166,22 @@ def _mix(x, y):
 
 @lru_cache(maxsize=64)
 def _entropy_pool(seed: int):
-    """(4, 1) uint32 SeedSequence pool after the seed's words, and the next hash constant.
+    """(4, 1) uint32 pool of numpy's SeedSequence(seed), and the hashmix calls it made.
 
-    SeedSequence splits the seed into little-endian 32-bit words and
-    zero-pads them to four when it has a spawn key; without one its pool
-    hashes the same zeros, so the padding always holds.
-    """
-    run = [seed >> 32 * k & _MASK32 for k in range(max(4, -(-seed.bit_length() // 32)))]
-    consts = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(run) + 1))
-    pool = [_hashmix(word, *next(consts)) for word in run[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for word in run[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
-    return np.array(pool, dtype=np.uint32)[:, None], next(consts)[0]
+    With a spawn key, SeedSequence zero-pads the seed's 32-bit words to four;
+    without one it hashes the same zeros.  So spawn-key words continue this
+    pool's mixing, at hash constant 4 * max(4, seed words)."""
+    return np.random.SeedSequence(seed).pool[:, None], 4 * max(4, -(-seed.bit_length() // 32))
 
 
 @lru_cache(maxsize=64)
-def _constant_arrays(const: int, mult: int, count: int) -> np.ndarray:
-    """``_hash_constants`` as a (2, count, 1) uint32 array: xor constants, then multipliers."""
-    return np.array(_hash_constants(const, mult, count), np.uint32).reshape(-1, 2).T[:, :, None]
+def _constant_arrays(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """(2, count, 1) uint32 (xor, multiply) constants of hashmix calls start, start + 1, ...
+
+    Call k xors with init * mult^k and multiplies by init * mult^(k+1), mod 2^32.
+    """
+    consts = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(start, start + count + 1)]
+    return np.array([consts[:-1], consts[1:]], np.uint32)[:, :, None]
 
 
 def _key_array(keys) -> np.ndarray:
@@ -209,18 +201,18 @@ def _key_array(keys) -> np.ndarray:
 def _substream_words(seed: int, keys) -> np.ndarray:
     """(T, 4) uint64 PCG64 seed words of SeedSequence(seed, spawn_key=keys[t]), all rows at once.
 
-    ``check_seed`` and ``_key_array`` check the seed and keys.  The seed's
-    words are mixed once, as scalars (``_entropy_pool``).  Each key word is
-    then hashed and mixed into all four pool words of every row as uint32
-    arrays, and the pool is hashed out as ``generate_state(4, np.uint64)`` does.
+    ``check_seed`` and ``_key_array`` check the seed and keys.  numpy mixes
+    the seed once (``_entropy_pool``).  Each key word is then hashed and mixed
+    into all four pool words of every row as uint32 arrays, and the pool is
+    hashed out as ``generate_state(4, np.uint64)`` does.
     """
-    shared, const = _entropy_pool(check_seed(seed))
+    shared, start = _entropy_pool(check_seed(seed))
     words = _key_array(keys)
-    xor, mult = _constant_arrays(const, _MULT_A, 4 * words.shape[1]).reshape(2, -1, 4, 1)
+    xor, mult = _constant_arrays(_INIT_A, _MULT_A, start, 4 * words.shape[1]).reshape(2, -1, 4, 1)
     pool = np.repeat(shared, len(words), axis=1)  # (4, T)
     for hashed in _hashmix(words.T[:, None], xor, mult):  # each key word for each pool word
         pool = _mix(pool, hashed)
-    state = _hashmix(np.concatenate([pool, pool]), *_constant_arrays(_INIT_B, _MULT_B, 8))
+    state = _hashmix(np.concatenate([pool, pool]), *_constant_arrays(_INIT_B, _MULT_B, 0, 8))
     state = state.astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
 
@@ -289,7 +281,7 @@ def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: flo
     """``count`` (trials, d, d) stacks (row t of stack k from substream (t, k)), redraws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _require_sample_budget(basis, trials * count)
+    check_draws(basis.family, basis.n, trials * count)
     keys = np.stack([np.tile(np.arange(trials), count), np.repeat(np.arange(count), trials)],
                     axis=1)
     mats, _, resamples = sample_substreams(basis.family, basis.n, seed, keys, scale)

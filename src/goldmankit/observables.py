@@ -48,7 +48,7 @@ from string import ascii_letters
 import numpy as np
 
 from .bases import Family
-from .goldman import sample_substreams
+from .goldman import check_draws, sample_substreams
 from .octonions import unit_matrices
 from .reports import CheckRun, VerificationReport
 
@@ -237,17 +237,22 @@ def conjugate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return g @ mats @ np.swapaxes(g, -1, -2)
 
 
-def gauge_stacks(trials: int, draw):
-    """Stacks for trials 0..trials-1: the identity, then ``draw(part)``, the
-    gauges of one slice ``part`` of at most ``_GAUGE_CHUNK`` trials.
+def gauge_stacks(gauges: np.ndarray):
+    """A drawn (T, 7, 7) gauge stack in chunks of at most ``_GAUGE_CHUNK``, each
+    under the identity, so a conjugated environment contracts to its base value
+    in row 0.  No row depends on the chunk size (each chunk has two rows or more)."""
+    for start in range(0, len(gauges), _GAUGE_CHUNK):
+        yield np.concatenate([np.eye(7)[None], gauges[start:start + _GAUGE_CHUNK]])
 
-    Conjugated by a stack, an environment contracts to its base value in row
-    0 and one moved value per gauge.  Every stack has two rows or more, and
-    then no row depends on the stack size (one row sums in the unstacked order).
-    """
-    for start in range(0, trials, _GAUGE_CHUNK):
-        gauges = draw(slice(start, min(trials, start + _GAUGE_CHUNK)))
-        yield np.concatenate([np.eye(7)[None], gauges])
+
+def moved_by(values) -> float:
+    """The largest change of a row of ``values`` from row 0, the unmoved value."""
+    return float(np.max(np.abs(values[1:] - values[0])))
+
+
+def control_movement(mats: np.ndarray) -> float:
+    """The negative control: ``moved_by`` of each tr(M O_i) over a (B, 7, 7) stack of M."""
+    return moved_by(np.einsum("gab,iba->gi", mats, unit_matrices()))
 
 
 def random_instance(spec: ObservableSpec, seed: int = 0) -> ObservableInstance:
@@ -423,37 +428,30 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
                     seed: int = 0) -> VerificationReport:
     """Relative change of the observable under random simultaneous conjugation.
 
-    Each stack of gauges (``gauge_stacks``) is drawn and contracted at once.
-    Also runs the negative control: the largest movement of a single
-    tr(M_1 O_i) term over the drawn gauges is reported in the params, and the
-    report fails unless some gauge moves it past ``_CONTROL_FLOOR``.
+    ``check_draws`` refuses an oversize gauge count before any key is built;
+    all gauges are drawn as one stack and contracted in ``gauge_stacks``
+    chunks.  The negative control, the largest movement of a single
+    tr(M_1 O_i) over the gauges (``control_movement``), is reported in the
+    params; the report fails unless it exceeds ``_CONTROL_FLOOR``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_valid(inst.spec)
-    draw = lambda part: sample_substreams(
-        Family.G2, 1, seed, [(1, t) for t in range(part.start, part.stop)])[0]
-    moved_by = lambda values: float(np.max(np.abs(values[1:] - values[0])))
+    check_draws(Family.G2, 1, trials)
     with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
-        worst = 0.0
-        control = 0.0
-        for stack in gauge_stacks(trials, draw):
+        gauges, _, _ = sample_substreams(Family.G2, 1, seed, [(1, t) for t in range(trials)])
+        worst = control = 0.0
+        for stack in gauge_stacks(gauges):
             moved = inst.conjugated(stack)
             values = evaluate(moved)
             scale_ref = max(1.0, abs(float(values[0])))
             worst = max(worst, moved_by(values) / scale_ref)
-            control = max(control, moved_by(
-                np.einsum("gab,iba->gi", moved.monodromies[0], unit_matrices())))
-        run.record(
-            passed=worst < _INVARIANCE_TOL and control > _CONTROL_FLOOR,
-            max_abs_err=worst * scale_ref,
-            max_rel_err=worst,
-            params={
-                "r": inst.spec.r, "n1": inst.spec.n1, "s": inst.spec.s,
-                "n2": inst.spec.n2, "t": inst.spec.t,
-                "negative_control": control,
-            },
-        )
+            control = max(control, control_movement(moved.monodromies[0]))
+        spec = inst.spec
+        run.record(passed=worst < _INVARIANCE_TOL and control > _CONTROL_FLOOR,
+                   max_abs_err=worst * scale_ref, max_rel_err=worst,
+                   params={"r": spec.r, "n1": spec.n1, "s": spec.s, "n2": spec.n2, "t": spec.t,
+                           "negative_control": control})
     return run.report
 
 

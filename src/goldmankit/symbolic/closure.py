@@ -8,9 +8,10 @@ legal observable signature and its numeric value is invariant, to a pinned
 relative tolerance, under simultaneous conjugation of every loop and
 coefficient matrix by random group elements.
 
-The environment is conjugated by a stack of gauges under the identity
-(``observables.gauge_stacks``), and each monomial is contracted once over
-the stack: row 0 is its base value, the other rows its moved values.
+The environment and all gauges are drawn at once and the environment is
+conjugated by each ``observables.gauge_stacks`` chunk; each monomial is
+contracted once over the chunk (row 0 is its base value).  As in
+``invariance_test``, a negative control must move past ``_CONTROL_FLOOR``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from ..bases import Family
-from ..goldman import sample_substreams
-from ..observables import (ObservableSpec, conjugate, contract, gauge_stacks, index_layout,
-                           require_valid)
+from ..goldman import check_draws, sample_substreams
+from ..observables import (ObservableSpec, conjugate, contract, control_movement, gauge_stacks,
+                           index_layout, moved_by, require_valid)
 from ..reports import CheckRun, VerificationReport
 from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, symbols
 from .signature import recognize
@@ -33,6 +34,7 @@ def _draw(expr: Expression, seed: int, gauges: int = 0):
     """``instantiate``'s keys and matrices, then gauges (12, k), in one draw."""
     loops, syms = symbols(expr)
     names = [("loop", name) for name in loops] + [("sym", name) for name in syms]
+    check_draws(Family.G2, 1, len(names) + gauges)
     keys = [(10, k) for k in range(len(loops))] + [(11, k) for k in range(len(syms))]
     mats, _, _ = sample_substreams(Family.G2, 1, seed, keys + [(12, k) for k in range(gauges)])
     return names, mats[:len(names)], mats[len(names):]
@@ -72,6 +74,7 @@ class ClosureResult:
 
 
 _CLOSURE_TOL = 1e-7  # relative change of a monomial under conjugation
+_CONTROL_FLOOR = 1e-3  # the negative control must move at least this much
 
 
 def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> ClosureResult:
@@ -79,16 +82,17 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
 
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
     rule) are quarantined: listed in the failures with a note, neither
-    checked nor failing the check.  An expression with no monomial outside
-    that quarantine (0 included) is refused: it would pass vacuously.
+    checked nor failing the check.  An expression that would pass vacuously,
+    with no monomial outside that quarantine but constants (0 included), is
+    refused, and so are more gauges than ``check_draws`` allows.  ``params["negative_control"]`` is the largest
+    movement of a single tr(M O_i) of the first matrix M over the gauges.
     """
     if gauge_trials < 1:
         raise ValueError("gauge_trials must be >= 1")
-    if all(m.extended for m in expr.monomials):
-        raise ValueError("closure check has no monomial to check "
-                         "(the expression is 0 or every monomial is extended)")
-    trials = len(expr.monomials) * gauge_trials
-    with CheckRun("symbolic-closure", seed=seed, trials=trials) as run:
+    if all(m.extended or not (m.traces or m.coeffs) for m in expr.monomials):
+        raise ValueError("closure check has no monomial to check (the expression is 0 "
+                         "or a constant, or every monomial is extended)")
+    with CheckRun("symbolic-closure", seed=seed, trials=len(expr.monomials) * gauge_trials) as run:
         signatures = [recognize(m) for m in expr.monomials]
         pairs = list(zip(expr.monomials, signatures))
         failures = [(m, "extended rule output, quarantined" if m.extended
@@ -96,17 +100,18 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
                     for m, sig in pairs if m.extended or not sig.valid]
         checked = [m for m, sig in pairs if sig.valid and not m.extended]
         unrecognized = any(not (m.extended or sig.valid) for m, sig in pairs)
-        worst = 0.0
+        worst = control = 0.0
         names, mats, gauges = _draw(expr, seed, gauge_trials)
-        for stack in gauge_stacks(gauge_trials, lambda part: gauges[part]):
+        for stack in gauge_stacks(gauges):
             moved = dict(zip(names, conjugate(stack, mats)))
+            control = max(control, control_movement(moved[names[0]]))
             for m in checked:
                 values = np.broadcast_to(evaluate_monomial(m, moved), len(stack))
-                scale_ref = max(1.0, abs(float(values[0])))
-                worst = max(worst, float(np.max(np.abs(values[1:] - values[0]))) / scale_ref)
-        run.record(passed=worst < _CLOSURE_TOL and not unrecognized,
+                worst = max(worst, moved_by(values) / max(1.0, abs(float(values[0]))))
+        run.record(passed=worst < _CLOSURE_TOL and control > _CONTROL_FLOOR and not unrecognized,
                    max_abs_err=worst, max_rel_err=worst,
-                   params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials})
+                   params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials,
+                           "negative_control": control})
     return ClosureResult(run.report, signatures, failures)
 
 

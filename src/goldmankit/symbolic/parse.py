@@ -49,8 +49,9 @@ class _Tokens:
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if m is None or m.end() == pos:
-                if text[pos:].strip():
-                    raise ParseError("unexpected character", pos, text)
+                rest = text[pos:].lstrip()
+                if rest:
+                    raise ParseError("unexpected character", len(text) - len(rest), text)
                 break
             if m.group("int") is not None:
                 self.items.append(("int", m.group("int"), m.start("int")))

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,17 @@ REFUSALS = [
      "parameters (0, 11, 0, 0, 3) give 177147 specs, over the budget of 100000"),
     ("parse error", ["bracket", "--lhs", "tr(a", "--rhs", "tr(b)"], None,
      "parse error at offset 4"),
+    ("unexpected character", ["bracket", "--lhs", "tr(a) $", "--rhs", "tr(b)"], None,
+     "parse error at offset 6 near 'tr(a) $': unexpected character"),
+    ("empty word", ["bracket", "--lhs", "tr(a;)", "--rhs", "tr(b)"], None,
+     "parse error at offset 5 near 'tr(a;)': expected at least one 'O <index>'"),
+    ("reserved loop name", ["bracket", "--lhs", "tr(sum)", "--rhs", "tr(b)"], None,
+     "parse error at offset 3 near 'tr(sum)': 'sum' is reserved"),
+    ("octonion over the sampling budget", ["verify", "octonion", "--trials", "700000"], None,
+     "700000 draws of g2(1) need 262 MiB, over the 256 MiB sampling budget"),
+    ("invariance over the sampling budget", ["exotic", "invariance", "--spec", "{dir}/spec.json",
+                                             "--trials", "700000"], json.dumps(FIRST_SPEC),
+     "700000 draws of g2(1) need 262 MiB, over the 256 MiB sampling budget"),
     ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],
      None, "expressions share base loops"),
 ]
@@ -419,6 +431,22 @@ def test_every_refusal_is_one_error_line(name, argv, text, reason, tmp_path, cap
     assert captured.out == ""
     assert captured.err.startswith("error: " + reason.format(dir=tmp_path))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "octonion"],
+                                  ["exotic", "invariance", "--spec", "{dir}/spec.json"]])
+def test_oversize_draws_are_refused_before_any_key(argv, tmp_path, capsys):
+    # 700 000 g2 draws would fill 262 MiB, and building their keys about 60 MiB
+    (tmp_path / "spec.json").write_text(json.dumps(FIRST_SPEC))
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--trials", "700000"]
+    assert run(argv[:-1] + ["0"]) == 2  # builds the parser outside the trace
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "" and peak < 1 << 20
 
 
 def test_quiet_hides_a_passing_invariance_report(tmp_path, capsys):

@@ -285,7 +285,7 @@ BAD_KEYS = [[(0,), (1, 2)], [(2 ** 32, 5)], [(3, 2 ** 40 + 1)], [(2 ** 64 + 9,)]
             [(0.5,)], [0, 1]]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", SEEDS + [2 ** 130 + 7, 2 ** 200 + 11])
 def test_substream_words_equal_seed_sequence(seed):
     from goldmankit.goldman import _substream_words
 
@@ -408,3 +408,30 @@ def test_sample_element_refuses_a_seed_sequence_without_int_entropy(monkeypatch)
         sample_element(Family.G2, 1, np.random.SeedSequence([1, 2]))
     with pytest.raises(ValueError, match="needs pool_size 4, got 8"):
         sample_element(Family.G2, 1, np.random.SeedSequence(1, pool_size=8))
+
+
+def test_zero_keys_draw_an_empty_stack():
+    mats, residuals, resamples = sample_substreams("g2", 1, 0, [])
+    assert mats.shape == (0, 7, 7) and residuals.shape == (0,) and resamples == 0
+
+
+def test_sample_element_refuses_a_basis_of_another_group(monkeypatch):
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match=r"a so\(5\) basis was given for gl\(3\)"):
+        sample_element("gl", 3, 0, 1.0, build_basis("so", 5))
+
+
+def test_check_draws_refuses_before_anything_is_built(monkeypatch):
+    from goldmankit import bases, goldman
+
+    monkeypatch.setattr(bases, "_build_basis", lambda *a: pytest.fail("built a basis"))
+    rows = goldman._SAMPLE_BYTES // (7 * 7 * 8)
+    goldman.check_draws("g2", 1, rows)
+    with pytest.raises(ValueError, match=r"684785 draws of g2\(1\) need 256 MiB"):
+        goldman.check_draws("g2", 1, rows + 1)
+    with pytest.raises(ValueError, match=r"over the 256 MiB sampling budget"):
+        goldman.check_draws("su", 16, rows // 4)  # complex entries: 16 bytes
+    with pytest.raises(ValueError, match="g2 has no size parameter"):
+        goldman.check_draws("g2", 2, 1)

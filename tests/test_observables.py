@@ -351,6 +351,14 @@ def test_invariance_does_not_depend_on_the_gauge_chunk(monkeypatch):
     assert obs.invariance_test(inst, trials=70, seed=8).body() == body
 
 
+def test_invariance_draws_all_gauges_in_one_call(monkeypatch):
+    inst = obs.random_instance(THIRD, seed=7)
+    calls, draw = [], obs.sample_substreams
+    monkeypatch.setattr(obs, "sample_substreams", lambda *a: calls.append(len(a[3])) or draw(*a))
+    obs.invariance_test(inst, trials=70, seed=8)
+    assert calls == [70]
+
+
 def test_invariance_fails_when_no_gauge_moves_the_control(monkeypatch):
     # identity gauges leave the value exactly invariant, but they cannot show
     # that a single tr(M O_i) term moves, so the report must fail

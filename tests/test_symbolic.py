@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -76,6 +77,23 @@ def test_parse_malformed_rational():
 def test_parse_trailing_garbage():
     with pytest.raises(sym.ParseError, match="trailing"):
         sym.parse_expr("tr(a) tr(b)")
+
+
+@pytest.mark.parametrize("text, offset, reason", [
+    ("tr(a) $", 6, "unexpected character"),
+    ("tr(a;)", 5, "expected at least one 'O <index>'"),
+    ("tr(sum)", 3, "'sum' is reserved"),
+])
+def test_parse_refusals_name_their_offset(text, offset, reason):
+    with pytest.raises(sym.ParseError, match=f"at offset {offset} near .*: {reason}$") as err:
+        sym.parse_expr(text)
+    assert err.value.pos == offset
+
+
+def test_parse_word_letters_may_be_separated_by_commas():
+    commas = sym.parse_expr("sum i j: tr(a; O i, O j) * tr(b; O j O i)")
+    plain = sym.parse_expr("sum i j: tr(a; O i O j) * tr(b; O j O i)")
+    assert sym.normalize(commas) == sym.normalize(plain)
 
 
 def test_parse_loop_counts_links_and_parentheses_toward_one_bound():
@@ -538,6 +556,51 @@ def test_closure_refuses_when_every_monomial_is_extended():
     mixed = sym.closure_check(sym.Expression((e.monomials[0], *quarantined[1:])), seed=0)
     assert mixed.report.passed
     assert len(mixed.failures) == len(quarantined) - 1
+
+
+def test_closure_refuses_an_expression_of_constants(monkeypatch):
+    monkeypatch.setattr(closure, "sample_substreams", lambda *a: pytest.fail("drew"))
+    with pytest.raises(ValueError, match="no monomial to check .* or a constant"):
+        sym.closure_check(sym.parse_expr("2"), seed=0)
+    # a constant beside quarantined monomials leaves nothing to check either
+    extended = replace(sym.parse_expr("tr(a)").monomials[0], extended=True)
+    with pytest.raises(ValueError, match="no monomial to check"):
+        sym.closure_check(sym.parse_expr("2") + sym.Expression((extended,)), seed=0)
+
+
+def test_closure_fails_when_no_gauge_moves_the_control(monkeypatch):
+    # identity gauges leave every monomial exactly invariant, but they cannot
+    # show that a single tr(M O_i) term moves, so the report must fail
+    e = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(b)"))
+    assert sym.closure_check(e, seed=1).report.params["negative_control"] > 1e-3
+    draw = closure.sample_substreams
+
+    def identity_gauges(family, n, seed, keys):
+        mats, residuals, resamples = draw(family, n, seed, keys)
+        mats[[k for k, key in enumerate(keys) if key[0] == 12]] = np.eye(7)
+        return mats, residuals, resamples
+
+    monkeypatch.setattr(closure, "sample_substreams", identity_gauges)
+    report = sym.closure_check(e, seed=1).report
+    assert not report.passed
+    assert report.params["negative_control"] == 0.0
+    assert report.max_rel_err == 0.0
+
+
+def test_closure_refuses_gauges_over_the_sampling_budget_before_any_key():
+    e = sym.bracket(sym.parse_expr("tr(a)"), sym.parse_expr("tr(b)"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the 256 MiB sampling budget"):
+            sym.closure_check(e, seed=0, gauge_trials=700_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_instantiate_of_a_constant_draws_nothing():
+    assert sym.instantiate(sym.parse_expr("3"), seed=2) == {}
 
 
 def test_batched_symbolic_draws_equal_single_draws(monkeypatch):

@@ -36,6 +36,8 @@ PINS = [
     ("`invariance_test` negative control", "abs", observables, "_CONTROL_FLOOR", 1e-3,
      observables.invariance_test, "control_floor"),
     ("`closure_check`", "rel", closure, "_CLOSURE_TOL", 1e-7, closure.closure_check, "rel_tol"),
+    ("`closure_check` negative control", "abs", closure, "_CONTROL_FLOOR", 1e-3,
+     closure.closure_check, "control_floor"),
 ]
 
 
