@@ -87,7 +87,7 @@ def _octonion(trials, seed):
         run.record(passed=structural == 0.0, max_abs_err=structural)
     yield run.report
     with CheckRun("octonion-conjugation", seed=seed, trials=trials) as run:
-        gs, _, _ = _goldman.sample_substreams(Family.G2, 1, seed, [(t,) for t in range(trials)])
+        gs, _, _ = _goldman.sample_substreams(Family.G2, 1, seed, [((), trials)])
         worst = max(conjugation_residual(g) for g in gs)
         run.record(passed=worst < _CONJUGATION_TOL, max_abs_err=worst)
     yield run.report

@@ -15,24 +15,23 @@ Composite monodromies of the two intersection resolutions are realised
 algebraically as AB and AB^-1; only a single transversal intersection is
 modelled (reports carry an ``intersections`` field for a future summation
 hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
-[-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path:
-``check_draws`` refuses an oversize stack before any key is built, numpy's
-SeedSequence mixes the seed once, ``_substream_words`` continues its hashing
-over the spawn keys of all rows in one array pass, and ``_draw`` turns the
-words into coefficients bitwise as ``default_rng(SeedSequence(seed,
-spawn_key=key)).uniform(-scale, scale)`` draws them, then exponentiates and
-membership-tests the rows in small chunks.  Results do not depend on the
-batch: a check draws all its trials as one stack (``sample_substreams``) and
-contracts it with Gamma in O(d^4); ``sample_element`` draws a single row.
+[-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path,
+``sample_substreams``: ``check_draws`` refuses an oversize stack before
+anything is drawn, and ``_draw`` reads each stream's rows in order from one
+counter-based generator, ``Generator(Philox(SeedSequence(seed,
+spawn_key=stream)))`` (Salmon et al., SC 2011), then exponentiates and
+membership-tests them in small chunks.  Row t of stream s sits at a fixed
+counter offset, so it does not depend on the batch or the chunk, and
+``sample_element`` replays it alone from ``SeedSequence(seed, spawn_key=(t,
+*s))``.  A check draws all its trials as one stack and contracts it with
+Gamma in O(d^4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .bases import (Family, LieBasis, as_family, build_basis, check_size, matrix_side,
                     symplectic_form)
@@ -91,41 +90,45 @@ def sample_element(family, n: int, seed, scale: float = 1.0,
                    basis: LieBasis | None = None) -> GroupElement:
     """Random group element exp(sum_a c_a t_a), c_a ~ U[-scale, scale].
 
-    ``seed`` is an int (the empty spawn key) or a numpy SeedSequence with int
-    entropy and pool size 4, such as a row's substream; the element is the
-    row ``sample_substreams`` draws for that entropy and spawn key, from the
-    basis of (family, n).  A ``basis`` of another (family, n) is refused.
+    ``seed`` is an int, standing for row 0 of stream (), or a numpy
+    SeedSequence with int entropy and spawn key (t, *stream): the element is
+    then row t of that stream, bitwise as ``sample_substreams`` draws it, from
+    the basis of (family, n).  A ``basis`` of another (family, n) is refused.
     """
     own = build_basis(family, n)
     if basis is not None and (basis.family, basis.n) != (own.family, own.n):
         raise ValueError(f"a {basis.family.value}({basis.n}) basis was given "
                          f"for {own.family.value}({own.n})")
-    key = ()
+    key = (0,)
     if isinstance(seed, np.random.SeedSequence):
-        if seed.pool_size != 4:  # _substream_words continues numpy's default four-word pool
-            raise ValueError(f"a SeedSequence seed needs pool_size 4, got {seed.pool_size}")
+        if seed.pool_size != 4 or not seed.spawn_key:  # streams are keyed by four-word pools
+            raise ValueError("a SeedSequence seed needs pool_size 4 and a spawn key (t, *stream)")
         seed, key = seed.entropy, seed.spawn_key
-    mats, res, _ = _draw(own, _substream_words(seed, [key]), scale)
+    (stream, _), = _check_streams([(key[1:], 1)])
+    mats, res, _ = _draw(own, check_seed(seed), [(stream, key[0], 1)], scale)
     return GroupElement(own.family, own.n, mats[0], float(res[0]))
 
 
 _SAMPLE_BYTES = 1 << 28  # sampling refuses a result stack larger than 256 MiB
 
 
-def sample_substreams(family, n: int, seed: int, keys, scale: float = 1.0):
-    """(T, d, d) stack of exp(sum_a c_a t_a), row t from SeedSequence(seed, spawn_key=keys[t]).
+def sample_substreams(family, n: int, seed: int, streams, scale: float = 1.0):
+    """(T, d, d) stack of exp(sum_a c_a t_a): rows 0.. of each (stream, rows) pair in turn.
 
-    ``keys`` is a rectangular (T, W) array-like of ints in [0, 2^32), such as
-    a list of equal-length tuples.  Row t's coefficients are bitwise those
-    ``default_rng(SeedSequence(seed, spawn_key=keys[t])).uniform(-scale,
-    scale)`` draws, whatever the batch.  Refused with ValueError before
-    anything is drawn: more rows than ``check_draws`` allows (callers that
-    build many keys ask it first), a seed that is not a non-negative int, and
-    ragged, negative or too large keys.  Returns the stack, its membership
-    residuals and the number of redraws (``_draw``).
+    Stream ids are all () or all one int in [0, 2^32).  A stream's rows are
+    read in order from ``Generator(Philox(SeedSequence(seed,
+    spawn_key=stream))).uniform(-scale, scale)``, ``len(basis)`` values a row,
+    so row t of stream s is ``sample_element``'s draw for ``SeedSequence(seed,
+    spawn_key=(t, *s))`` whatever the batch.  Refused with ValueError before
+    anything is drawn: more rows than ``check_draws`` allows, a seed that is
+    not a non-negative int, and negative, non-int, ragged or repeated stream
+    ids or row counts.  Returns the stack, its membership residuals and the
+    number of redraws (``_draw``).
     """
-    check_draws(family, n, len(keys))
-    return _draw(build_basis(family, n), _substream_words(seed, keys), scale)
+    streams = _check_streams(streams)
+    check_draws(family, n, sum(rows for _, rows in streams))
+    return _draw(build_basis(family, n), check_seed(seed),
+                 [(stream, 0, rows) for stream, rows in streams if rows], scale)
 
 
 def check_seed(seed) -> int:
@@ -147,130 +150,74 @@ def check_draws(family, n: int, rows: int) -> None:
             f"over the {_SAMPLE_BYTES >> 20} MiB sampling budget")
 
 
-# numpy.random.SeedSequence's hash and mix constants (a pool of four 32-bit words)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-
-
-def _hashmix(value, xor, mult):
-    """SeedSequence's hashmix, on uint32 arrays."""
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-@lru_cache(maxsize=64)
-def _entropy_pool(seed: int):
-    """(4, 1) uint32 pool of numpy's SeedSequence(seed), and the hashmix calls it made.
-
-    With a spawn key, SeedSequence zero-pads the seed's 32-bit words to four;
-    without one it hashes the same zeros.  So spawn-key words continue this
-    pool's mixing, at hash constant 4 * max(4, seed words)."""
-    return np.random.SeedSequence(seed).pool[:, None], 4 * max(4, -(-seed.bit_length() // 32))
-
-
-@lru_cache(maxsize=64)
-def _constant_arrays(init: int, mult: int, start: int, count: int) -> np.ndarray:
-    """(2, count, 1) uint32 (xor, multiply) constants of hashmix calls start, start + 1, ...
-
-    Call k xors with init * mult^k and multiplies by init * mult^(k+1), mod 2^32.
-    """
-    consts = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(start, start + count + 1)]
-    return np.array([consts[:-1], consts[1:]], np.uint32)[:, :, None]
-
-
-def _key_array(keys) -> np.ndarray:
-    """``keys`` as a (T, W) uint32 array; ValueError unless rectangular ints in [0, 2^32)."""
+def _check_streams(streams) -> list:
+    """``streams`` as (id, rows) pairs; ValueError unless the ids are distinct tuples, all
+    empty or all of one int in [0, 2^32), and every row count is an int >= 0."""
+    ints = lambda *vs: all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           and v >= 0 for v in vs)
     try:
-        arr = np.asarray(keys)
-    except ValueError:  # ragged rows
-        arr = None
-    if arr is not None and arr.shape == (0,):  # no rows
-        arr = arr.reshape(0, 0)
-    if arr is None or arr.ndim != 2 or arr.size and not (
-            arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() <= _MASK32):
-        raise ValueError("spawn keys must be a rectangular (T, W) array of ints in [0, 2^32)")
-    return arr.astype(np.uint32)
+        pairs = [(tuple(stream), rows) for stream, rows in streams]
+        ok = (len({s for s, _ in pairs}) == len(pairs) and len({len(s) for s, _ in pairs}) <= 1
+              and all(len(s) <= 1 and ints(rows, *s) and max(s, default=0) < 1 << 32
+                      for s, rows in pairs))
+    except (TypeError, ValueError):  # not pairs, or unhashable ids
+        ok = False
+    if not ok:
+        raise ValueError("streams must be (id, rows) pairs: distinct ids, all () or all one int "
+                         "in [0, 2^32), and int row counts >= 0")
+    return [(tuple(map(int, s)), int(rows)) for s, rows in pairs]
 
 
-def _substream_words(seed: int, keys) -> np.ndarray:
-    """(T, 4) uint64 PCG64 seed words of SeedSequence(seed, spawn_key=keys[t]), all rows at once.
-
-    ``check_seed`` and ``_key_array`` check the seed and keys.  numpy mixes
-    the seed once (``_entropy_pool``).  Each key word is then hashed and mixed
-    into all four pool words of every row as uint32 arrays, and the pool is
-    hashed out as ``generate_state(4, np.uint64)`` does.
-    """
-    shared, start = _entropy_pool(check_seed(seed))
-    words = _key_array(keys)
-    xor, mult = _constant_arrays(_INIT_A, _MULT_A, start, 4 * words.shape[1]).reshape(2, -1, 4, 1)
-    pool = np.repeat(shared, len(words), axis=1)  # (4, T)
-    for hashed in _hashmix(words.T[:, None], xor, mult):  # each key word for each pool word
-        pool = _mix(pool, hashed)
-    state = _hashmix(np.concatenate([pool, pool]), *_constant_arrays(_INIT_B, _MULT_B, 0, 8))
-    state = state.astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
-
-
-class _StateWords(ISeedSequence):
-    """Hands PCG64 four precomputed seed words in place of a SeedSequence."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _uniforms(words: np.ndarray, attempt: int, count: int, scale: float) -> np.ndarray:
-    """(T, count) coefficients: each row's ``attempt``-th ``Generator.uniform(-scale, scale,
-    count)`` draw, from a PCG64 on the row's seed words advanced past the earlier draws."""
-    raw = np.empty((len(words), count), dtype=np.uint64)
-    for t, row in enumerate(words):
-        bits = np.random.PCG64(_StateWords(row))
-        if attempt:
-            bits.advance(attempt * count)
-        raw[t] = bits.random_raw(count)
-    # Generator.uniform: low + (high - low) * (53 random bits) / 2^53
-    return -scale + (2 * scale) * ((raw >> np.uint64(11)) * (1.0 / 9007199254740992.0))
+def _stream(seed: int, stream: tuple, row: int, count: int) -> np.random.Generator:
+    """The generator of ``stream`` at row ``row`` of ``count`` values: Philox makes four
+    64-bit words per counter step, and ``uniform`` takes one word a value."""
+    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream),
+                            counter=row * count // 4)
+    bits.random_raw(row * count % 4)
+    return np.random.Generator(bits)
 
 
 _DRAW_CHUNK_ENTRIES = 1 << 14  # matrix entries drawn at once: 128 KiB of float64
 
 
-def _draw(basis: LieBasis, words: np.ndarray, scale: float):
-    """exp(sum_a c_a t_a) for each row of (T, 4) PCG64 seed words: (stack, residuals, redraws).
+def _draw(basis: LieBasis, seed: int, streams, scale: float):
+    """exp(sum_a c_a t_a) for (stream, first row, rows) triples: (stack, residuals, redraws).
 
-    The one chunk loop of a draw: the generator sum, ``mat_exp`` and
+    The one chunk loop of a draw: a chunk reads the next rows of the streams
+    it spans (``_stream``), and the generator sum, ``mat_exp`` and
     ``membership_residual`` see at most ``_DRAW_CHUNK_ENTRIES`` matrix entries
-    (or one row) at a time, and each works row by row, so no row depends on
-    its chunk.  Rows outside the 1e-8 membership band (none at these scales)
-    are redrawn from their own generators a handful of times, then
-    NumericError is raised.
+    (or one row) at a time, each row by row, so no row depends on its chunk.
+    A row t of stream s outside the 1e-8 membership band (none at these
+    scales) is redrawn alone from stream (t, *s, attempt) a handful of times,
+    then NumericError is raised.  Redraw ids have two or three words and
+    first-draw ids at most one, so no redraw repeats a first draw.
     """
     if not 0.0 < scale <= 2.0:
         raise ValueError(f"scale must lie in (0, 2], got {scale}")
-    gens = np.stack(basis.generators)
-    mats = np.empty((len(words), basis.side, basis.side), dtype=gens.dtype)
-    res = np.empty(len(words))
+    gens, count = np.stack(basis.generators), len(basis)
+    starts = np.cumsum([0] + [rows for _, _, rows in streams])
+    mats = np.empty((starts[-1], basis.side, basis.side), dtype=gens.dtype)
+    res = np.empty(len(mats))
     step = max(1, _DRAW_CHUNK_ENTRIES // basis.side ** 2)
-    pending = np.arange(len(words))
-    draws = 0
-    for attempt in range(_RESAMPLE_LIMIT):
+    pending, todo, draws = np.arange(len(mats)), streams, 0
+    for attempt in range(1, _RESAMPLE_LIMIT + 1):
+        bounds = np.cumsum([0] + [rows for _, _, rows in todo])
+        rngs = [_stream(seed, stream, first, count) for stream, first, _ in todo]
         for lo in range(0, len(pending), step):
-            rows = pending[lo:lo + step]
-            coeffs = _uniforms(words[rows], attempt, len(basis), scale)
+            hi = min(lo + step, len(pending))
+            coeffs = np.concatenate([rng.uniform(-scale, scale, (min(hi, b) - max(lo, a), count))
+                                     for rng, a, b in zip(rngs, bounds, bounds[1:])
+                                     if a < hi and b > lo])
+            rows = pending[lo:hi]
             mats[rows] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
             res[rows] = membership_residual(basis.family, basis.n, mats[rows])
         draws += len(pending)
-        pending = pending[~(res[pending] < _MEMBERSHIP_TOL)]
+        pending = np.flatnonzero(~(res < _MEMBERSHIP_TOL))
         if not pending.size:
-            return mats, res, draws - len(words)
+            return mats, res, draws - len(mats)
+        which = np.searchsorted(starts, pending, "right") - 1
+        todo = [((int(streams[j][1] + i - starts[j]), *streams[j][0], attempt), 0, 1)
+                for i, j in zip(pending, which)]
     raise NumericError(
         f"could not sample a {basis.family.value} element within residual "
         f"{_MEMBERSHIP_TOL:.1e} (last residual {res[pending].max():.3e})"
@@ -278,13 +225,11 @@ def _draw(basis: LieBasis, words: np.ndarray, scale: float):
 
 
 def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: float = 1.0):
-    """``count`` (trials, d, d) stacks (row t of stack k from substream (t, k)), redraws."""
+    """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    check_draws(basis.family, basis.n, trials * count)
-    keys = np.stack([np.tile(np.arange(trials), count), np.repeat(np.arange(count), trials)],
-                    axis=1)
-    mats, _, resamples = sample_substreams(basis.family, basis.n, seed, keys, scale)
+    streams = [((k,), trials) for k in range(count)]
+    mats, _, resamples = sample_substreams(basis.family, basis.n, seed, streams, scale)
     return mats.reshape(count, trials, basis.side, basis.side), resamples
 
 
@@ -317,26 +262,27 @@ def bracket_sides(family, a: GroupElement, b: GroupElement,
     return lhs[0], rhs[0]
 
 
-def _reduce(lhs: np.ndarray, rhs: np.ndarray):
-    """(trial with the largest absolute error, that error, largest relative error)."""
+def _reduce(lhs: np.ndarray, rhs: np.ndarray, relative: bool):
+    """(trial with the largest relative error if ``relative``, else absolute, the largest
+    absolute error, the largest relative error): the trial is the one the verdict reads."""
     err = np.abs(lhs - rhs)
-    worst = int(np.argmax(err))
     rel = err / np.maximum(np.abs(rhs), _REL_FLOOR)
-    return worst, float(err[worst]), float(np.max(rel))
+    return int(np.argmax(rel if relative else err)), float(err.max()), float(rel.max())
 
 
 def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Bracket identity on ``trials`` independently sampled pairs.
 
-    ``params["worst_trial"]`` is the trial t with the largest absolute error
-    (substreams (t, 0), (t, 1)); ``params["resamples"]`` counts redraws.
+    ``params["worst_trial"]`` is the trial t with the largest relative error,
+    the one the verdict reads (row t of streams (0,) and (1,));
+    ``params["resamples"]`` counts redraws.
     """
     family = as_family(family)
     with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         (a, b), resamples = _trial_draws(basis, seed, trials, 2)
-        worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma))
+        worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma), relative=True)
         run.record(passed=worst_rel < _BRACKET_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
                    params={"group": family.value, "n": basis.n, "intersections": 1,
                            "worst_trial": worst, "resamples": resamples})
@@ -353,7 +299,8 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0) -> Verif
         chi = defect_matrix(family, n)
         (a, b), resamples = _trial_draws(basis, seed, trials, 2)
         lhs = trace12_pairs(a, b, chi)
-        worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)))
+        worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)),
+                                             relative=False)
         run.record(passed=worst_abs < _DEFECT_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
                    params={"group": family.value, "n": basis.n,
                            "worst_trial": worst, "resamples": resamples})
@@ -384,7 +331,7 @@ def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0) -> V
     with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
         basis = build_basis(Family.SP, n)
         (b,), resamples = _trial_draws(basis, seed, trials, 1)
-        worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials))
+        worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials), False)
         run.record(passed=worst_abs < _SYMPLECTIC_INVERSE_TOL, max_abs_err=worst_abs,
                    params={"n": n, "worst_trial": worst, "resamples": resamples})
     return run.report

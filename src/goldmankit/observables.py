@@ -48,7 +48,7 @@ from string import ascii_letters
 import numpy as np
 
 from .bases import Family
-from .goldman import check_draws, sample_substreams
+from .goldman import sample_substreams
 from .octonions import unit_matrices
 from .reports import CheckRun, VerificationReport
 
@@ -258,8 +258,7 @@ def control_movement(mats: np.ndarray) -> float:
 def random_instance(spec: ObservableSpec, seed: int = 0) -> ObservableInstance:
     require_valid(spec)
     n_coeff = (spec.n1 - spec.r) + (spec.n2 - spec.s)
-    keys = [(0, k) for k in range(spec.n_loops + n_coeff)]
-    mats, _, _ = sample_substreams(Family.G2, 1, seed, keys)
+    mats, _, _ = sample_substreams(Family.G2, 1, seed, [((0,), spec.n_loops + n_coeff)])
     monos = tuple(mats[: spec.n_loops])
     alphas = tuple(mats[spec.n_loops: spec.n_loops + spec.n1 - spec.r])
     betas = tuple(mats[spec.n_loops + spec.n1 - spec.r:])
@@ -428,8 +427,8 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
                     seed: int = 0) -> VerificationReport:
     """Relative change of the observable under random simultaneous conjugation.
 
-    ``check_draws`` refuses an oversize gauge count before any key is built;
-    all gauges are drawn as one stack and contracted in ``gauge_stacks``
+    ``sample_substreams`` refuses an oversize gauge count before anything is
+    drawn; all gauges are drawn as one stack and contracted in ``gauge_stacks``
     chunks.  The negative control, the largest movement of a single
     tr(M_1 O_i) over the gauges (``control_movement``), is reported in the
     params; the report fails unless it exceeds ``_CONTROL_FLOOR``.
@@ -437,9 +436,8 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_valid(inst.spec)
-    check_draws(Family.G2, 1, trials)
     with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
-        gauges, _, _ = sample_substreams(Family.G2, 1, seed, [(1, t) for t in range(trials)])
+        gauges, _, _ = sample_substreams(Family.G2, 1, seed, [((1,), trials)])
         worst = control = 0.0
         for stack in gauge_stacks(gauges):
             moved = inst.conjugated(stack)

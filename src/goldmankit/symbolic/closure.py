@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..bases import Family
-from ..goldman import check_draws, sample_substreams
+from ..goldman import sample_substreams
 from ..observables import (ObservableSpec, conjugate, contract, control_movement, gauge_stacks,
                            index_layout, moved_by, require_valid)
 from ..reports import CheckRun, VerificationReport
@@ -31,12 +31,12 @@ from .signature import recognize
 
 
 def _draw(expr: Expression, seed: int, gauges: int = 0):
-    """``instantiate``'s keys and matrices, then gauges (12, k), in one draw."""
+    """``instantiate``'s names and matrices (loops from stream (10,), symbols from (11,)),
+    then gauges from stream (12,), in one draw."""
     loops, syms = symbols(expr)
     names = [("loop", name) for name in loops] + [("sym", name) for name in syms]
-    check_draws(Family.G2, 1, len(names) + gauges)
-    keys = [(10, k) for k in range(len(loops))] + [(11, k) for k in range(len(syms))]
-    mats, _, _ = sample_substreams(Family.G2, 1, seed, keys + [(12, k) for k in range(gauges)])
+    streams = [((10,), len(loops)), ((11,), len(syms)), ((12,), gauges)]
+    mats, _, _ = sample_substreams(Family.G2, 1, seed, streams)
     return names, mats[:len(names)], mats[len(names):]
 
 

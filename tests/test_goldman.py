@@ -1,5 +1,8 @@
 """Bracket identities over sampled monodromies, defect lemmas, split harness."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -162,7 +165,7 @@ def _literal_symplectic_residual(b, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_symplectic_residual_matches_relation_table(n):
-    mats, _, _ = sample_substreams(Family.SP, n, 0, [(t,) for t in range(6)])
+    mats, _, _ = sample_substreams(Family.SP, n, 0, [((), 6)])
     stacked = symplectic_inverse_residual(mats, n)
     for t in range(6):
         assert stacked[t] == symplectic_inverse_residual(mats[t], n)
@@ -210,23 +213,25 @@ def test_membership_residual_families():
 @pytest.mark.parametrize("family,n", ALL_FAMILIES)
 def test_sampler_residual_sweep(family, n):
     # 10^4 draws per family at scale 1 never leave the 1e-8 membership band
-    _, residuals, resamples = sample_substreams(family, n, 99, [(t,) for t in range(10_000)])
+    _, residuals, resamples = sample_substreams(family, n, 99, [((), 10_000)])
     assert residuals.shape == (10_000,) and resamples == 0
     assert residuals.max() < 1e-8
 
 
 @pytest.mark.parametrize("family,n", ALL_FAMILIES)
 def test_batched_rows_equal_single_draws(family, n):
-    # row k of a stacked draw is bitwise the element drawn alone from substream keys[k]
+    # row t of stream s in a stacked draw is bitwise the element drawn alone
+    # from spawn key (t, *s)
     basis = build_basis(family, n)
-    for keys in ([(t, k) for k in range(2) for t in range(9)], [(t,) for t in range(3)], [()]):
-        mats, residuals, _ = sample_substreams(family, n, 6, keys)
+    for streams in ([((k,), 9) for k in range(2)], [((), 3)]):
+        mats, residuals, _ = sample_substreams(family, n, 6, streams)
+        keys = [(t, *stream) for stream, rows in streams for t in range(rows)]
         for row, key in enumerate(keys):
             alone = sample_element(family, n, np.random.SeedSequence(entropy=6, spawn_key=key),
                                    1.0, basis)
             assert np.array_equal(mats[row], alone.matrix), key
             assert residuals[row] == alone.membership_residual < 1e-8
-    assert np.array_equal(mats[0], sample_element(family, n, 6).matrix)  # the empty key
+    assert np.array_equal(mats[0], sample_element(family, n, 6).matrix)  # row 0 of stream ()
 
 
 def test_verify_bracket_report_is_reproducible():
@@ -237,14 +242,52 @@ def test_verify_bracket_report_is_reproducible():
 
 @pytest.mark.parametrize("family,n", [(Family.G2, 1), (Family.GL, 12), (Family.SU, 3)])
 def test_worst_trial_replays_alone(family, n):
+    # the named pair, drawn alone, is bitwise the pair the check contracted; its
+    # relative error, contracted alone, is the reported one up to round-off
     report = verify_bracket(family, n, trials=30, seed=4)
     worst = report.params["worst_trial"]
     assert 0 <= worst < 30 and report.params["resamples"] == 0
     basis = build_basis(family, n)
     a, b = (sample_element(family, n, np.random.SeedSequence(entropy=4, spawn_key=(worst, k)),
                            1.0, basis) for k in range(2))
+    mats, _, _ = sample_substreams(family, n, 4, [((0,), 30), ((1,), 30)])
+    assert np.array_equal(a.matrix, mats[worst]) and np.array_equal(b.matrix, mats[30 + worst])
     lhs, rhs = bracket_sides(family, a, b)
-    assert abs(abs(lhs - rhs) - report.max_abs_err) <= 1e-13
+    assert abs(abs(lhs - rhs) / abs(rhs) - report.max_rel_err) <= 1e-14
+
+
+def test_worst_trial_is_the_one_the_relative_verdict_reads():
+    # su(2) rhs values spread over orders of magnitude, so the largest relative
+    # error (which decides the verdict) falls on another trial than the largest
+    # absolute one; replayed alone, the named trial gives the reported value
+    report = verify_bracket(Family.SU, 2, trials=2000, seed=1)
+    worst = report.params["worst_trial"]
+    a, b = (sample_element(Family.SU, 2, np.random.SeedSequence(entropy=1, spawn_key=(worst, k)))
+            for k in range(2))
+    lhs, rhs = bracket_sides(Family.SU, a, b)
+    assert abs(lhs - rhs) / abs(rhs) == pytest.approx(report.max_rel_err, rel=1e-9)
+    assert abs(lhs - rhs) < report.max_abs_err
+
+
+@pytest.mark.parametrize("family,n", [(Family.SU, 3), (Family.G2, 1), (Family.GL, 4)])
+def test_sample_element_redraws_the_pairs_verify_bracket_checked(family, n, monkeypatch):
+    # the benchmark's correctness pass re-draws a checked pair through
+    # sample_element(fam, n, SeedSequence(entropy=seed, spawn_key=(t, k)), 1.0, basis)
+    from goldmankit import goldman
+
+    stacks = []
+    bracket_stack = goldman._bracket_stack
+    monkeypatch.setattr(goldman, "_bracket_stack",
+                        lambda *args: stacks.append(args[1:3]) or bracket_stack(*args))
+    trials = 2000
+    verify_bracket(family, n, trials=trials, seed=17)
+    basis = build_basis(family, n)
+    past_one_chunk = goldman._DRAW_CHUNK_ENTRIES // basis.side ** 2 + 3
+    assert past_one_chunk < trials
+    for t in (0, past_one_chunk, trials - 1):
+        for k, stack in enumerate(stacks[0]):
+            seed = np.random.SeedSequence(entropy=17, spawn_key=(t, k))
+            assert np.array_equal(sample_element(family, n, seed, 1.0, basis).matrix, stack[t])
 
 
 def test_defect_and_symplectic_report_worst_trial():
@@ -270,30 +313,24 @@ def test_verify_rejects_zero_trials():
 
 def test_stacked_residuals_match_single():
     for family, n in ALL_FAMILIES:
-        mats, residuals, _ = sample_substreams(family, n, 0, [(t,) for t in range(4)])
+        mats, residuals, _ = sample_substreams(family, n, 0, [((), 4)])
         for t in range(4):
             assert abs(membership_residual(family, n, mats[t]) - residuals[t]) <= 1e-15
 
 
 SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, int(np.random.default_rng(12).integers(2 ** 63))]
-# one rectangular key set per key length, from the empty key to five words
-KEY_SETS = [[()], [(0,), (2 ** 32 - 1,)], [(1, 2), (2 ** 32 - 1, 5)], [(7, 0, 3)],
-            [(4, 4, 4, 4, 4)], [(t, k) for k in range(2) for t in range(40)],
-            np.array([[t, 1] for t in range(5)])]
-# ragged keys, and keys outside [0, 2^32)
+# (stream id, rows) sets: the empty id, one-int ids up to 2^32 - 1, an empty
+# stream among others, and ids given as numpy ints
+STREAM_SETS = [[((), 1)], [((0,), 1), ((2 ** 32 - 1,), 2)], [((k,), 40) for k in range(2)],
+               [((7,), 0), ((3,), 5)], [(np.array([k]), np.int64(3)) for k in (4, 9)]]
+# bad stream ids, one pair of one row each: negative, non-int, too large,
+# ragged, of more than one int, or not a tuple at all
 BAD_KEYS = [[(0,), (1, 2)], [(2 ** 32, 5)], [(3, 2 ** 40 + 1)], [(2 ** 64 + 9,)], [(-1,)],
-            [(0.5,)], [0, 1]]
+            [(0.5,)], [0, 1], [(), (0,)]]
 
 
-@pytest.mark.parametrize("seed", SEEDS + [2 ** 130 + 7, 2 ** 200 + 11])
-def test_substream_words_equal_seed_sequence(seed):
-    from goldmankit.goldman import _substream_words
-
-    for keys in KEY_SETS:
-        got = _substream_words(seed, keys)
-        want = np.array([np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(w) for w in key))
-                         .generate_state(4, np.uint64) for key in keys])
-        assert got.dtype == np.uint64 and np.array_equal(got, want)
+def _generator(seed, stream):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
 @pytest.mark.parametrize("keys", BAD_KEYS, ids=str)
@@ -301,8 +338,20 @@ def test_sample_substreams_refuses_keys_that_are_not_rectangular_words(keys, mon
     from goldmankit import goldman
 
     monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
-    with pytest.raises(ValueError, match=r"rectangular \(T, W\) array of ints in \[0, 2\^32\)"):
-        sample_substreams(Family.G2, 1, 0, keys)
+    with pytest.raises(ValueError, match=r"streams must be \(id, rows\) pairs: distinct ids"):
+        sample_substreams(Family.G2, 1, 0, [(key, 1) for key in keys])
+
+
+@pytest.mark.parametrize("streams", [[((), -1)], [((0,), 1.5)], [((0,), True)], [((0,), "2")],
+                                     [((1,), 2), ((1,), 3)], [((),)], [(0, 1)], 5, [([[1]], 1)]],
+                         ids=str)
+def test_sample_substreams_refuses_bad_row_counts_and_pairs(streams, monkeypatch):
+    # negative or non-int row counts, a repeated or unhashable id, and pairs that are not pairs
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match=r"streams must be \(id, rows\) pairs"):
+        sample_substreams(Family.G2, 1, 0, streams)
 
 
 def _stacks_fed_to_mat_exp(monkeypatch):
@@ -316,52 +365,96 @@ def _stacks_fed_to_mat_exp(monkeypatch):
 @pytest.mark.parametrize("scale", [1.0, 0.7])
 @pytest.mark.parametrize("family,n", [(Family.G2, 1), (Family.SU, 3), (Family.SP, 2)])
 def test_exponent_stack_is_the_default_rng_draw(family, n, scale, monkeypatch):
-    # X = sum_a c_a t_a is bitwise the stack of default_rng(SeedSequence(seed, key)).uniform
+    # X = sum_a c_a t_a is bitwise the stack of each stream's
+    # Generator(Philox(SeedSequence(seed, spawn_key=stream))).uniform, rows in order
     fed = _stacks_fed_to_mat_exp(monkeypatch)
     basis = build_basis(family, n)
     gens = np.stack(basis.generators)
     for seed in SEEDS:
-        for keys in KEY_SETS:
-            sample_substreams(family, n, seed, keys, scale)
-            coeffs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-                      .uniform(-scale, scale, size=len(basis)) for key in np.asarray(keys).tolist()]
-            assert np.array_equal(fed.pop(), np.einsum("ta,aij->tij", np.array(coeffs), gens))
+        for streams in STREAM_SETS:
+            sample_substreams(family, n, seed, streams, scale)
+            coeffs = [_generator(seed, tuple(int(w) for w in stream))
+                      .uniform(-scale, scale, size=(rows, len(basis))) for stream, rows in streams]
+            want = np.einsum("ta,aij->tij", np.concatenate(coeffs), gens)
+            assert np.array_equal(np.concatenate(fed), want)
+            fed.clear()
 
 
-def test_redraws_continue_each_row_own_stream(monkeypatch):
+def _reject_rows_once(monkeypatch, rows):
+    """Make the first membership test of a draw fail the given rows."""
     from goldmankit import goldman
 
-    fed = _stacks_fed_to_mat_exp(monkeypatch)
     calls = []
 
-    def reject_rows_1_and_3_once(family, n, g):
+    def reject(family, n, g):
         calls.append(len(g))
         res = membership_residual(family, n, g)
         if len(calls) == 1:
-            res[[1, 3]] = np.inf
+            res[rows] = np.inf
         return res
 
-    monkeypatch.setattr(goldman, "membership_residual", reject_rows_1_and_3_once)
-    keys = [(t, 0) for t in range(5)]
-    mats, residuals, resamples = sample_substreams(Family.SO, 4, 8, keys)
+    monkeypatch.setattr(goldman, "membership_residual", reject)
+    return calls
+
+
+def test_redraws_continue_each_row_own_stream(monkeypatch):
+    # a rejected row t of stream s is redrawn alone from stream (t, *s, 1)
+    fed = _stacks_fed_to_mat_exp(monkeypatch)
+    calls = _reject_rows_once(monkeypatch, [1, 3])
+    mats, residuals, resamples = sample_substreams(Family.SO, 4, 8, [((0,), 5)])
     assert calls == [5, 2] and resamples == 2 and residuals.max() < 1e-8
     gens = np.stack(build_basis(Family.SO, 4).generators)
-    for t in (1, 3):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=8, spawn_key=keys[t]))
-        rng.uniform(-1.0, 1.0, size=len(gens))
-        second = np.einsum("a,aij->ij", rng.uniform(-1.0, 1.0, size=len(gens)), gens)
-        assert np.array_equal(fed[1][(1, 3).index(t)], second)
+    for redraw, t in enumerate((1, 3)):
+        second = np.einsum("a,aij->ij", _generator(8, (t, 0, 1)).uniform(-1.0, 1.0, len(gens)),
+                           gens)
+        assert np.array_equal(fed[1][redraw], second)
         assert np.array_equal(mats[t], mat_exp(second[None])[0])
 
 
+def test_redraw_streams_never_repeat_a_first_draw_stream(monkeypatch):
+    # every stream a check draws first has at most one id word; every redraw
+    # stream (t, *s, attempt) has two or three, so no redraw repeats a first draw
+    from goldmankit import goldman
+    from goldmankit import observables as obs
+    from goldmankit import symbolic as sym
+    from goldmankit.cli import run
+
+    opened = []
+    stream = goldman._stream
+    monkeypatch.setattr(goldman, "_stream",
+                        lambda seed, s, *a: opened.append(s) or stream(seed, s, *a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["verify", "all", "--seed", "3"]) == 0
+    inst = obs.random_instance(obs.enumerate_specs(1, 1, 0, 0, 1)[0], seed=3)
+    obs.invariance_test(inst, trials=3, seed=3)
+    sym.closure_check(sym.worked_example_bracket(), seed=3)
+    first = set(opened)
+    assert {(), (0,), (1,), (10,), (11,), (12,)} <= first and max(map(len, first)) == 1
+    opened.clear()
+    _reject_rows_once(monkeypatch, [0, 2])
+    sample_substreams(Family.G2, 1, 3, [((1,), 3)])
+    sample_element(Family.G2, 1, np.random.SeedSequence(3, spawn_key=(4,)))
+    redraws = set(opened) - {(1,), ()}
+    assert redraws == {(0, 1, 1), (2, 1, 1)} and not redraws & first
+
+
 def test_draw_chunks_do_not_change_rows(monkeypatch):
+    # row t of stream s is bitwise the same whatever the chunk, and equals
+    # sample_element's draw for spawn key (t, *s) with small chunks too
     from goldmankit import goldman
 
-    keys = [(t, k) for k in range(2) for t in range(9)]
-    mats, residuals, _ = sample_substreams(Family.SU, 3, 2, keys)
-    monkeypatch.setattr(goldman, "_DRAW_CHUNK_ENTRIES", 2 * 9)  # two su(3) rows per chunk
-    chunked, chunked_residuals, _ = sample_substreams(Family.SU, 3, 2, keys)
-    assert np.array_equal(chunked, mats) and np.array_equal(chunked_residuals, residuals)
+    streams = [((k,), 9) for k in range(2)]
+    for family, n in ((Family.SU, 3), (Family.G2, 1)):
+        mats, residuals, _ = sample_substreams(family, n, 2, streams)
+        side = build_basis(family, n).side
+        monkeypatch.setattr(goldman, "_DRAW_CHUNK_ENTRIES", 2 * side ** 2)  # two rows a chunk
+        chunked, chunked_residuals, _ = sample_substreams(family, n, 2, streams)
+        assert np.array_equal(chunked, mats) and np.array_equal(chunked_residuals, residuals)
+        for t in range(9):
+            for k in range(2):
+                alone = sample_element(family, n, np.random.SeedSequence(2, spawn_key=(t, k)))
+                assert np.array_equal(alone.matrix, mats[9 * k + t])
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
@@ -370,22 +463,23 @@ def test_sample_substreams_refuses_a_seed_that_is_not_a_non_negative_int(seed, m
 
     monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        sample_substreams(Family.G2, 1, seed, [(0,)])
+        sample_substreams(Family.G2, 1, seed, [((0,), 1)])
 
 
 def test_sampling_refuses_a_stack_over_the_byte_budget(monkeypatch):
     from goldmankit import goldman
 
     monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
-    monkeypatch.setattr(goldman, "_substream_words", lambda *a: pytest.fail("mixed first"))
+    monkeypatch.setattr(goldman, "_stream", lambda *a: pytest.fail("seeded first"))
     rows = goldman._SAMPLE_BYTES // (16 * 16 * 8) + 1  # one gl(16) row past 256 MiB
     with pytest.raises(ValueError, match=r"need 256 MiB, over the 256 MiB sampling budget"):
-        sample_substreams(Family.GL, 16, 0, range(rows))
+        sample_substreams(Family.GL, 16, 0, [((), rows)])
+    with pytest.raises(ValueError, match="sampling budget"):
+        sample_substreams(Family.GL, 16, 0, [((0,), rows // 2), ((1,), rows // 2 + 1)])
     with pytest.raises(ValueError, match="sampling budget"):
         verify_bracket(Family.U, 16, trials=rows // 4 + 1)  # complex pairs: four times the bytes
     monkeypatch.setattr(goldman, "_draw", lambda *a: "drawn")
-    monkeypatch.setattr(goldman, "_substream_words", lambda *a: None)
-    assert sample_substreams(Family.GL, 16, 0, range(rows - 1)) == "drawn"
+    assert sample_substreams(Family.GL, 16, 0, [((), rows - 1)]) == "drawn"
 
 
 def test_draw_chunks_bound_every_stack_it_computes_on(monkeypatch):
@@ -396,7 +490,7 @@ def test_draw_chunks_bound_every_stack_it_computes_on(monkeypatch):
     seen = lambda f: lambda *a: sizes.append(a[-1].size) or f(*a)
     monkeypatch.setattr(goldman, "mat_exp", seen(mat_exp))
     monkeypatch.setattr(goldman, "membership_residual", seen(membership_residual))
-    mats, _, _ = sample_substreams(Family.G2, 1, 3, [(t,) for t in range(400)])
+    mats, _, _ = sample_substreams(Family.G2, 1, 3, [((), 400)])
     assert len(sizes) == 4 and sum(sizes) == 2 * mats.size and max(sizes) <= 1 << 14
 
 
@@ -405,14 +499,19 @@ def test_sample_element_refuses_a_seed_sequence_without_int_entropy(monkeypatch)
 
     monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got \\[1, 2\\]"):
-        sample_element(Family.G2, 1, np.random.SeedSequence([1, 2]))
-    with pytest.raises(ValueError, match="needs pool_size 4, got 8"):
-        sample_element(Family.G2, 1, np.random.SeedSequence(1, pool_size=8))
+        sample_element(Family.G2, 1, np.random.SeedSequence([1, 2], spawn_key=(0,)))
+    for seed in (np.random.SeedSequence(1, spawn_key=(0,), pool_size=8),
+                 np.random.SeedSequence(1)):
+        with pytest.raises(ValueError, match=r"needs pool_size 4 and a spawn key \(t, \*stream\)"):
+            sample_element(Family.G2, 1, seed)
+    with pytest.raises(ValueError, match="streams must be"):
+        sample_element(Family.G2, 1, np.random.SeedSequence(1, spawn_key=(0, 2 ** 32)))
 
 
 def test_zero_keys_draw_an_empty_stack():
-    mats, residuals, resamples = sample_substreams("g2", 1, 0, [])
-    assert mats.shape == (0, 7, 7) and residuals.shape == (0,) and resamples == 0
+    for streams in ([], [((), 0)], [((0,), 0), ((1,), 0)]):
+        mats, residuals, resamples = sample_substreams("g2", 1, 0, streams)
+        assert mats.shape == (0, 7, 7) and residuals.shape == (0,) and resamples == 0
 
 
 def test_sample_element_refuses_a_basis_of_another_group(monkeypatch):

@@ -30,9 +30,10 @@ def test_no_private_names_imported_across_modules():
 
 def test_one_module_builds_seed_substreams():
     # every sampled check draws through goldman.sample_substreams
-    builders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
-                if "spawn_key=" in path.read_text()]
-    assert builders == ["goldman.py"]
+    for mark in ("Philox(", "spawn_key="):
+        builders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                    if mark in path.read_text()]
+        assert builders == ["goldman.py"], mark
 
 
 def test_every_traced_function_resolves():

@@ -354,17 +354,17 @@ def test_invariance_does_not_depend_on_the_gauge_chunk(monkeypatch):
 def test_invariance_draws_all_gauges_in_one_call(monkeypatch):
     inst = obs.random_instance(THIRD, seed=7)
     calls, draw = [], obs.sample_substreams
-    monkeypatch.setattr(obs, "sample_substreams", lambda *a: calls.append(len(a[3])) or draw(*a))
+    monkeypatch.setattr(obs, "sample_substreams", lambda *a: calls.append(a[3]) or draw(*a))
     obs.invariance_test(inst, trials=70, seed=8)
-    assert calls == [70]
+    assert calls == [[((1,), 70)]]
 
 
 def test_invariance_fails_when_no_gauge_moves_the_control(monkeypatch):
     # identity gauges leave the value exactly invariant, but they cannot show
     # that a single tr(M O_i) term moves, so the report must fail
     inst = obs.random_instance(FIRST, seed=23)
-    monkeypatch.setattr(obs, "sample_substreams", lambda family, n, seed, keys: (
-        np.broadcast_to(np.eye(7), (len(keys), 7, 7)), None, 0))
+    monkeypatch.setattr(obs, "sample_substreams", lambda family, n, seed, streams: (
+        np.broadcast_to(np.eye(7), (sum(rows for _, rows in streams), 7, 7)), None, 0))
     report = obs.invariance_test(inst, trials=4, seed=19)
     assert not report.passed
     assert report.params["negative_control"] == 0.0

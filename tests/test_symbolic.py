@@ -575,9 +575,10 @@ def test_closure_fails_when_no_gauge_moves_the_control(monkeypatch):
     assert sym.closure_check(e, seed=1).report.params["negative_control"] > 1e-3
     draw = closure.sample_substreams
 
-    def identity_gauges(family, n, seed, keys):
-        mats, residuals, resamples = draw(family, n, seed, keys)
-        mats[[k for k, key in enumerate(keys) if key[0] == 12]] = np.eye(7)
+    def identity_gauges(family, n, seed, streams):
+        mats, residuals, resamples = draw(family, n, seed, streams)
+        (stream, gauges), = [pair for pair in streams if pair[0] == (12,)]
+        mats[len(mats) - gauges:] = np.eye(7)  # the gauge stream comes last
         return mats, residuals, resamples
 
     monkeypatch.setattr(closure, "sample_substreams", identity_gauges)
@@ -604,7 +605,7 @@ def test_instantiate_of_a_constant_draws_nothing():
 
 
 def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
-    # loops on substreams (10, k), symbols on (11, k), gauges on (12, k)
+    # loop k is row k of stream (10,), symbol k of (11,), gauge k of (12,)
     e = sym.worked_example_bracket()
     env = sym.instantiate(e, seed=9)
     single = lambda key: sample_element(
@@ -613,9 +614,9 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     syms = sorted(name for kind, name in env if kind == "sym")
     assert len(loops) == 4 and len(syms) == 12
     for k, name in enumerate(loops):
-        assert np.array_equal(env[("loop", name)], single((10, k)))
+        assert np.array_equal(env[("loop", name)], single((k, 10)))
     for k, name in enumerate(syms):
-        assert np.array_equal(env[("sym", name)], single((11, k)))
+        assert np.array_equal(env[("sym", name)], single((k, 11)))
 
     # the environment is conjugated by one stack: the identity, then the gauges
     stacks = []
@@ -627,7 +628,7 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     gauges = list(stacks[0][1:])
     assert len(gauges) == 3
     for k, g in enumerate(gauges[:3]):
-        assert np.array_equal(g, single((12, k)))
+        assert np.array_equal(g, single((k, 12)))
 
 
 # A stacked contraction sums in another order than a single-environment one.
@@ -639,7 +640,7 @@ STACK_ROUNDOFF = 1e-14
 def _stacked_env(expr, seed, gauges=5):
     """``instantiate``'s environment under the identity and ``gauges`` conjugations."""
     env = sym.instantiate(expr, seed)
-    drawn, _, _ = sample_substreams(Family.G2, 1, seed, [(12, k) for k in range(gauges)])
+    drawn, _, _ = sample_substreams(Family.G2, 1, seed, [((12,), gauges)])
     stack = np.concatenate([np.eye(7)[None], drawn])
     return env, dict(zip(env, conjugate(stack, np.stack(list(env.values())))))
 
