@@ -28,7 +28,7 @@ from . import casimir as _casimir
 from . import goldman as _goldman
 from . import observables as _obs
 from . import symbolic as _sym
-from .bases import Family, build_basis, check_normalization, check_size
+from .bases import Family, build_basis, check_normalization, check_size, matrix_side
 from .linalg import NumericError
 from .octonions import conjugation_residual, structure_residual, unit_matrices
 from .reports import CheckRun, VerificationReport
@@ -64,19 +64,25 @@ def _per_size(check, families=tuple(Family)):
     """Suite running ``check(family, size, **flags)`` on the given ``--group`` (or all
     of ``families``, its choices) at the given ``--n`` (or the ``ALL_GRID`` sizes).
     A size some family of the sweep does not take is refused before any check runs."""
+    def cells(group=None, n=None):
+        return [(fam, check_size(fam, size))
+                for fam in (families if group is None else [Family(group)])
+                for size in ((n,) if n is not None else ALL_GRID[fam])]
+
     def suite(group=None, n=None, **flags):
-        cells = [(fam, check_size(fam, size))
-                 for fam in (families if group is None else [Family(group)])
-                 for size in ((n,) if n is not None else ALL_GRID[fam])]
-        for fam, size in cells:
+        for fam, size in cells(group, n):
             yield check(fam, size, **flags)
-    suite.groups = [f.value for f in families]
+    suite.groups, suite.cells = [f.value for f in families], cells
     return suite
 
 
 def _symplectic_inverse(trials, seed, n=None):
-    for size in (n,) if n is not None else (1, 2, 3):
+    for _, size in _symplectic_inverse.cells(n):
         yield _goldman.verify_symplectic_inverse(size, trials=trials, seed=seed)
+
+
+_symplectic_inverse.cells = lambda n=None: [
+    (Family.SP, size) for size in ((n,) if n is not None else (1, 2, 3))]
 
 
 def _octonion(trials, seed):
@@ -134,11 +140,30 @@ VERIFY_SUITES = {
 }
 
 
+# Largest trials x side^4 summed over the cells of the suites with cells and
+# trials (bracket, defect, symplectic-inverse) that one `verify` would run; a
+# bracket or defect trial contracts a pair with a d^2 x d^2 tensor.  At 10^9,
+# `verify all` runs about 30 s and a gl(16) bracket about 2 s on one core.
+_VERIFY_WORK = 10 ** 9
+
+
+def _check_work(runs, args) -> None:
+    """ValueError if the requested cells' trials x side^4 exceed ``_VERIFY_WORK``."""
+    work = sum(args.trials * matrix_side(fam, size) ** 4
+               for _, suite, flags in runs if "trials" in flags and hasattr(suite, "cells")
+               for fam, size in suite.cells(**{f: getattr(args, f) for f in flags
+                                               if f in _GROUP_N}))
+    if work > _VERIFY_WORK:
+        raise ValueError(f"--trials {args.trials} needs {work:.3g} trials x side^4 over the "
+                         f"requested cells, over the budget of {_VERIFY_WORK:.0e}")
+
+
 def cmd_verify(args) -> int:
     """Run one suite, or with ``all`` every suite over its full grid.
 
-    A negative ``--seed`` or a ``--trials`` below 1 is refused before the
-    first suite runs.  Under ``all``, a suite that raises is reported as a
+    A negative ``--seed``, a ``--trials`` below 1, and trials x side^4 over
+    the sampled cells above ``_VERIFY_WORK`` are refused before the first
+    suite runs.  Under ``all``, a suite that raises is reported as a
     failing ``suite-error`` report naming it, the error and the line that
     raised it, and the next suite runs; the exit code is then 1, as for any
     failed check.
@@ -150,6 +175,7 @@ def cmd_verify(args) -> int:
     runs = ([(name, suite, [f for f in flags if f in _TRIALS_SEED])
              for name, (suite, flags) in VERIFY_SUITES.items()]
             if args.what == "all" else [(args.what, *VERIFY_SUITES[args.what])])
+    _check_work(runs, args)
     for name, suite, flags in runs:
         try:
             for report in suite(**{flag: getattr(args, flag) for flag in flags}):

@@ -275,7 +275,9 @@ def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0) -> Veri
 
     ``params["worst_trial"]`` is the trial t with the largest relative error,
     the one the verdict reads (row t of streams (0,) and (1,));
-    ``params["resamples"]`` counts redraws.
+    ``params["resamples"]`` counts redraws.  For sides above 2 that trial,
+    replayed alone through ``bracket_sides``, matches its error here only to
+    round-off, since ``trace12_pairs`` sums the stack in another order.
     """
     family = as_family(family)
     with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:

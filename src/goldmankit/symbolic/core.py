@@ -16,8 +16,10 @@ two monomials' binders.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,52 +193,124 @@ def wiring(m: Monomial):
     return atoms, holders
 
 
-def _walks(atoms, holders, order, placed, number, pos=0):
-    """Every walk on from ``order[pos]``, as (encoding, atom order).
+WALK_BUDGET = 10 ** 5  # walks one canonical_encoding may take; a larger bound is refused
+
+
+def _walk(atoms, holders, order, number, enc):
+    """The smallest encoding of the walks that go on from ``order[len(enc)]``.
 
     A walk visits atoms in order, numbers each one's ids in slot order and
-    appends the atoms sharing each newly numbered id; its encoding lists the
-    atoms visited, each as its label and its ids' numbers.  Slots are ordered,
-    so the start fixes the walk, except for the order of the new atoms of an
-    id held by three or more atoms: there the walk branches.
+    appends the atoms newly sharing each numbered id; its encoding ``enc``
+    lists the atoms visited, each as its label and its ids' numbers.  Slots
+    are ordered, so the start fixes the walk except for the order of the new
+    atoms of an id held by three or more atoms.  Those are appended sorted by
+    label: of two orders, the one with the smaller label at the first place
+    they differ encodes smaller there.  Only runs of equal label are branched
+    over, each order walked on by a call of its own.
     """
-    while pos < len(order):
-        groups = []
-        for i in atoms[order[pos]][1]:
-            if i not in number:
-                number[i] = len(number)
-                groups.append([b for b in dict.fromkeys(holders[i]) if b not in placed])
-                placed.update(groups[-1])
-        pos += 1
-        if any(len(g) > 1 for g in groups):
-            for choice in itertools.product(*map(itertools.permutations, groups)):
-                more = [b for g in choice for b in g]
-                yield from _walks(atoms, holders, order + more, set(placed), dict(number), pos)
-            return
-        order += [b for g in groups for b in g]
-    yield tuple((atoms[a][0], tuple(number[i] for i in atoms[a][1])) for a in order), order
+    placed = set(order)
+    while len(enc) < len(order):
+        label, ids = atoms[order[len(enc)]]
+        runs = []  # (start, stop) in order of each run of new atoms with one label
+        for i in ids:
+            if i in number:
+                continue
+            number[i] = len(number)
+            if len(holders[i]) < 3:  # one holder besides the atom at most
+                for b in holders[i]:
+                    if b not in placed:
+                        placed.add(b)
+                        order.append(b)
+                continue
+            new = sorted({b for b in holders[i] if b not in placed}, key=lambda b: atoms[b][0])
+            start = len(order)
+            for _, run in itertools.groupby(new, key=lambda b: atoms[b][0]):
+                stop = start + len(list(run))
+                if stop - start > 1:
+                    runs.append((start, stop))
+                start = stop
+            placed.update(new)
+            order += new
+        enc.append((label, tuple(map(number.__getitem__, ids))))
+        if runs:
+            best = None
+            for choice in itertools.product(*(itertools.permutations(order[s:e])
+                                              for s, e in runs)):
+                branch = order[:]
+                for (s, e), run in zip(runs, choice):
+                    branch[s:e] = run
+                walk = _walk(atoms, holders, branch, dict(number), enc[:])
+                best = walk if best is None else min(best, walk)
+            return best
+    return tuple(enc)
+
+
+def _orders(atoms, group):
+    """Product over the labels of the atoms in ``group`` of their counts'
+    factorials, over the smallest count."""
+    counts = collections.Counter(atoms[b][0] for b in group).values()
+    return math.prod(map(math.factorial, counts)) // min(counts)
+
+
+def _branches(atoms, tied):
+    """Most walks from one start, given the holder sets of its component's
+    ids held by three or more atoms.
+
+    A walk branches only over the orders of runs of new atoms of one label
+    at such an id.  The atom that numbers the id is not new there, and no
+    atom is new twice, so the walks are at most the product over those ids
+    of ``_orders`` of their holders, and at most ``_orders`` of all atoms
+    that hold one of them.
+    """
+    per_id = math.prod(_orders(atoms, group) for group in tied)
+    return min(per_id, _orders(atoms, set().union(*tied)))
 
 
 def canonical_encoding(m: Monomial):
     """Hashable form shared exactly by renamings and reorderings of ``m``.
 
-    Each connected component of the wiring is encoded by its smallest walk
-    from any of its atoms; the key is the sorted encodings plus ``extended``.
+    Each connected component of the wiring is found once and encoded by its
+    smallest walk from its atoms of the smallest label (a walk opens with its
+    start's label); the key is the sorted encodings plus ``extended``.  The
+    walks are bounded before any is taken, by the starts times
+    ``_branches``, and a bound over ``WALK_BUDGET`` is refused with
+    ValueError.
     """
     atoms, holders = wiring(m)
-    best = {}  # component, as its set of atoms -> its smallest walk so far
-    for s in sorted(range(len(atoms)), key=lambda a: atoms[a][0]):
-        # a walk opens with its start's label, so only the smallest can win
-        if any(s in part and enc[0][0] < atoms[s][0] for part, enc in best.items()):
+    parts, seen, bound = [], set(), 0
+    for s in range(len(atoms)):
+        if s in seen:
             continue
-        for enc, order in _walks(atoms, holders, [s], {s}, {}):
-            part = frozenset(order)
-            best[part] = min(best.get(part, enc), enc)
-    return tuple(sorted(best.values())), m.extended
+        seen.add(s)
+        part, starts, tied = [s], [s], {}
+        for a in part:
+            for i in atoms[a][1]:
+                if len(holders[i]) > 2:
+                    tied[i] = set(holders[i])
+                for b in holders[i]:
+                    if b in seen:
+                        continue
+                    seen.add(b)
+                    part.append(b)
+                    if atoms[b][0] < atoms[starts[0]][0]:
+                        starts = [b]
+                    elif atoms[b][0] == atoms[starts[0]][0]:
+                        starts.append(b)
+        parts.append(starts)
+        bound += len(starts) * (_branches(atoms, list(tied.values())) if tied else 1)
+    if bound > WALK_BUDGET:
+        raise ValueError(f"canonical encoding may take {bound} walks, over the budget of "
+                         f"{WALK_BUDGET}: too many atoms of one label share an index")
+    encodings = sorted(min([_walk(atoms, holders, [s], {}, []) for s in starts])
+                       for starts in parts)
+    return tuple(encodings), m.extended
 
 
 def normalize(expr: Expression) -> Expression:
-    """Merge identical monomials, drop zeros, and give monomials disjoint ids."""
+    """Merge identical monomials, drop zeros, and give monomials disjoint ids.
+
+    Raises ValueError where ``canonical_encoding`` refuses a monomial, one
+    whose walks could exceed ``WALK_BUDGET``."""
     merged: dict = {}
     shapes: dict = {}
     for m in expr.monomials:

@@ -414,9 +414,15 @@ REFUSALS = [
      "parse error at offset 3 near 'tr(sum)': 'sum' is reserved"),
     ("octonion over the sampling budget", ["verify", "octonion", "--trials", "700000"], None,
      "700000 draws of g2(1) need 262 MiB, over the 256 MiB sampling budget"),
+    ("verify all over the work budget", ["verify", "all", "--trials", "700000"], None,
+     "--trials 700000 needs 4.42e+09 trials x side^4 over the requested cells, "
+     "over the budget of 1e+09"),
     ("invariance over the sampling budget", ["exotic", "invariance", "--spec", "{dir}/spec.json",
                                              "--trials", "700000"], json.dumps(FIRST_SPEC),
      "700000 draws of g2(1) need 262 MiB, over the 256 MiB sampling budget"),
+    ("ties over the walk budget", ["bracket", "--lhs", "tr(z)",
+                                   "--rhs", "sum i: " + " * ".join(["tr(a; O i)"] * 12)], None,
+     "canonical encoding may take 39916800 walks, over the budget of 100000"),
     ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],
      None, "expressions share base loops"),
 ]

@@ -11,7 +11,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from canonical_oracle import encode_by_search
+from canonical_oracle import encode_by_search, encode_by_walks
 from signature_oracle import recognize_by_search
 
 from goldmankit import observables
@@ -418,7 +418,9 @@ def test_encoding_separates_exactly_the_isomorphism_classes(data):
     assert (core.canonical_encoding(m) == core.canonical_encoding(other)) == same, str(m)
 
 
-def test_encoding_partitions_bracket_outputs_as_the_search_oracle(monkeypatch):
+def _bracket_corpus(monkeypatch):
+    """Unnormalized bracket outputs: tr(z) with every criterion-9 spec, tr(c)
+    with 2-4 tied pairs."""
     monkeypatch.setattr(_bracket_module, "normalize", lambda expr: expr)
     canon, tr_c = sym.parse_expr("tr(z)"), sym.parse_expr("tr(c)")
     corpus = []
@@ -426,6 +428,11 @@ def test_encoding_partitions_bracket_outputs_as_the_search_oracle(monkeypatch):
         corpus += sym.bracket(canon, sym.build_f_expression(spec)).monomials
     for pairs in (2, 3, 4):
         corpus += sym.bracket(tr_c, _tied(pairs)).monomials
+    return corpus
+
+
+def test_encoding_partitions_bracket_outputs_as_the_search_oracle(monkeypatch):
+    corpus = _bracket_corpus(monkeypatch)
     # the oracle is exact here: no id fills more than two slots, and every
     # coefficient atom has an id on a trace
     for m in corpus:
@@ -438,23 +445,84 @@ def test_encoding_partitions_bracket_outputs_as_the_search_oracle(monkeypatch):
     assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
 
 
-@pytest.mark.parametrize("pairs", [6, 7, 8])
-def test_tied_pairs_normalize_in_at_most_one_walk_per_atom(monkeypatch, pairs):
-    walks = []
-    walk = core._walks
+# normalize orders its output by repr(key), so keys must match byte for byte
+def test_encoding_equals_the_walk_oracle_on_bracket_outputs(monkeypatch):
+    corpus = _bracket_corpus(monkeypatch)
+    assert len(corpus) > 3000
+    for m in corpus:
+        assert repr(core.canonical_encoding(m)) == repr(encode_by_walks(m)), str(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wirings(max_traces=6, max_coeffs=5))
+def test_encoding_equals_the_walk_oracle_on_random_wiring(m):
+    # ids on one to three slots, so walks branch over runs of equal label
+    assert repr(core.canonical_encoding(m)) == repr(encode_by_walks(m)), str(m)
+
+
+def _counting_walks(monkeypatch):
+    """The start of each call of ``core._walk``, recursive ones included: one
+    call per start and one per order a branch walks on with."""
+    walks, walk = [], core._walk
 
     def counting(*args):
-        for w in walk(*args):
-            walks.append(w)
-            yield w
+        walks.append(args[2][0])
+        return walk(*args)
 
-    monkeypatch.setattr(core, "_walks", counting)
+    monkeypatch.setattr(core, "_walk", counting)
+    return walks
+
+
+@pytest.mark.parametrize("pairs", [6, 7, 8])
+def test_tied_pairs_normalize_in_at_most_one_walk_per_atom(monkeypatch, pairs):
+    walks = _counting_walks(monkeypatch)
     (m,) = _tied(pairs).monomials
     ids = sorted(m.indices())
     copy = rename_indices(replace(m, traces=m.traces[::-1]), dict(zip(ids, ids[::-1])))
     (merged,) = sym.normalize(sym.Expression((m, copy))).monomials
     assert merged.coeff == 2
-    assert len(walks) <= 2 * (2 * pairs)
+    assert 0 < len(walks) <= 2 * (2 * pairs)
+
+
+def _one_index(loops):
+    """sum i: tr(l0; O i) * tr(l1; O i) * ... -- one trace per loop name."""
+    return sym.parse_expr("sum i: " + " * ".join(f"tr({loop}; O i)" for loop in loops))
+
+
+def test_distinct_loops_on_one_index_normalize_in_at_most_k_walks(monkeypatch):
+    # the k - 1 new atoms of i differ in label, so no walk branches
+    k = 12
+    walks = _counting_walks(monkeypatch)
+    (m,) = _one_index([f"a{j}" for j in range(k)]).monomials
+    (merged,) = sym.normalize(sym.Expression((m, replace(m, traces=m.traces[::-1])))).monomials
+    assert merged.coeff == 2
+    assert 0 < len(walks) <= k
+
+
+def test_ties_label_order_cannot_break_are_refused_before_any_walk(monkeypatch):
+    # 12 traces on one loop share one index: 12 starts times 11! orders
+    walks = _counting_walks(monkeypatch)
+    (m,) = _one_index(["a"] * 12).monomials
+    with pytest.raises(ValueError, match=r"may take 479001600 walks, over the budget of 100000"):
+        sym.normalize(sym.Expression((m,)))
+    assert walks == []
+    # at 7 traces, 7 starts times 6! orders fit the budget and are all walked
+    (m,) = _one_index(["a"] * 7).monomials
+    (merged,) = sym.normalize(sym.Expression((m, m))).monomials
+    assert merged.coeff == 2
+
+
+@pytest.mark.parametrize("text", [
+    # two ids on the same 7 atoms: 6! orders at the first, none left at the second
+    "sum i j: " + " * ".join(["tr(a; O i O j)"] * 7),
+    # 8 traces on a, in pairs on 4 ids: one tie of 2 per id, not 8! orders
+    "sum i j k l: tr(b; O i O j O k O l) * "
+    + " * ".join(f"tr(a; O {x}) * tr(a; O {x})" for x in "ijkl"),
+])
+def test_walk_bound_takes_the_smaller_of_its_two_counts(text):
+    (m,) = sym.parse_expr(text).monomials
+    (merged,) = sym.normalize(sym.Expression((m, m))).monomials
+    assert merged.coeff == 2
 
 
 def test_recognize_equals_split_search_oracle():
