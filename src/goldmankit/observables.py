@@ -21,14 +21,10 @@ between the blocks l_{2n1-r+s+*} (odd offsets) and l_{2n1-r+n2+*} (even
 offsets).  Every index thus occurs in exactly two factors.
 
 ``evaluate`` is the tensor-network contraction ``contract``, which also
-evaluates the monomials of the symbolic engine.  A word trace
-tr(M O_{i1} ... O_{ik}) enters it as a ring of k + 1 operands, the 7x7
-matrix M and one 7x7x7 letter tensor O[i, a, b] per index, joined by k + 1
-bond indices; the whole network is contracted pairwise along einsum's
-greedy path, planned once per index structure, so no 7^k word table is
-built.  Matrices may be (B, 7, 7) stacks: every plan step spells its matrix
-operands with a leading ``...``, so one plan and one einsum call per step
-serve a single network and a stack.  ``invariance_test`` and the symbolic
+evaluates the monomials of the symbolic engine: each word trace a ring of
+letter tensors, the whole network contracted pairwise on one greedy plan per
+index structure (``_plan``), one plan and one einsum call per step for a
+single network or a (B, 7, 7) stack.  ``invariance_test`` and the symbolic
 closure check contract the base and all gauge conjugates as one stack.
 ``evaluate_brute`` is the reference oracle, a literal sum over all
 7^#indices tuples of the word tables ``word_trace_table``, refused above a
@@ -39,8 +35,10 @@ group element; nothing is claimed when the coefficients are held fixed.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from string import ascii_letters
@@ -278,47 +276,63 @@ def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
     return np.einsum("...aa->...", x)
 
 
-_EINSUM_LABELS = 52  # numpy's einsum has 52 index labels
+_OPERAND_BUDGET = 256  # contract refuses more operands before planning,
+_MULTIPLY_ADD_BUDGET = 10 ** 9  # and more multiply-adds x rows before any einsum
 _PLAN_CACHE_SIZE = 1024  # plans kept; criterion 9's sweep uses about 520
 _GAUGE_CHUNK = 64  # gauges conjugated and contracted as one stack
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(rings: tuple, plain: tuple, out: tuple = ()) -> list:
-    """The contraction of one network as a list of einsum steps.
+def _plan(rings: tuple, plain: tuple):
+    """One network's contraction: (einsum steps, multiply-adds).
 
-    The operands are, in order, each ring's matrix and letters, then the
-    ``plain`` operands.  ``rings`` holds each ring's word, ``plain`` and
-    ``out`` their label tuples; labels are compacted to 0, 1, ... in
-    first-seen order, and every axis has length 7, so one plan serves every
-    renaming of the ids.  A ring of k letters gets k + 1 fresh bond labels:
-    M[b0,b1] O[i1,b1,b2] ... O[ik,bk,b0].  The order is einsum's greedy
-    path; each step is (operand positions, highest first, subscripts), and
-    its result is appended to the operands.  The last step leaves ``out``.
-    Operands that carry a matrix (all but the letters) are spelled ``...ab``,
-    so the same steps contract one network or a stack of them.
+    The operands are each ring's matrix and letters, M[b0,b1] O[i1,b1,b2] ...
+    O[ik,bk,b0] on fresh bond labels, then the ``plain`` ones.  Each step
+    joins the pair sharing a label (any pair if none do) that removes the most
+    entries, then costs the fewest multiply-adds: numpy's greedy rule without
+    its memory limit.  A step is (positions, highest first, subscripts in its
+    own letters, ``...`` on matrices); its result is appended.
     """
     free = 1 + max((x for labels in rings + plain for x in labels), default=-1)
-    operands = []  # (labels, carries a matrix)
+    operands = []  # (labels, carries a matrix); each step appends its result
     for word in rings:
         bond = lambda j: free + j % (len(word) + 1)
         operands.append(((bond(0), bond(1)), True))
         operands += [((i, bond(j), bond(j + 1)), False) for j, i in enumerate(word, 1)]
         free += len(word) + 1
     operands += [(labels, True) for labels in plain]
-    args = [x for labels, _ in operands for x in (np.broadcast_to(0.0, (7,) * len(labels)), labels)]
-    path = np.einsum_path(*args, out, optimize="greedy")[0][1:]
-    spell = lambda labels, stacked: "..." * stacked + "".join(ascii_letters[x] for x in labels)
-    steps = []
-    for positions in path:
-        positions = sorted(positions, reverse=True)
-        taken = [operands.pop(p) for p in positions]
-        needed = set(out).union(*(labels for labels, _ in operands))
-        kept = tuple(dict.fromkeys(x for labels, _ in taken for x in labels if x in needed))
-        kept = (kept if operands else out, any(stacked for _, stacked in taken))
-        steps.append((positions, ",".join(spell(*op) for op in taken) + "->" + spell(*kept)))
-        operands.append(kept)
-    return steps
+    holders = Counter(x for labels, _ in operands for x in set(labels))  # live operands per label
+    live, heap, steps, cost = dict.fromkeys(range(len(operands))), [], [], 0
+    shared = lambda a, b: not set(operands[a][0]).isdisjoint(operands[b][0])
+
+    def push(pairs):  # greedy keys, ties to the earlier pair; a key holds until a or b is taken
+        for a, b in pairs:
+            sa, sb = set(operands[a][0]), set(operands[b][0])
+            kept = sum(holders[x] > (x in sa) + (x in sb) for x in sa | sb)
+            heapq.heappush(heap, (7 ** kept - 7 ** len(sa) - 7 ** len(sb), 7 ** len(sa | sb), a, b))
+
+    push(pair for pair in itertools.combinations(live, 2) if shared(*pair))
+    while len(live) > 1 or any(operands[t][0] for t in live):
+        if not heap:  # no two operands share a label, or one is left with labels
+            push(itertools.combinations(live, 2) if len(live) > 1 else [(*live, *live)])
+        _, joined, a, b = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
+        cost += joined
+        if joined > 7 ** len(ascii_letters):  # einsum cannot spell it, nor any budget afford it
+            return steps, cost
+        taken = tuple(dict.fromkeys((b, a)))  # highest position first
+        letters = dict(zip(dict.fromkeys(x for t in taken for x in operands[t][0]), ascii_letters))
+        holders.subtract(x for t in taken for x in set(operands[t][0]))
+        c = len(operands)
+        operands.append((tuple(x for x in letters if holders[x]), operands[a][1] or operands[b][1]))
+        spell = lambda labels, stacked: "..." * stacked + "".join(letters[x] for x in labels)
+        steps.append(([list(live).index(t) for t in taken],
+                      ",".join(spell(*operands[t]) for t in taken) + "->" + spell(*operands[c])))
+        live = dict.fromkeys([*(t for t in live if t not in taken), c])
+        holders.update(operands[c][0])
+        push((b, c) for b in live if b != c and shared(b, c))
+    return steps, cost
 
 
 def _run(steps, arrays) -> np.ndarray:
@@ -332,48 +346,34 @@ def contract(traces, coeffs, value: float = 1.0):
     """value * sum over the index ids of prod tr(M O_word) * prod C[row, col].
 
     ``traces`` are (matrix, word) factors, a word being a sequence of index
-    ids; ``coeffs`` are (matrix, row id, col id) factors.  Every id is summed
-    over 1..7.  Empty-word traces are plain scalars.  Each other trace is a
-    ring of k + 1 operands, the 7x7 matrix and one 7x7x7 letter tensor O[i]
-    per id, joined by k + 1 bond labels.  The rings and the coefficient
-    matrices make one network, contracted pairwise on a plan made once per
-    label structure (``_plan``), so no 7^k word table is built.
-
+    ids, and ``coeffs`` (matrix, row id, col id) factors; every id is summed
+    over 1..7.  Each trace with a word is a ring of its matrix and one letter
+    tensor O[i] per id; with the coefficients they make one network,
+    contracted on a pairwise plan made once per label structure (``_plan``).
     Any matrix may be a (B, 7, 7) stack; then the B values come back as an
     array.  Row r equals the row-r network's float up to round-off (a stacked
     einsum sums in another order); for B >= 2 it does not depend on B.
-
-    More than 52 distinct ids are refused with ValueError.  When the ids and
-    the bond labels together exceed einsum's 52, the longest rings are first
-    contracted alone into their 7^k tensors, until the rest fits; a ring of
-    more than 25 letters cannot be, and is refused with ValueError.
+    ValueError refuses more than ``_OPERAND_BUDGET`` operands before planning,
+    and more than ``_MULTIPLY_ADD_BUDGET`` multiply-adds x B before any einsum.
     """
     ids: dict = {}
     compact = lambda labels: tuple(ids.setdefault(x, len(ids)) for x in labels)
-    rings = []
-    for mat, word in traces:
-        if word:
-            rings.append((mat, compact(word)))
-        else:
-            value = value * np.einsum("...aa->...", mat)
+    rings = [(mat, compact(word)) for mat, word in traces if word]
     plain = [(mat, compact((row, col))) for mat, row, col in coeffs]
-    if len(ids) > _EINSUM_LABELS:
-        raise ValueError(f"{len(ids)} summed indices exceed einsum's {_EINSUM_LABELS} index labels")
-    o = unit_matrices()
-    excess = len(ids) + sum(len(word) + 1 for _, word in rings) - _EINSUM_LABELS
-    while excess > 0:
-        mat, word = rings.pop(max(range(len(rings)), key=lambda k: len(rings[k][1])))
-        if 2 * len(word) + 1 > _EINSUM_LABELS:
-            raise ValueError(f"a {len(word)}-letter word needs {2 * len(word) + 1} labels "
-                             f"to contract alone; einsum has {_EINSUM_LABELS}")
-        letters = tuple(range(len(word)))
-        table = _run(_plan((letters,), (), letters), [mat] + [o] * len(word))
-        plain.insert(0, (table, word))
-        excess -= len(word) + 1
-    if rings or plain:
-        steps = _plan(tuple(word for _, word in rings), tuple(labels for _, labels in plain))
-        arrays = [x for mat, word in rings for x in (mat, *(o,) * len(word))]
-        value = value * _run(steps, arrays + [array for array, _ in plain])
+    n = sum(len(word) + 1 for _, word in rings) + len(plain)
+    if n > _OPERAND_BUDGET:
+        raise ValueError(f"the contraction has {n} operands, over the budget of {_OPERAND_BUDGET}")
+    steps, cost = _plan(tuple(word for _, word in rings), tuple(labels for _, labels in plain))
+    rows = max([mat.size for mat, _ in rings + plain], default=49) // 49
+    if cost * rows > _MULTIPLY_ADD_BUDGET:
+        raise ValueError(f"the contraction needs {cost:.3g} multiply-adds x {rows} rows, "
+                         f"over the budget of {_MULTIPLY_ADD_BUDGET:.0e}")
+    for mat, word in traces:
+        if not word:
+            value = value * np.einsum("...aa->...", mat)
+    if steps:
+        arrays = [x for mat, word in rings for x in (mat, *(unit_matrices(),) * len(word))]
+        value = value * _run(steps, arrays + [mat for mat, _ in plain])
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -389,7 +389,7 @@ def _factors(inst: ObservableInstance):
 
 
 def evaluate(inst: ObservableInstance) -> float:
-    """The full multi-index sum for one instance, as one einsum contraction."""
+    """The full multi-index sum for one instance, as one network ``contract``."""
     require_valid(inst.spec)
     return contract(*_factors(inst))
 

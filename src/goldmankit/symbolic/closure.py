@@ -106,7 +106,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
             moved = dict(zip(names, conjugate(stack, mats)))
             control = max(control, control_movement(moved[names[0]]))
             for m in checked:
-                values = np.broadcast_to(evaluate_monomial(m, moved), len(stack))
+                values = evaluate_monomial(m, moved) * np.ones(len(stack))
                 worst = max(worst, moved_by(values) / max(1.0, abs(float(values[0]))))
         run.record(passed=worst < _CLOSURE_TOL and control > _CONTROL_FLOOR and not unrecognized,
                    max_abs_err=worst, max_rel_err=worst,

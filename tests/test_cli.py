@@ -2,12 +2,17 @@
 
 import json
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from goldmankit import observables as obs
 from goldmankit.cli import build_parser, run
+from goldmankit.goldman import sample_element
+from goldmankit.octonions import unit_matrices
 
 
 def test_verify_casimir_g2(capsys):
@@ -302,27 +307,41 @@ def test_verify_refuses_a_size_a_family_does_not_take(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_exotic_evaluate_refuses_more_indices_than_einsum_labels(tmp_path, capsys):
-    # r = n1 = t = 53 with K the identity: 53 simple traces, 53 one-letter words
-    k = [[int(i == j) for j in range(53)] for i in range(53)]
+def test_exotic_evaluate_takes_more_indices_than_einsum_labels(tmp_path, capsys):
+    # r = n1 = t = 53 with K the identity: 53 pairs tr(M_j O_i) tr(N_j O_i)
+    obj = {"r": 53, "n1": 53, "s": 0, "n2": 0, "t": 53,
+           "K": [[int(i == j) for j in range(53)] for i in range(53)], "Q": []}
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"r": 53, "n1": 53, "s": 0, "n2": 0, "t": 53, "K": k, "Q": []}))
-    assert run(["exotic", "evaluate", "--spec", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: 53 summed indices exceed einsum's 52 index labels\n"
+    path.write_text(json.dumps(obj))
+    assert run(["--json", "exotic", "evaluate", "--spec", str(path), "--seed", "3"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    mats = obs.random_instance(obs.spec_from_json_dict(obj), seed=3).monodromies
+    reference = np.prod([sum(np.trace(m @ o) * np.trace(n @ o) for o in unit_matrices())
+                         for m, n in zip(mats[:53], mats[53:])])
+    assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
-def test_exotic_evaluate_refuses_a_word_too_long_for_einsum_labels(tmp_path, capsys):
-    # one 26-letter word: its 26 ids and 27 bond labels exceed 52
+def test_exotic_evaluate_takes_a_26_letter_word(tmp_path, capsys):
+    # one 26-letter word whose 13 betas are all-ones: tr(M (sum_i O_i)^26)
+    m = sample_element("g2", 1, seed=9).matrix
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"r": 0, "n1": 0, "s": 0, "n2": 13, "t": 1,
-                                "K": [[]], "Q": [[1] * 26]}))
-    assert run(["exotic", "evaluate", "--spec", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: a 26-letter word needs 53 labels to contract alone; "
-                            "einsum has 52\n")
+                                "K": [[]], "Q": [[1] * 26], "monodromies": [m.ravel().tolist()],
+                                "alphas": [], "betas": [[1.0] * 49] * 13}))
+    assert run(["--json", "exotic", "evaluate", "--spec", str(path)]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    reference = np.trace(m @ np.linalg.matrix_power(unit_matrices().sum(axis=0), 26))
+    assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_bracket_closure_of_scrambled_words_runs_in_time(capsys):
+    # two traces of one 6-letter word in a scrambled order: numpy's greedy
+    # path left their bracket with tr(z) in one einsum that ran for minutes
+    start = time.perf_counter()
+    assert run(["bracket", "--lhs", "tr(z)", "--rhs", "sum i j k l m n: tr(a; O i O j O k O l "
+                "O m O n) * tr(b; O k O i O n O j O m O l)", "--check-closure"]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert "[PASS] symbolic-closure" in capsys.readouterr().out
 
 
 def test_exotic_evaluate_length_nine_word(tmp_path, capsys):
@@ -423,6 +442,9 @@ REFUSALS = [
     ("ties over the walk budget", ["bracket", "--lhs", "tr(z)",
                                    "--rhs", "sum i: " + " * ".join(["tr(a; O i)"] * 12)], None,
      "canonical encoding may take 39916800 walks, over the budget of 100000"),
+    ("operands over the budget", ["exotic", "evaluate", "--spec", "{dir}/spec.json"],
+     json.dumps({"r": 10 ** 4, "n1": 10 ** 4, "s": 0, "n2": 0, "t": 1, "K": [[1] * 10 ** 4],
+                 "Q": []}), "the contraction has 30001 operands, over the budget of 256"),
     ("shared base loops", ["bracket", "--lhs", "tr(a)", "--rhs", "tr(a.b)", "--check-closure"],
      None, "expressions share base loops"),
 ]

@@ -1,6 +1,7 @@
 """Module boundaries: no goldmankit module imports another module's private names,
-one module builds the seed substreams, every function the benchmark traces by
-name exists, and the package does not load scipy."""
+one module builds the seed substreams, none plans with numpy's einsum_path,
+every function the benchmark traces by name exists, and the package does not
+load scipy."""
 
 import ast
 import importlib
@@ -34,6 +35,13 @@ def test_one_module_builds_seed_substreams():
         builders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                     if mark in path.read_text()]
         assert builders == ["goldman.py"], mark
+
+
+def test_no_einsum_path_or_dummy_operands():
+    # observables._plan is the one contraction planner; numpy's path is a test oracle
+    for mark in ("einsum_path", "broadcast_to"):
+        assert [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                if mark in path.read_text()] == [], mark
 
 
 def test_every_traced_function_resolves():

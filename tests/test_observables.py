@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -170,19 +172,23 @@ def test_brute_budget_refusal():
     obs.evaluate(inst)  # factorized engine handles it
 
 
-def test_contract_refuses_more_ids_than_einsum_labels(monkeypatch):
-    chain = [(np.eye(7), k, k + 1) for k in range(52)]  # ids 0..52
-    assert obs.contract([], chain[:51]) == pytest.approx(7.0)  # 52 ids still run
+def test_contract_takes_more_ids_than_einsum_labels(monkeypatch):
+    # 53 ids, each on a pair tr(M_j O_i) tr(N_j O_i): the product of 53 sums
+    mats = [sample_element("g2", 1, seed=200 + k).matrix for k in range(106)]
+    o = unit_matrices()
+    reference = np.prod([sum(np.trace(m @ o[i]) * np.trace(n @ o[i]) for i in range(7))
+                         for m, n in zip(mats[:53], mats[53:])])
     monkeypatch.setattr(obs, "word_trace_table", lambda *a: pytest.fail("table built"))
-    with pytest.raises(ValueError, match="^53 summed indices exceed einsum's 52 index labels$"):
-        obs.contract([(np.eye(7), (0, 1, 2))], chain)
+    value = obs.contract([(m, (j,)) for j, m in enumerate(mats[:53])]
+                         + [(n, (j,)) for j, n in enumerate(mats[53:])], [])
+    assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 @pytest.mark.parametrize("second, order", [(None, (0, 1, 2, 3, 4, 5)), (7, (2, 0, 5, 1, 4, 3))])
 def test_contract_contracts_long_rings_alone_when_bond_labels_overflow(second, order, monkeypatch):
-    # 46 chain ids plus 6 word ids fill einsum's 52 labels; the two rings'
-    # 14 bond labels do not fit beside them.  The second word, on the same
-    # ids in the given order, is traced with I or with a sampled element.
+    # 46 chain ids, 6 word ids and the two rings' 14 bond labels: 66 labels
+    # in one network.  The second word, on the same ids in the given order,
+    # is traced with I or with a sampled element.
     m = sample_element("g2", 1, seed=5).matrix
     n = np.eye(7) if second is None else sample_element("g2", 1, seed=second).matrix
     chain = [(sample_element("g2", 1, seed=100 + k).matrix, k, k + 1) for k in range(45)]
@@ -195,16 +201,84 @@ def test_contract_contracts_long_rings_alone_when_bond_labels_overflow(second, o
     assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
-def test_contract_refuses_a_ring_too_long_to_contract_alone():
-    # 25 letters on distinct ids fit beside their 26 bond labels; 26 do not,
-    # and alone the ring would need 26 letter and 27 bond labels
+def test_contract_takes_a_26_letter_ring():
+    # a ring on distinct ids sums each letter on its own: tr(M (sum_i O_i)^k)
     m = sample_element("g2", 1, seed=11).matrix
-    power = np.linalg.matrix_power(unit_matrices().sum(axis=0), 25)
-    assert obs.contract([(m, tuple(range(25)))], []) == pytest.approx(
-        np.trace(m @ power), rel=1e-12)
-    with pytest.raises(ValueError, match="^a 26-letter word needs 53 labels to contract alone; "
-                                         "einsum has 52$"):
-        obs.contract([(np.eye(7), tuple(range(26)))], [])
+    for length in (25, 26):
+        power = np.linalg.matrix_power(unit_matrices().sum(axis=0), length)
+        assert obs.contract([(m, tuple(range(length)))], []) == pytest.approx(
+            np.trace(m @ power), rel=1e-12)
+
+
+def _traces_by_matrix_products(m, length):
+    """tr(M O_i1 ... O_ik) for every index tuple, by stacked 7x7 matrix products."""
+    prod = m
+    for _ in range(length):
+        prod = prod[..., None, :, :] @ unit_matrices()
+    return np.trace(prod, axis1=-2, axis2=-1)
+
+
+SCRAMBLED = [(2, 0, 5, 1, 4, 3), (2, 0, 7, 1, 5, 3, 6, 4), (2, 0, 9, 1, 7, 3, 8, 5, 6, 4)]
+
+
+@pytest.mark.parametrize("order", SCRAMBLED, ids=lambda order: f"length{len(order)}")
+def test_contract_takes_two_traces_of_one_word_in_a_scrambled_order(order):
+    # numpy's greedy path left these in one einsum over every label: the
+    # 6-letter pair never finished, and the longer ones raised
+    m = sample_element("g2", 1, seed=14).matrix
+    n = sample_element("g2", 1, seed=15).matrix
+    value = obs.contract([(m, tuple(range(len(order)))), (n, order)], [])
+    assert np.isfinite(value)
+    if len(order) == 6:
+        reference = np.einsum(_traces_by_matrix_products(m, 6), range(6),
+                              _traces_by_matrix_products(n, 6), order)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_contract_reduces_a_lone_coefficient():
+    c = sample_element("g2", 1, seed=16).matrix
+    stack = np.stack([c, sample_element("g2", 1, seed=17).matrix, np.eye(7)])
+    for mat in (c, stack):
+        total, trace = obs.contract([], [(mat, 0, 1)]), obs.contract([], [(mat, 0, 0)])
+        assert np.shape(total) == np.shape(trace) == mat.shape[:-2]
+        assert np.allclose(total, mat.sum(axis=(-2, -1)), rtol=1e-14, atol=0)
+        assert np.allclose(trace, np.trace(mat, axis1=-2, axis2=-1), rtol=1e-14, atol=0)
+
+
+def _forbid(monkeypatch, *names):
+    """Make np.einsum and each named function of ``observables`` fail the test."""
+    for name in names:
+        monkeypatch.setattr(obs, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("einsum called"))
+
+
+def test_contract_refuses_more_operands_than_the_budget_before_planning(monkeypatch):
+    # 64 ids, each on two traces tr(M O_j): 256 operands, at the budget
+    m = sample_element("g2", 1, seed=18).matrix
+    pairs = [(m, (j,)) for j in range(obs._OPERAND_BUDGET // 4) for _ in range(2)]
+    square = sum(np.trace(m @ o) ** 2 for o in unit_matrices())
+    assert obs.contract(pairs, []) == pytest.approx(square ** (obs._OPERAND_BUDGET // 4), rel=1e-12)
+    _forbid(monkeypatch, "_plan", "_run")
+    with pytest.raises(ValueError, match="^the contraction has 257 operands, over the budget "
+                                         "of 256$"):
+        obs.contract(pairs + [(m, ())], [(m, 0, 0)])
+
+
+def test_contract_refuses_more_multiply_adds_than_the_budget_before_any_einsum(monkeypatch):
+    word, order = tuple(range(10)), SCRAMBLED[2]
+    _, cost = obs._plan((word, order), ())
+    rows = obs._MULTIPLY_ADD_BUDGET // cost  # one more row is over the budget
+    stack = np.broadcast_to(np.eye(7), (rows + 1, 7, 7))
+    _forbid(monkeypatch, "_run")
+    message = f"the contraction needs {cost:.3g} multiply-adds x {rows + 1} rows, over the budget"
+    with pytest.raises(ValueError, match=re.escape(message + " of 1e+09")):
+        obs.contract([(stack, word), (np.eye(7), order)], [])
+    # two rings of 127 letters, one scrambled: 256 operands, planned up to
+    # a step over more than einsum's 52 labels
+    scrambled = tuple(np.random.default_rng(0).permutation(127).tolist())
+    assert len(obs._plan((tuple(range(127)), scrambled), ())[0]) < 255
+    with pytest.raises(ValueError, match=r"multiply-adds x 1 rows, over the budget"):
+        obs.contract([(np.eye(7), tuple(range(127))), (np.eye(7), scrambled)], [])
 
 
 def test_plan_cache_hits_on_a_renamed_copy():
@@ -243,7 +317,8 @@ def test_conjugated_stack_rows_equal_single_conjugations():
 
 
 def test_contract_stacks_rings_contracted_alone(monkeypatch):
-    # the 7^k table fallback of contract, on a stack of three matrices per word
+    # 46 chain ids and two 6-letter rings, 66 labels in one network, on a
+    # stack of three matrices per word
     stack = lambda seed: np.stack([sample_element("g2", 1, seed=seed + b).matrix for b in range(3)])
     m, n = stack(5), stack(8)
     chain = [(sample_element("g2", 1, seed=100 + k).matrix, k, k + 1) for k in range(45)]
@@ -318,6 +393,91 @@ def test_long_words_match_an_explicit_loop(spec):
     assert abs(value - _paired_word_oracle(inst)) <= 1e-12 * max(1.0, abs(value))
     report = obs.invariance_test(inst, trials=5, seed=43)
     assert report.passed and report.max_rel_err < 1e-8
+
+
+def _plan_keys(monkeypatch, run):
+    """The distinct ``_plan`` keys that ``run()`` asks for, in first-asked order."""
+    keys, plan = [], obs._plan
+    monkeypatch.setattr(obs, "_plan", lambda *key: keys.append(key) or plan(*key))
+    run()
+    monkeypatch.undo()
+    return list(dict.fromkeys(keys))
+
+
+def _largest(steps) -> int:
+    """Entries of a plan's largest intermediate, per network."""
+    return max(7 ** len(subscripts.split("->")[1].replace("...", "")) for _, subscripts in steps)
+
+
+def test_a_length_10_word_holds_at_most_343_entries(monkeypatch):
+    inst = obs.random_instance(LONG_WORDS[1], seed=41)
+    (key,) = _plan_keys(monkeypatch, lambda: obs.evaluate(inst))
+    assert _largest(obs._plan(*key)[0]) == 343
+
+
+def _numpy_greedy(rings, plain):
+    """(multiply-adds, largest intermediate) of numpy's greedy path for a ``_plan`` key."""
+    operands, free = [], 1 + max((x for labels in rings + plain for x in labels), default=-1)
+    for word in rings:  # the ring layout of ``_plan``
+        bond = [free + j for j in range(len(word) + 1)] + [free]
+        operands.append((bond[0], bond[1]))
+        operands += [(i, bond[j], bond[j + 1]) for j, i in enumerate(word, 1)]
+        free += len(word) + 1
+    operands += plain
+    args = [x for labels in operands for x in (np.broadcast_to(0.0, (7,) * len(labels)), labels)]
+    path = np.einsum_path(*args, (), optimize="greedy")[0][1:]
+    sets, cost, largest = [set(labels) for labels in operands], 0, 0
+    for positions in path:
+        taken = [sets.pop(p) for p in sorted(positions, reverse=True)]
+        union = set().union(*taken)
+        sets.append(union & set().union(*sets))
+        cost, largest = cost + 7 ** len(union), max(largest, 7 ** len(sets[-1]))
+    return cost, largest
+
+
+def _criterion9_closures():
+    from goldmankit import symbolic as sym
+
+    canon = sym.parse_expr("tr(z)")
+    specs = [spec for n1 in range(4) for n2 in range(2) if 0 < n1 + 2 * n2 <= 3
+             for r in range(n1 + 1) for s in range(n2 + 1) for t in range(1, n1 + 2 * n2 + 1)
+             for spec in obs.enumerate_specs(r, n1, s, n2, t)]
+    for k, spec in enumerate(specs):
+        sym.closure_check(sym.bracket(canon, sym.build_f_expression(spec)),
+                          seed=5_000 + k, gauge_trials=2)
+
+
+# the acceptance universe of exotic specs, then the benchmark's longer words
+SPEC_TUPLES = sorted({(r, n1, s, n2, t) for n1, n2 in ((1, 0), (2, 0), (0, 1))
+                      for r in range(n1 + 1) for s in range(n2 + 1)
+                      for t in range(1, n1 + 2 * n2 + 1)}
+                     | {(1, 2, 0, 0, 1), (2, 2, 0, 1, 2), (0, 3, 0, 0, 1), (0, 2, 0, 1, 1)})
+SPEC_TUPLES += [(1, 1, 0, 2, 1), (0, 1, 0, 2, 1), (0, 0, 0, 3, 1)]
+
+
+def test_plans_are_no_worse_than_numpy_greedy_path(monkeypatch):
+    keys = _plan_keys(monkeypatch, _criterion9_closures)
+    assert len(keys) == 523
+    keys += _plan_keys(monkeypatch, lambda: [
+        obs.evaluate(obs.random_instance(spec)) for tup in SPEC_TUPLES
+        for spec in obs.enumerate_specs(*tup)])
+    keys += [(((0,),) * 6, ()), (((0, 1), (0, 2), (0,)), ((1, 2),))]  # ids held three times
+    for key in keys:
+        steps, cost = obs._plan(*key)
+        numpy_cost, numpy_largest = _numpy_greedy(*key)
+        assert cost <= numpy_cost and _largest(steps) <= numpy_largest, key
+
+
+@pytest.mark.parametrize("key", [
+    (((0,) * (obs._OPERAND_BUDGET - 1),), ()),  # one id held by every letter
+    ((), tuple((2 * j, 2 * j + 1) for j in range(obs._OPERAND_BUDGET))),  # all disjoint
+], ids=["one-id", "disjoint"])
+def test_the_largest_admitted_network_plans_within_a_second(key):
+    obs._plan.cache_clear()
+    start = time.perf_counter()
+    steps, _ = obs._plan(*key)
+    assert time.perf_counter() - start < 1.0
+    assert len(steps) == obs._OPERAND_BUDGET - 1
 
 
 @pytest.mark.parametrize("spec", [FIRST, ROW_K, THIRD])
