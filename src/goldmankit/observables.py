@@ -24,11 +24,11 @@ offsets).  Every index thus occurs in exactly two factors.
 evaluates the monomials of the symbolic engine: each word trace a ring of
 letter tensors, the whole network contracted pairwise on one greedy plan per
 index structure (``_plan``), one plan and one einsum call per step for a
-single network or a (B, 7, 7) stack.  ``invariance_test`` and the symbolic
-closure check contract the base and all gauge conjugates as one stack.
-``evaluate_brute`` is the reference oracle, a literal sum over all
-7^#indices tuples of the word tables ``word_trace_table``, refused above a
-budget.  K and Q are plain tuples of 0/1 rows.  Invariance is under
+single network or a (B, 7, 7) stack.  ``evaluate_brute`` is the reference
+oracle, a literal sum over all 7^#indices tuples of the word tables
+``word_trace_table``, refused above a budget.  K and Q are plain tuples of
+0/1 rows.  ``gauge_drift``, the one gauge-invariance loop, serves
+``invariance_test`` and the symbolic closure check.  Invariance is under
 *simultaneous* conjugation of every monodromy and every alpha/beta by one
 group element; nothing is claimed when the coefficients are held fixed.
 """
@@ -235,24 +235,6 @@ def conjugate(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return g @ mats @ np.swapaxes(g, -1, -2)
 
 
-def gauge_stacks(gauges: np.ndarray):
-    """A drawn (T, 7, 7) gauge stack in chunks of at most ``_GAUGE_CHUNK``, each
-    under the identity, so a conjugated environment contracts to its base value
-    in row 0.  No row depends on the chunk size (each chunk has two rows or more)."""
-    for start in range(0, len(gauges), _GAUGE_CHUNK):
-        yield np.concatenate([np.eye(7)[None], gauges[start:start + _GAUGE_CHUNK]])
-
-
-def moved_by(values) -> float:
-    """The largest change of a row of ``values`` from row 0, the unmoved value."""
-    return float(np.max(np.abs(values[1:] - values[0])))
-
-
-def control_movement(mats: np.ndarray) -> float:
-    """The negative control: ``moved_by`` of each tr(M O_i) over a (B, 7, 7) stack of M."""
-    return moved_by(np.einsum("gab,iba->gi", mats, unit_matrices()))
-
-
 def random_instance(spec: ObservableSpec, seed: int = 0) -> ObservableInstance:
     require_valid(spec)
     n_coeff = (spec.n1 - spec.r) + (spec.n2 - spec.s)
@@ -279,7 +261,6 @@ def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
 _OPERAND_BUDGET = 256  # contract refuses more operands before planning,
 _MULTIPLY_ADD_BUDGET = 10 ** 9  # and more multiply-adds x rows before any einsum
 _PLAN_CACHE_SIZE = 1024  # plans kept; criterion 9's sweep uses about 520
-_GAUGE_CHUNK = 64  # gauges conjugated and contracted as one stack
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -377,21 +358,20 @@ def contract(traces, coeffs, value: float = 1.0):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _factors(inst: ObservableInstance):
-    """(traces, coeffs) factor lists of ``contract`` for one instance."""
-    spec = inst.spec
+def _factors(spec: ObservableSpec, mats):
+    """(traces, coeffs) factor lists of ``contract`` for an instance's matrices, the
+    monodromies then the alphas and betas; each may be a (B, 7, 7) stack."""
     simple, words, alphas, betas = index_layout(spec)
-    traces = [(inst.monodromies[j], (pos,)) for j, pos in enumerate(simple)]
-    traces += [(inst.monodromies[spec.n1 + m], row) for m, row in enumerate(words)]
-    coeffs = [(mat, row, col) for mat, (row, col)
-              in zip(inst.alphas + inst.betas, alphas + betas)]
+    traces = [(mats[j], (pos,)) for j, pos in enumerate(simple)]
+    traces += [(mats[spec.n1 + m], row) for m, row in enumerate(words)]
+    coeffs = [(mat, row, col) for mat, (row, col) in zip(mats[spec.n_loops:], alphas + betas)]
     return traces, coeffs
 
 
 def evaluate(inst: ObservableInstance) -> float:
     """The full multi-index sum for one instance, as one network ``contract``."""
     require_valid(inst.spec)
-    return contract(*_factors(inst))
+    return contract(*_factors(inst.spec, inst.monodromies + inst.alphas + inst.betas))
 
 
 def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
@@ -407,7 +387,7 @@ def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
             f"brute-force evaluation over 7^{free} = {7 ** free} tuples exceeds "
             f"the budget of 7^{budget}; use evaluate"
         )
-    traces, coeffs = _factors(inst)
+    traces, coeffs = _factors(spec, inst.monodromies + inst.alphas + inst.betas)
     ops = [(word_trace_table(mat, len(word)), word) for mat, word in traces]
     ops += [(mat, (row, col)) for mat, row, col in coeffs]
     total = 0.0
@@ -419,35 +399,56 @@ def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
     return total
 
 
-_INVARIANCE_TOL = 1e-8  # relative change of the observable
+_GAUGE_CHUNK = 64  # gauges conjugated and contracted as one stack
 _CONTROL_FLOOR = 1e-3  # the negative control must move at least this much
+
+
+def gauge_drift(mats: np.ndarray, gauges: np.ndarray, values, tol: float):
+    """(passed, largest change, largest relative change, negative control) of
+    ``values`` when an (E, 7, 7) stack ``mats`` is conjugated by each gauge.
+
+    The (T, 7, 7) gauges go in chunks of at most ``_GAUGE_CHUNK`` under the
+    identity; ``values`` contracts a moved (E, B, 7, 7) stack to a list of
+    B-row arrays (or floats no gauge moves), and no row depends on the chunk.
+    A change is taken from row 0, relative to max(1, |row 0|).  It passes when
+    the relative change is under ``tol`` and the negative control, the largest
+    change of a single tr(M O_i) for M = mats[0], exceeds ``_CONTROL_FLOOR``.
+    """
+    drift = worst = control = 0.0
+    for start in range(0, len(gauges), _GAUGE_CHUNK):
+        stack = np.concatenate([np.eye(7)[None], gauges[start:start + _GAUGE_CHUNK]])
+        moved = conjugate(stack, mats)
+        singles = np.einsum("gab,iba->gi", moved[0], unit_matrices())
+        control = max(control, float(np.max(np.abs(singles[1:] - singles[0]))))
+        for value in values(moved):
+            value = value * np.ones(len(stack))  # a float no gauge moves
+            change = float(np.max(np.abs(value[1:] - value[0])))
+            drift = max(drift, change)
+            worst = max(worst, change / max(1.0, abs(float(value[0]))))
+    return worst < tol and control > _CONTROL_FLOOR, drift, worst, control
+
+
+_INVARIANCE_TOL = 1e-8  # relative change of the observable
 
 
 def invariance_test(inst: ObservableInstance, trials: int = 50,
                     seed: int = 0) -> VerificationReport:
-    """Relative change of the observable under random simultaneous conjugation.
+    """Change of the observable under random simultaneous conjugation (``gauge_drift``).
 
-    ``sample_substreams`` refuses an oversize gauge count before anything is
-    drawn; all gauges are drawn as one stack and contracted in ``gauge_stacks``
-    chunks.  The negative control, the largest movement of a single
-    tr(M_1 O_i) over the gauges (``control_movement``), is reported in the
-    params; the report fails unless it exceeds ``_CONTROL_FLOOR``.
+    All gauges are drawn as one stack, and ``sample_substreams`` refuses an
+    oversize count before anything is drawn.  The negative control is
+    reported in the params.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    require_valid(inst.spec)
+    spec = inst.spec
+    require_valid(spec)
     with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
         gauges, _, _ = sample_substreams(Family.G2, 1, seed, [((1,), trials)])
-        worst = control = 0.0
-        for stack in gauge_stacks(gauges):
-            moved = inst.conjugated(stack)
-            values = evaluate(moved)
-            scale_ref = max(1.0, abs(float(values[0])))
-            worst = max(worst, moved_by(values) / scale_ref)
-            control = max(control, control_movement(moved.monodromies[0]))
-        spec = inst.spec
-        run.record(passed=worst < _INVARIANCE_TOL and control > _CONTROL_FLOOR,
-                   max_abs_err=worst * scale_ref, max_rel_err=worst,
+        passed, drift, worst, control = gauge_drift(
+            np.stack(inst.monodromies + inst.alphas + inst.betas), gauges,
+            lambda moved: [contract(*_factors(spec, moved))], _INVARIANCE_TOL)
+        run.record(passed=passed, max_abs_err=drift, max_rel_err=worst,
                    params={"r": spec.r, "n1": spec.n1, "s": spec.s, "n2": spec.n2, "t": spec.t,
                            "negative_control": control})
     return run.report

@@ -187,15 +187,15 @@ def conjugation_residual(g: np.ndarray) -> float:
     """Residual of the operator-transport identity g O_i g^{-1} = sum_k O_k g_{ki}.
 
     Only holds on the automorphism group, so g is rejected unless
-    automorphism_residual(g) < 1e-8.
+    automorphism_residual(g) < 1e-8.  ``g`` may also be a (T, 7, 7) stack,
+    giving one residual per matrix; the stack is rejected if any is not.
     """
     g = np.asarray(g, dtype=np.float64)
-    res = automorphism_residual(g)
+    res = np.max(automorphism_residual(g))
     if res >= 1e-8:
-        raise ValueError(
-            f"conjugation identity requires an automorphism; residual {res:.3e}"
-        )
+        raise ValueError(f"conjugation identity requires an automorphism; residual {res:.3e}")
     o = unit_matrices()
-    lhs = np.einsum("ab,ibc,dc->iad", g, o, g)  # g O_i g^T
-    rhs = np.einsum("kad,ki->iad", o, g)
-    return max_abs(lhs - rhs)
+    lhs = g[..., None, :, :] @ o @ np.swapaxes(g, -1, -2)[..., None, :, :]  # g O_i g^T
+    rhs = (np.swapaxes(g, -1, -2) @ o.reshape(7, 49)).reshape(lhs.shape)  # sum_k O_k g_ki
+    res = np.abs(lhs - rhs).max(axis=(-3, -2, -1))
+    return float(res) if g.ndim == 2 else res

@@ -5,13 +5,7 @@ with the corresponding matrix products (``a.b -> M_a M_b``, ``a.~b ->
 M_a M_b^-1``), and abstract coefficient symbols with independent random
 group elements.  A monomial passes the closure check when its wiring earns a
 legal observable signature and its numeric value is invariant, to a pinned
-relative tolerance, under simultaneous conjugation of every loop and
-coefficient matrix by random group elements.
-
-The environment and all gauges are drawn at once and the environment is
-conjugated by each ``observables.gauge_stacks`` chunk; each monomial is
-contracted once over the chunk (row 0 is its base value).  As in
-``invariance_test``, a negative control must move past ``_CONTROL_FLOOR``.
+relative tolerance, under ``observables.gauge_drift``.
 """
 
 from __future__ import annotations
@@ -23,8 +17,8 @@ import numpy as np
 
 from ..bases import Family
 from ..goldman import sample_substreams
-from ..observables import (ObservableSpec, conjugate, contract, control_movement, gauge_stacks,
-                           index_layout, moved_by, require_valid)
+from ..observables import (ObservableSpec, contract, gauge_drift, index_layout,
+                           require_valid)
 from ..reports import CheckRun, VerificationReport
 from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, symbols
 from .signature import recognize
@@ -74,18 +68,17 @@ class ClosureResult:
 
 
 _CLOSURE_TOL = 1e-7  # relative change of a monomial under conjugation
-_CONTROL_FLOOR = 1e-3  # the negative control must move at least this much
 
 
 def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> ClosureResult:
-    """Signature validity plus per-monomial numeric gauge invariance.
+    """Signature validity plus per-monomial gauge invariance (``gauge_drift``).
 
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
     rule) are quarantined: listed in the failures with a note, neither
     checked nor failing the check.  An expression that would pass vacuously,
     with no monomial outside that quarantine but constants (0 included), is
-    refused, and so are more gauges than ``check_draws`` allows.  ``params["negative_control"]`` is the largest
-    movement of a single tr(M O_i) of the first matrix M over the gauges.
+    refused, and so are more gauges than ``check_draws`` allows.  The
+    negative control is reported in the params.
     """
     if gauge_trials < 1:
         raise ValueError("gauge_trials must be >= 1")
@@ -100,16 +93,14 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
                     for m, sig in pairs if m.extended or not sig.valid]
         checked = [m for m, sig in pairs if sig.valid and not m.extended]
         unrecognized = any(not (m.extended or sig.valid) for m, sig in pairs)
-        worst = control = 0.0
         names, mats, gauges = _draw(expr, seed, gauge_trials)
-        for stack in gauge_stacks(gauges):
-            moved = dict(zip(names, conjugate(stack, mats)))
-            control = max(control, control_movement(moved[names[0]]))
-            for m in checked:
-                values = evaluate_monomial(m, moved) * np.ones(len(stack))
-                worst = max(worst, moved_by(values) / max(1.0, abs(float(values[0]))))
-        run.record(passed=worst < _CLOSURE_TOL and control > _CONTROL_FLOOR and not unrecognized,
-                   max_abs_err=worst, max_rel_err=worst,
+
+        def values(moved):
+            env = dict(zip(names, moved))
+            return [evaluate_monomial(m, env) for m in checked]
+
+        passed, drift, worst, control = gauge_drift(mats, gauges, values, _CLOSURE_TOL)
+        run.record(passed=passed and not unrecognized, max_abs_err=drift, max_rel_err=worst,
                    params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials,
                            "negative_control": control})
     return ClosureResult(run.report, signatures, failures)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from goldmankit import goldman
 from goldmankit import observables as obs
 from goldmankit.cli import build_parser, run
 from goldmankit.goldman import sample_element
@@ -431,10 +432,11 @@ REFUSALS = [
      "parse error at offset 5 near 'tr(a;)': expected at least one 'O <index>'"),
     ("reserved loop name", ["bracket", "--lhs", "tr(sum)", "--rhs", "tr(b)"], None,
      "parse error at offset 3 near 'tr(sum)': 'sum' is reserved"),
-    ("octonion over the sampling budget", ["verify", "octonion", "--trials", "700000"], None,
-     "700000 draws of g2(1) need 262 MiB, over the 256 MiB sampling budget"),
+    ("octonion over the work budget", ["verify", "octonion", "--trials", "600000"], None,
+     "--trials 600000 needs 1.44e+09 trials x side^4 over the requested cells, "
+     "over the budget of 1e+09"),
     ("verify all over the work budget", ["verify", "all", "--trials", "700000"], None,
-     "--trials 700000 needs 4.42e+09 trials x side^4 over the requested cells, "
+     "--trials 700000 needs 6.1e+09 trials x side^4 over the requested cells, "
      "over the budget of 1e+09"),
     ("invariance over the sampling budget", ["exotic", "invariance", "--spec", "{dir}/spec.json",
                                              "--trials", "700000"], json.dumps(FIRST_SPEC),
@@ -475,6 +477,18 @@ def test_oversize_draws_are_refused_before_any_key(argv, tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert capsys.readouterr().out == "" and peak < 1 << 20
+
+
+def test_verify_octonion_is_priced_before_any_draw(monkeypatch, capsys):
+    # 600 000 trials fit the sampling budget, but 600 000 x 7^4 is over the work budget
+    def draw(*args):
+        raise AssertionError("verify octonion drew before its work was priced")
+
+    monkeypatch.setattr(goldman, "sample_substreams", draw)
+    assert run(["verify", "octonion", "--trials", "600000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --trials 600000 needs 1.44e+09 trials x side^4")
 
 
 def test_quiet_hides_a_passing_invariance_report(tmp_path, capsys):

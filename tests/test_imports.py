@@ -6,6 +6,7 @@ load scipy."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,14 @@ def test_one_module_builds_seed_substreams():
         builders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                     if mark in path.read_text()]
         assert builders == ["goldman.py"], mark
+
+
+def test_one_module_owns_the_gauge_loop():
+    # observables.gauge_drift is the one gauge-invariance loop: its chunk and control floor
+    for name in ("_CONTROL_FLOOR", "_GAUGE_CHUNK"):
+        owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                  if re.search(rf"^{name} =", path.read_text(), re.M)]
+        assert owners == ["observables.py"], name
 
 
 def test_no_einsum_path_or_dummy_operands():

@@ -283,7 +283,7 @@ def test_contract_refuses_more_multiply_adds_than_the_budget_before_any_einsum(m
 
 def test_plan_cache_hits_on_a_renamed_copy():
     inst = obs.random_instance(THIRD, seed=3)
-    traces, coeffs = obs._factors(inst)
+    traces, coeffs = obs._factors(inst.spec, inst.monodromies + inst.alphas + inst.betas)
     rename = {0: 9, 1: 4, 2: 7, 3: 1}  # out of the ids' numeric order
     renamed = [(mat, tuple(rename[i] for i in word)) for mat, word in traces]
     renamed_coeffs = [(mat, rename[row], rename[col]) for mat, row, col in coeffs]

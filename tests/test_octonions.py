@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from goldmankit.bases import Family, build_basis
+from goldmankit.goldman import sample_substreams
 from goldmankit.linalg import mat_exp, max_abs
 from goldmankit.octonions import (
     EPS_TRIPLES,
@@ -125,6 +126,26 @@ def test_conjugation_rejects_non_automorphism():
     g = mat_exp(0.5 * (x - x.T) / np.linalg.norm(x - x.T))
     with pytest.raises(ValueError, match="automorphism"):
         conjugation_residual(g)
+
+
+def test_stacked_conjugation_residual_equals_per_matrix_values():
+    # reference: the identity's two sides for one matrix at a time, as plain einsums
+    o = unit_matrices()
+    gs, _, _ = sample_substreams(Family.G2, 1, 5, [((), 40)])
+    single = [max_abs(np.einsum("ab,ibc,dc->iad", g, o, g) - np.einsum("kad,ki->iad", o, g))
+              for g in gs]
+    stacked = conjugation_residual(gs)
+    assert stacked.shape == (40,)
+    assert max_abs(stacked - single) <= 1e-15
+    assert max_abs(np.array([conjugation_residual(g) for g in gs]) - single) <= 1e-15
+
+
+def test_conjugation_rejects_a_stack_holding_a_non_automorphism():
+    gs, _, _ = sample_substreams(Family.G2, 1, 5, [((), 4)])
+    x = np.random.default_rng(3).standard_normal((7, 7))
+    rotation = mat_exp(0.5 * (x - x.T) / np.linalg.norm(x - x.T))
+    with pytest.raises(ValueError, match="automorphism"):
+        conjugation_residual(np.concatenate([gs[:2], rotation[None], gs[2:]]))
 
 
 def test_conjugation_monte_carlo():

@@ -688,8 +688,7 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
 
     # the environment is conjugated by one stack: the identity, then the gauges
     stacks = []
-    conjugate = closure.conjugate
-    monkeypatch.setattr(closure, "conjugate",
+    monkeypatch.setattr(observables, "conjugate",
                         lambda g, mats: stacks.append(g) or conjugate(g, mats))
     sym.closure_check(e, seed=9, gauge_trials=3)
     assert len(stacks) == 1 and np.array_equal(stacks[0][0], np.eye(7))
@@ -711,6 +710,18 @@ def _stacked_env(expr, seed, gauges=5):
     drawn, _, _ = sample_substreams(Family.G2, 1, seed, [((12,), gauges)])
     stack = np.concatenate([np.eye(7)[None], drawn])
     return env, dict(zip(env, conjugate(stack, np.stack(list(env.values())))))
+
+
+def test_closure_check_reports_the_absolute_change_as_max_abs_err():
+    # the monomial's value is about 28, so its absolute and relative changes differ
+    expr = sym.parse_expr("sum i j: 4 * tr(a; O i O j) * tr(b.~c; O j O i)")
+    _, stacked = _stacked_env(expr, 0, gauges=3)
+    values = sym.evaluate_monomial(expr.monomials[0], stacked)
+    assert abs(values[0]) > 1
+    change = np.max(np.abs(values[1:] - values[0]))
+    report = sym.closure_check(expr, seed=0, gauge_trials=3).report
+    assert report.max_abs_err == change > report.max_rel_err
+    assert report.max_rel_err == change / abs(values[0])
 
 
 def _row(env, rows):

@@ -36,12 +36,18 @@ PINS = [
     ("`invariance_test` negative control", "abs", observables, "_CONTROL_FLOOR", 1e-3,
      observables.invariance_test, "control_floor"),
     ("`closure_check`", "rel", closure, "_CLOSURE_TOL", 1e-7, closure.closure_check, "rel_tol"),
-    ("`closure_check` negative control", "abs", closure, "_CONTROL_FLOOR", 1e-3,
+    ("`closure_check` negative control", "abs", observables, "_CONTROL_FLOOR", 1e-3,
      closure.closure_check, "control_floor"),
 ]
 
 
-@pytest.mark.parametrize("pin", PINS, ids=[f"{p[2].__name__}.{p[3]}" for p in PINS])
+# module.constant, and the check's name after a constant that two checks share
+IDS = [f"{p[2].__name__}.{p[3]}" for p in PINS]
+IDS = [name if IDS.index(name) == k else f"{name}-{PINS[k][5].__name__}"
+       for k, name in enumerate(IDS)]
+
+
+@pytest.mark.parametrize("pin", PINS, ids=IDS)
 def test_pinned_tolerances(pin):
     _, _, module, constant, value, func, keyword = pin
     assert getattr(module, constant) == value
