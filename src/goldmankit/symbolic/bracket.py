@@ -28,6 +28,20 @@ positive intersection of the left loop before the right one:
   through the resolved loop, paying one abstract coefficient per letter, and
   marks the output monomials ``extended`` so reports can quarantine them.
 
+Which template an ordered pair takes depends on its atoms' words: plain (no
+letter), one letter, or longer.  Where the template wants the operands the
+other way round, they are swapped and its terms negated (``-``)::
+
+    left \\ right   plain               one letter          longer
+    plain          plain x plain       plain x decorated   plain x decorated
+    one letter     -plain x decorated  decorated pair      -decorated pair
+    longer         -plain x decorated  decorated pair      extended
+
+Open question (ROADMAP.md item 12): plain x plain is never swapped, yet it has
+no orientation either.  ``{tr b, tr a}`` gives tr(b.a) and tr(b.~a), which
+evaluate to the same numbers as tr(a.b) and tr(a.~b), so that template is
+symmetric in value while every other one is antisymmetric.
+
 ``bracket(x, x)`` on structurally identical expressions returns 0 (a Poisson
 bracket is antisymmetric); distinct expressions must not share base loops,
 since base symbols are assumed pairwise transversally intersecting once.
@@ -46,7 +60,7 @@ from .core import (
     ZERO,
     expressions_equal,
     normalize,
-    rename_indices,
+    shift_ids,
     symbols,
 )
 
@@ -84,27 +98,23 @@ class _Fresh:
 
 
 def _pair_terms(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
-    """Rule output for one atom pair: list of (coeff, atoms, coeff_atoms, extended)."""
+    """(sign, rule terms) of one atom pair; a swapped template's sign is -1."""
     if not p.word and not q.word:
         x = fresh.index()
-        return [
-            (HALF, (TraceAtom(Composite(p.loop, q.loop, False)),), (), False),
-            (-HALF, (TraceAtom(Composite(p.loop, q.loop, True)),), (), False),
-            (SIXTH, (TraceAtom(p.loop, (x,)), TraceAtom(q.loop, (x,))), (), False),
+        return 1, [
+            Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, False)),)),
+            Monomial(-HALF, (TraceAtom(Composite(p.loop, q.loop, True)),)),
+            Monomial(SIXTH, (TraceAtom(p.loop, (x,)), TraceAtom(q.loop, (x,)))),
         ]
     if not p.word:
-        return _plain_decorated(p, q, fresh)
+        return 1, _plain_decorated(p, q, fresh)
     if not q.word:
-        return _negate(_plain_decorated(q, p, fresh))
+        return -1, _plain_decorated(q, p, fresh)
     if len(q.word) == 1:
-        return _decorated_pair(p, q, fresh)
+        return 1, _decorated_pair(p, q, fresh)
     if len(p.word) == 1:
-        return _negate(_decorated_pair(q, p, fresh))
-    return _extended_pair(p, q, fresh)
-
-
-def _negate(terms):
-    return [(-c, atoms, coeffs, ext) for c, atoms, coeffs, ext in terms]
+        return -1, _decorated_pair(q, p, fresh)
+    return 1, _extended_pair(p, q, fresh)
 
 
 def _plain_decorated(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
@@ -112,14 +122,10 @@ def _plain_decorated(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
     y = fresh.index()
     h = fresh.symbol("alpha")
     return [
-        (HALF, (TraceAtom(Composite(p.loop, q.loop, False), q.word),), (), False),
-        (HALF, (TraceAtom(Composite(p.loop, q.loop, True), q.word),), (), False),
-        (
-            SIXTH,
-            (TraceAtom(p.loop, (x,)), TraceAtom(q.loop, q.word + (y,))),
-            (CoeffAtom(h, y, x),),
-            False,
-        ),
+        Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, False), q.word),)),
+        Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, True), q.word),)),
+        Monomial(SIXTH, (TraceAtom(p.loop, (x,)), TraceAtom(q.loop, q.word + (y,))),
+                 (CoeffAtom(h, y, x),)),
     ]
 
 
@@ -132,58 +138,31 @@ def _decorated_pair(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
     l = fresh.index()
     m = fresh.index()
     return [
-        (
-            HALF,
-            (TraceAtom(Composite(p.loop, q.loop, False), p.word + (x,)),),
-            (CoeffAtom(alpha, x, j),),
-            False,
-        ),
-        (
-            HALF,
-            (TraceAtom(Composite(p.loop, q.loop, True), p.word + (x,)),),
-            (CoeffAtom(beta, x, j),),
-            False,
-        ),
-        (
-            SIXTH,
-            (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
-            (CoeffAtom(gamma, m, l),),
-            False,
-        ),
+        Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, False), p.word + (x,)),),
+                 (CoeffAtom(alpha, x, j),)),
+        Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, True), p.word + (x,)),),
+                 (CoeffAtom(beta, x, j),)),
+        Monomial(SIXTH, (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
+                 (CoeffAtom(gamma, m, l),)),
     ]
 
 
 def _extended_pair(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
     """Both words of length >= 2: transport every letter, one coefficient each."""
     terms = []
-    for invert, sym_family in ((False, "kappa"), (True, "lam")):
-        word = []
-        coeffs = []
-        sym_p = fresh.symbol(sym_family)
-        sym_q = fresh.symbol(sym_family)
-        for old in p.word:
-            new = fresh.index()
-            word.append(new)
-            coeffs.append(CoeffAtom(sym_p, new, old))
-        for old in q.word:
-            new = fresh.index()
-            word.append(new)
-            coeffs.append(CoeffAtom(sym_q, new, old))
-        terms.append((
-            HALF,
-            (TraceAtom(Composite(p.loop, q.loop, invert), tuple(word)),),
-            tuple(coeffs),
-            True,
-        ))
+    for invert, family in ((False, "kappa"), (True, "lam")):
+        syms = fresh.symbol(family), fresh.symbol(family)  # one for p's letters, one for q's
+        letters = [(fresh.index(), old, sym)
+                   for sym, word in zip(syms, (p.word, q.word)) for old in word]
+        word = tuple(new for new, _, _ in letters)
+        terms.append(Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, invert), word),),
+                              tuple(CoeffAtom(sym, new, old) for new, old, sym in letters), True))
     l = fresh.index()
     m = fresh.index()
     gamma = fresh.symbol("gamma")
-    terms.append((
-        SIXTH,
-        (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
-        (CoeffAtom(gamma, m, l),),
-        False,
-    ))
+    terms.append(Monomial(
+        SIXTH, (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
+        (CoeffAtom(gamma, m, l),)))
     return terms
 
 
@@ -209,28 +188,20 @@ def bracket(lhs: Expression, rhs: Expression) -> Expression:
     used_syms = set(syms_l + syms_r)
     out = []
     for ml in lhs.monomials:
-        for mr_orig in rhs.monomials:
-            used = set(ml.indices())
-            mr = _disjoint(mr_orig, used)
+        for mr in rhs.monomials:
+            used = ml.indices()
+            if used & mr.indices():
+                mr = shift_ids(mr, max(used) + 1)
             used |= mr.indices()
+            coeff = ml.coeff * mr.coeff
             for ip, p in enumerate(ml.traces):
                 for iq, q in enumerate(mr.traces):
-                    fresh = _Fresh(used, used_syms)
-                    spect_l = ml.traces[:ip] + ml.traces[ip + 1:]
-                    spect_r = mr.traces[:iq] + mr.traces[iq + 1:]
-                    for coeff, atoms, coeff_atoms, ext in _pair_terms(p, q, fresh):
-                        out.append(Monomial(
-                            ml.coeff * mr.coeff * coeff,
-                            spect_l + spect_r + atoms,
-                            ml.coeffs + mr.coeffs + coeff_atoms,
-                            ml.extended or mr.extended or ext,
-                        ))
+                    sign, terms = _pair_terms(p, q, _Fresh(used, used_syms))
+                    spectators = Monomial(
+                        sign * coeff,
+                        ml.traces[:ip] + ml.traces[ip + 1:] + mr.traces[:iq] + mr.traces[iq + 1:],
+                        ml.coeffs + mr.coeffs,
+                        ml.extended or mr.extended,
+                    )
+                    out += (Expression((spectators,)) * Expression(tuple(terms))).monomials
     return normalize(Expression(tuple(out)))
-
-
-def _disjoint(m: Monomial, used: set) -> Monomial:
-    ids = m.indices()
-    if not (ids & used):
-        return m
-    top = max(used | ids) + 1
-    return rename_indices(m, {i: top + k for k, i in enumerate(sorted(ids))})

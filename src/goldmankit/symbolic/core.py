@@ -144,9 +144,8 @@ class Expression:
 
 def disjoint_product(a: Expression, b: Expression) -> Expression:
     """Product of independently built expressions; b's ids are shifted clear."""
-    top = max((_max_id(m) for m in a.monomials), default=-1)
-    shifted = Expression(tuple(_shift_ids(m, top + 1) for m in b.monomials))
-    return a * shifted
+    top = max((i for m in a.monomials for i in m.indices()), default=-1)
+    return a * Expression(tuple(shift_ids(m, top + 1) for m in b.monomials))
 
 
 ZERO = Expression(())
@@ -154,11 +153,6 @@ ZERO = Expression(())
 
 def atom_expr(atom: TraceAtom, coeff=Fraction(1)) -> Expression:
     return Expression((Monomial(Fraction(coeff), (atom,)),))
-
-
-def _max_id(m: Monomial) -> int:
-    ids = m.indices()
-    return max(ids) if ids else -1
 
 
 def rename_indices(m: Monomial, table: dict) -> Monomial:
@@ -170,11 +164,9 @@ def rename_indices(m: Monomial, table: dict) -> Monomial:
     return Monomial(m.coeff, traces, coeffs, m.extended)
 
 
-def _shift_ids(m: Monomial, offset: int) -> Monomial:
-    ids = m.indices()
-    if not ids:
-        return m
-    return rename_indices(m, {i: i + offset for i in ids})
+def shift_ids(m: Monomial, offset: int) -> Monomial:
+    """The monomial with every index id i replaced by i + offset."""
+    return rename_indices(m, {i: i + offset for i in m.indices()})
 
 
 def wiring(m: Monomial):

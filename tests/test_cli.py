@@ -465,18 +465,24 @@ def test_every_refusal_is_one_error_line(name, argv, text, reason, tmp_path, cap
 
 @pytest.mark.parametrize("argv", [["verify", "octonion"],
                                   ["exotic", "invariance", "--spec", "{dir}/spec.json"]])
-def test_oversize_draws_are_refused_before_any_key(argv, tmp_path, capsys):
-    # 700 000 g2 draws would fill 262 MiB, and building their keys about 60 MiB
+def test_oversize_draws_are_refused_before_any_key(argv, tmp_path, capsys, monkeypatch):
+    # 700 000 g2 draws would fill 262 MiB, and building their keys about 60 MiB; the
+    # work budget is raised to their price so that the draw refusal is what stops them
+    monkeypatch.setattr("goldmankit.cli._VERIFY_WORK", 700_000 * 7 ** 4)
     (tmp_path / "spec.json").write_text(json.dumps(FIRST_SPEC))
     argv = [a.format(dir=tmp_path) for a in argv] + ["--trials", "700000"]
     assert run(argv[:-1] + ["0"]) == 2  # builds the parser outside the trace
+    capsys.readouterr()
     tracemalloc.start()
     try:
         assert run(argv) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().out == "" and peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == "" and peak < 1 << 20
+    assert captured.err == ("error: 700000 draws of g2(1) need 262 MiB, "
+                            "over the 256 MiB sampling budget\n")
 
 
 def test_verify_octonion_is_priced_before_any_draw(monkeypatch, capsys):

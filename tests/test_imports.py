@@ -1,7 +1,7 @@
 """Module boundaries: no goldmankit module imports another module's private names,
-one module builds the seed substreams, none plans with numpy's einsum_path,
-every function the benchmark traces by name exists, and the package does not
-load scipy."""
+one module builds the seed substreams, one owns the gauge loop, one renumbers
+index ids, none plans with numpy's einsum_path, every function the benchmark
+traces by name exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -44,6 +44,14 @@ def test_one_module_owns_the_gauge_loop():
         owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                   if re.search(rf"^{name} =", path.read_text(), re.M)]
         assert owners == ["observables.py"], name
+
+
+def test_one_module_renumbers_index_ids():
+    # symbolic.core.shift_ids is the one id shift, for disjoint_product and bracket alike
+    for mark in (r"\brename_indices\(", r"^def shift_ids\("):
+        owners = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+                  if re.search(mark, path.read_text(), re.M)]
+        assert owners == ["symbolic/core.py"], mark
 
 
 def test_no_einsum_path_or_dummy_operands():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import _prefixed, _specs
 
 from goldmankit import observables as obs
 from goldmankit.goldman import sample_element
@@ -439,12 +440,23 @@ def _criterion9_closures():
     from goldmankit import symbolic as sym
 
     canon = sym.parse_expr("tr(z)")
-    specs = [spec for n1 in range(4) for n2 in range(2) if 0 < n1 + 2 * n2 <= 3
-             for r in range(n1 + 1) for s in range(n2 + 1) for t in range(1, n1 + 2 * n2 + 1)
-             for spec in obs.enumerate_specs(r, n1, s, n2, t)]
-    for k, spec in enumerate(specs):
+    for k, spec in enumerate(_specs(3)):
         sym.closure_check(sym.bracket(canon, sym.build_f_expression(spec)),
                           seed=5_000 + k, gauge_trials=2)
+
+
+def _f_by_f_evaluations():
+    """Evaluate every monomial, recognized or not, of F x G on disjoint names for every
+    third of the 23 specs with n1 + 2 n2 <= 2: 64 of the F x F sweep's 529 brackets."""
+    from goldmankit import symbolic as sym
+
+    fs = [sym.build_f_expression(spec) for spec in _specs(2)[::3]]
+    for f in fs:
+        for g in fs:
+            expr = sym.bracket(f, _prefixed(g, "R"))
+            env = sym.instantiate(expr)
+            for m in expr.monomials:
+                sym.evaluate_monomial(m, env)
 
 
 # the acceptance universe of exotic specs, then the benchmark's longer words
@@ -461,6 +473,9 @@ def test_plans_are_no_worse_than_numpy_greedy_path(monkeypatch):
     keys += _plan_keys(monkeypatch, lambda: [
         obs.evaluate(obs.random_instance(spec)) for tup in SPEC_TUPLES
         for spec in obs.enumerate_specs(*tup)])
+    f_by_f = _plan_keys(monkeypatch, _f_by_f_evaluations)
+    assert len(f_by_f) == 567
+    keys += f_by_f
     keys += [(((0,),) * 6, ()), (((0, 1), (0, 2), (0,)), ((1, 2),))]  # ids held three times
     for key in keys:
         steps, cost = obs._plan(*key)
