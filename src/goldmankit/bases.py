@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -115,6 +115,21 @@ def check_size(family: Family, n: int) -> int:
     return n
 
 
+_BASIS_CACHE_SIZE = 64  # entries kept per memoized constant; `verify all --seed 42` builds 14 bases
+
+
+def memoize_per_size(build):
+    """``build`` memoized as ``build_basis`` is: one read-only array per argument tuple, at
+    most ``_BASIS_CACHE_SIZE`` kept.  Callers validate the arguments (``check_size``) first."""
+    @lru_cache(maxsize=_BASIS_CACHE_SIZE)
+    @wraps(build)
+    def cached(*key):
+        out = build(*key)
+        out.setflags(write=False)
+        return out
+    return cached
+
+
 def gell_mann(n: int):
     """Generalized Gell-Mann matrices in n dimensions, in a fixed order.
 
@@ -175,7 +190,15 @@ def _u_basis(n: int):
 
 
 def symplectic_form(n: int) -> np.ndarray:
-    """J = sum_k (e_{k,n+k} - e_{n+k,k}); the form every sp(2n,R) generator kills."""
+    """J = sum_k (e_{k,n+k} - e_{n+k,k}); the form every sp(2n,R) generator kills.
+
+    Built once per n that ``check_size`` takes for sp, read-only.
+    """
+    return _symplectic_form(check_size(Family.SP, n))
+
+
+@memoize_per_size
+def _symplectic_form(n: int) -> np.ndarray:
     j = np.zeros((2 * n, 2 * n))
     for k in range(1, n + 1):
         j += unit_matrix(k, n + k, 2 * n) - unit_matrix(n + k, k, 2 * n)
@@ -269,7 +292,19 @@ def build_basis(family, n: int = 1) -> LieBasis:
     return _build_basis(family, check_size(family, n))
 
 
-_BASIS_CACHE_SIZE = 64  # bases kept; `verify all --seed 42` builds 14
+def is_memoized(basis: LieBasis) -> bool:
+    """True if ``basis`` is the one ``build_basis`` returns for its (family, n)."""
+    try:
+        return basis is _build_basis(as_family(basis.family), check_size(basis.family, basis.n))
+    except ValueError:  # a hand-built basis of a size build_basis refuses
+        return False
+
+
+def generator_stack(basis: LieBasis) -> np.ndarray:
+    """The (dim, d, d) stack of the generators: built once and read-only for a basis from
+    ``build_basis``, stacked afresh for any other."""
+    return (_generator_stack(basis.family, basis.n) if is_memoized(basis)
+            else np.stack(basis.generators))
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -301,9 +336,14 @@ def _build_basis(family: Family, n: int) -> LieBasis:
     return basis
 
 
+@memoize_per_size
+def _generator_stack(family: Family, n: int) -> np.ndarray:
+    return np.stack(_build_basis(family, n).generators)
+
+
 def normalization_residual(basis: LieBasis) -> float:
     """max_{a,b} |(1/2) tr(t_a t_b) - f(a) delta_ab|."""
-    gens = np.stack(basis.generators)
+    gens = generator_stack(basis)
     flat = gens.reshape(len(basis), -1)
     gram = 0.5 * (flat @ np.swapaxes(gens, 1, 2).reshape(len(basis), -1).T)
     target = np.diag(np.asarray(basis.signs, dtype=float))

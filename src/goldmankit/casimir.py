@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
-    Family, LieBasis, as_family, build_basis, check_size, gell_mann, matrix_side,
-    normalization_residual,
+    Family, LieBasis, as_family, build_basis, check_size, gell_mann, generator_stack, is_memoized,
+    matrix_side, memoize_per_size, normalization_residual,
 )
 from .linalg import kron, max_abs, permutation_matrix, real_part, unit_matrix
 from .octonions import unit_matrices
@@ -54,18 +54,28 @@ def casimir_tensor(basis: LieBasis) -> CasimirTensor:
     """Gamma = sum_a f(a) kron(t_a, t_a); real even for complex generators.
 
     One contraction over the stacked generators, in kron's block layout
-    Gamma4[i,k,j,l] = sum_a f(a) t_a[i,j] t_a[k,l].
+    Gamma4[i,k,j,l] = sum_a f(a) t_a[i,j] t_a[k,l].  Built once per (family,
+    n) for the basis ``build_basis`` returns, read-only; any other basis is
+    checked for normalization and contracted afresh.
     """
+    gamma = _memo_gamma(basis.family, basis.n) if is_memoized(basis) else _gamma(basis)
+    return CasimirTensor(basis.family, basis.side ** 2, gamma)
+
+
+def _gamma(basis: LieBasis) -> np.ndarray:
     residual = normalization_residual(basis)
     if residual >= _NORMALIZATION_TOL:
         raise NormalizationError(basis, residual)
     d = basis.side
-    flat = np.stack(basis.generators).reshape(len(basis), d * d)
+    flat = generator_stack(basis).reshape(len(basis), d * d)
     signs = np.asarray(basis.signs, dtype=float)
     gamma4 = ((flat.T * signs) @ flat).reshape(d, d, d, d)
-    gamma = gamma4.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    gamma = real_part(gamma)
-    return CasimirTensor(basis.family, basis.side ** 2, gamma)
+    return real_part(gamma4.transpose(0, 2, 1, 3).reshape(d * d, d * d))
+
+
+@memoize_per_size
+def _memo_gamma(family: Family, n: int) -> np.ndarray:
+    return _gamma(build_basis(family, n))
 
 
 def defect_matrix(family, n: int) -> np.ndarray:
@@ -74,12 +84,18 @@ def defect_matrix(family, n: int) -> np.ndarray:
     SO: chi = -sum_{ij} e_ij (x) e_ij.  SP: the four signed terms below over
     all 1 <= i, j <= n (the i < j terms, their i <-> j mirrors and the k
     terms).  A term e_ij (x) e_kl is the entry ((i-1)m+k, (j-1)m+l) of the
-    block layout (m the matrix side), added in place.
+    block layout (m the matrix side), added in place.  Built once per (family,
+    n), read-only.
     """
     family = as_family(family)
     if family not in (Family.SP, Family.SO):
         raise ValueError(f"defect matrix is defined for sp/so only, got {family.value}")
-    m = matrix_side(family, check_size(family, n))
+    return _defect_matrix(family, check_size(family, n))
+
+
+@memoize_per_size
+def _defect_matrix(family: Family, n: int) -> np.ndarray:
+    m = matrix_side(family, n)
     chi = np.zeros((m * m, m * m))
 
     def add(sign, i, j, k, l):  # sign * e_ij (x) e_kl, 1-based
@@ -98,20 +114,25 @@ def defect_matrix(family, n: int) -> np.ndarray:
 
 
 def closed_form(family, n: int) -> np.ndarray:
-    """The family's closed-form Casimir tensor."""
+    """The family's closed-form Casimir tensor, built once per (family, n), read-only."""
     family = as_family(family)
-    side = matrix_side(family, check_size(family, n))
+    return _closed_form(family, check_size(family, n))
+
+
+@memoize_per_size
+def _closed_form(family: Family, n: int) -> np.ndarray:
+    side = matrix_side(family, n)
     p = permutation_matrix(side)
     if family in (Family.GL, Family.U):
         return 2.0 * p
     if family in (Family.SL, Family.SU):
         return 2.0 * p - (2.0 / n) * np.eye(side * side)
     if family in (Family.SP, Family.SO):
-        return p + defect_matrix(family, n)
+        return p + _defect_matrix(family, n)
     # g2: P - sum e_ij (x) e_ij + (1/3) sum O_i (x) O_i, the middle sum being so(7)'s chi
     o = unit_matrices()
     oct_term = sum(kron(o[i], o[i]) for i in range(7))
-    return p + defect_matrix(Family.SO, 7) + oct_term / 3.0
+    return p + _defect_matrix(Family.SO, 7) + oct_term / 3.0
 
 
 def verify_closed_form(family, n: int = 1) -> VerificationReport:

@@ -30,11 +30,12 @@ Gamma in O(d^4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .bases import (Family, LieBasis, as_family, build_basis, check_size, matrix_side,
-                    symplectic_form)
+from .bases import (Family, LieBasis, as_family, build_basis, check_size, generator_stack,
+                    matrix_side, symplectic_form)
 from .casimir import casimir_tensor, defect_matrix
 from .linalg import NumericError, mat_exp, trace12_pairs
 from .octonions import automorphism_residual, unit_matrices
@@ -194,21 +195,21 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
     """
     if not 0.0 < scale <= 2.0:
         raise ValueError(f"scale must lie in (0, 2], got {scale}")
-    gens, count = np.stack(basis.generators), len(basis)
-    starts = np.cumsum([0] + [rows for _, _, rows in streams])
+    gens, count = generator_stack(basis), len(basis)
+    starts = list(accumulate((rows for _, _, rows in streams), initial=0))
     mats = np.empty((starts[-1], basis.side, basis.side), dtype=gens.dtype)
     res = np.empty(len(mats))
     step = max(1, _DRAW_CHUNK_ENTRIES // basis.side ** 2)
-    pending, todo, draws = np.arange(len(mats)), streams, 0
+    pending, todo, draws = range(len(mats)), streams, 0
     for attempt in range(1, _RESAMPLE_LIMIT + 1):
-        bounds = np.cumsum([0] + [rows for _, _, rows in todo])
+        bounds = list(accumulate((rows for _, _, rows in todo), initial=0))
         rngs = [_stream(seed, stream, first, count) for stream, first, _ in todo]
         for lo in range(0, len(pending), step):
             hi = min(lo + step, len(pending))
-            coeffs = np.concatenate([rng.uniform(-scale, scale, (min(hi, b) - max(lo, a), count))
-                                     for rng, a, b in zip(rngs, bounds, bounds[1:])
-                                     if a < hi and b > lo])
-            rows = pending[lo:hi]
+            parts = [rng.uniform(-scale, scale, (min(hi, b) - max(lo, a), count))
+                     for rng, a, b in zip(rngs, bounds, bounds[1:]) if a < hi and b > lo]
+            coeffs = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            rows = slice(lo, hi) if attempt == 1 else pending[lo:hi]  # first draws are in order
             mats[rows] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
             res[rows] = membership_residual(basis.family, basis.n, mats[rows])
         draws += len(pending)

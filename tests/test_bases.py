@@ -139,10 +139,13 @@ def test_sizes_over_the_build_budget_are_refused_before_building(monkeypatch, ca
 
     monkeypatch.setattr(bases, "_build_basis", lambda *a: pytest.fail("built before refusing"))
     monkeypatch.setattr(casimir, "permutation_matrix", lambda *a: pytest.fail("built P first"))
+    monkeypatch.setattr(casimir, "_defect_matrix", lambda *a: pytest.fail("built chi first"))
     # gl(200): 40000^2 doubles for each of the generator stack and the Casimir tensor
     for build in (build_basis, casimir.closed_form):
         with pytest.raises(ValueError, match=r"gl\(200\) needs 12207 MiB .* the 256 MiB budget"):
             build(Family.GL, 200)
+    with pytest.raises(ValueError, match=r"so\(200\) needs 12207 MiB .* the 256 MiB budget"):
+        casimir.defect_matrix(Family.SO, 200)
     assert run(["verify", "casimir", "--group", "gl", "--n", "200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: gl(200) needs 12207 MiB")

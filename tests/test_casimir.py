@@ -1,5 +1,8 @@
 """Casimir tensors: closed forms, defect matrices, tensor lemmas."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,51 @@ def test_refuses_broken_normalization():
     )
     with pytest.raises(NormalizationError):
         casimir_tensor(broken)
+
+
+def test_memoized_constants_are_shared_and_read_only():
+    from goldmankit.bases import generator_stack, symplectic_form
+
+    basis = build_basis(Family.SP, 2)
+    for build in (lambda: casimir_tensor(build_basis("sp", 2)).tensor,
+                  lambda: defect_matrix("sp", 2), lambda: closed_form("sp", 2),
+                  lambda: symplectic_form(2), lambda: generator_stack(build_basis("sp", 2))):
+        array = build()
+        assert build() is array
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    assert generator_stack(basis).shape == (len(basis), 4, 4)
+    with pytest.raises(ValueError, match="sp requires n >= 1"):
+        symplectic_form(0)
+
+
+def test_a_hand_built_basis_is_not_served_the_memoized_tensor():
+    basis = build_basis(Family.SO, 4)
+    gamma = casimir_tensor(basis).tensor
+    broken = type(basis)(
+        basis.family, basis.n, basis.side,
+        (2.0 * basis.generators[0],) + basis.generators[1:], basis.signs,
+    )
+    with pytest.raises(NormalizationError):
+        casimir_tensor(broken)
+    copy = type(basis)(basis.family, basis.n, basis.side, basis.generators, basis.signs)
+    fresh = casimir_tensor(copy).tensor
+    assert fresh is not gamma and np.array_equal(fresh, gamma)
+
+
+def test_verify_all_builds_each_casimir_tensor_once(monkeypatch):
+    # the casimir, bracket and split suites share one tensor per (family, n)
+    from goldmankit import casimir
+    from goldmankit.cli import run
+
+    built = []
+    gamma = casimir._gamma
+    monkeypatch.setattr(casimir, "_gamma",
+                        lambda basis: built.append((basis.family, basis.n)) or gamma(basis))
+    casimir._memo_gamma.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["verify", "all", "--trials", "10"]) == 0
+    assert len(built) == len(set(built)) == 13
 
 
 # The seven commuting-pair expressions: the six off-diagonal unit-matrix

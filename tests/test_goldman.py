@@ -1,6 +1,7 @@
 """Bracket identities over sampled monodromies, defect lemmas, split harness."""
 
 import contextlib
+import hashlib
 import io
 
 import numpy as np
@@ -534,3 +535,58 @@ def test_check_draws_refuses_before_anything_is_built(monkeypatch):
         goldman.check_draws("su", 16, rows // 4)  # complex entries: 16 bytes
     with pytest.raises(ValueError, match="g2 has no size parameter"):
         goldman.check_draws("g2", 2, 1)
+
+
+# SHA-256 of the sample_substreams stacks at seed 5, one size of each family,
+# in the layouts the checks draw: verify_bracket (20 rows of streams (0,) and
+# (1,)), split_harness (one row of each of (0,)..(5,) at scale 0.7) and
+# closure_check ((10,), (11,), (12,)).  The goldens allow 1e-9 relative
+# drift; these pin every bit of the draw path (on one numpy and BLAS build).
+DRAW_LAYOUTS = (
+    ([((0,), 20), ((1,), 20)], 1.0),
+    ([((k,), 1) for k in range(6)], 0.7),
+    ([((10,), 2), ((11,), 1), ((12,), 3)], 1.0),
+)
+DRAW_SHA256 = {
+    "gl": ("f5be2b16c0c5949b9282b5df437d4e71d5a90646711f650000af3d1cded4e5f3",
+           "cf1d5bac3a5b255e12ee6c8c81b2b0d43ca7e0f2635341de4423b0e63636e6fe",
+           "904147ad2e084f95eec2ad0a976f4af8d980ab9138a2954ff343cbd29d582ddf"),
+    "u": ("c7890a4816fbc1dc24e63336efc42746a0bdc4b3802a9fb9db9a74a322d1056f",
+          "1c9941510faf50f98f336436f3823e2912020aae29c6c189e88132f536863f6e",
+          "860ac314df8c211c7632f7069c46fbfd4640b448ab9aaffb622339f4a085fc2b"),
+    "sl": ("4492227120452bfe8525acfffdcfea33afd9295105d0ba5fc305d714f7b8de8f",
+           "9b0e3dcf9796d9cf5c665998c077b2517b0d2f320d87c0a25664ab39a381a59d",
+           "2772ee8cab26922e1b25831da75ecc13de8c1db4af19cd61074eb0e91dbbd840"),
+    "su": ("56a00fae8a2563ca19ef157c136a96ac696473d92ecb79e3af4fa464bf10f760",
+           "f5be3f2c0fdb68a14ed6a7d140bd1ed51692af37249968c545eb7795ba8bdd6c",
+           "615adfb289667944cbc7c7ecda1275d15fd1e2f4395a06a88004d2da32f1faa5"),
+    "sp": ("1eef633872b143125e6e0d9367e64c98f4a9b76f154d808a3cad5afd8fad84a7",
+           "9bd9666ebca0d1805124cb59d2c822d0d4af6fb96fcfe52e818c01566f9e8415",
+           "cd986a991b507d7c73dc077baa428011837fe664130358d03663f11b8e869eb5"),
+    "so": ("8c05db6bdbcf97232206ef4779f5679a286e43d32a1f67115114388b390a1884",
+           "d51ee5757204b3feec90b5ae865ff8f6f0b56fd1362126b5c352e60be43410ed",
+           "99862fc994860323294405ab431d1ee10e0fe7998fa9b0c92bd6ec6c57365d9b"),
+    "g2": ("a799c4bc6ba99079c9dd2b5a26d94a7e12dc6e79cba3c8faf433758c2ccbb821",
+           "8cfd86d802804624e2a51f1ff74150d39abcb671cba07d1b2b6d32561e20fcff",
+           "3d7b1a50e49a569d1dc6e5862cd403271f32cfc2bf7e6d35911e2172eef72b99"),
+}
+G2_PAST_ONE_CHUNK_SHA256 = "ee319c8f6c80cc7507447a9da6f08c820ace9993ad8c76fe293b6b1462302e06"
+
+
+def _sha256(mats):
+    return hashlib.sha256(np.ascontiguousarray(mats).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("family,n", ALL_FAMILIES)
+def test_draw_bits_are_pinned(family, n):
+    got = tuple(_sha256(sample_substreams(family, n, 5, streams, scale)[0])
+                for streams, scale in DRAW_LAYOUTS)
+    assert got == DRAW_SHA256[family.value]
+
+
+def test_a_g2_draw_past_one_chunk_is_pinned():
+    from goldmankit import goldman
+
+    mats, _, _ = sample_substreams(Family.G2, 1, 5, [((), 400)])
+    assert mats.size > goldman._DRAW_CHUNK_ENTRIES
+    assert _sha256(mats) == G2_PAST_ONE_CHUNK_SHA256
