@@ -91,6 +91,7 @@ def matrix_side(family: Family, n: int) -> int:
 _BUILD_BYTES = 1 << 28  # check_size refuses generators or a Casimir tensor over 256 MiB
 
 
+@lru_cache(maxsize=256)  # it is pure, and a refusal raises, so it is never stored
 def check_size(family: Family, n: int) -> int:
     """``n`` as an int if the family takes that size; ValueError otherwise.
 

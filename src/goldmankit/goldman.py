@@ -15,13 +15,15 @@ Composite monodromies of the two intersection resolutions are realised
 algebraically as AB and AB^-1; only a single transversal intersection is
 modelled (reports carry an ``intersections`` field for a future summation
 hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
-[-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path,
-``sample_substreams``: ``check_draws`` refuses an oversize stack before
-anything is drawn, and ``_draw`` reads each stream's rows in order from one
-counter-based generator, ``Generator(Philox(SeedSequence(seed,
-spawn_key=stream)))`` (Salmon et al., SC 2011), then exponentiates and
-membership-tests them in small chunks.  Row t of stream s sits at a fixed
-counter offset, so it does not depend on the batch or the chunk, and
+[-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path:
+``check_draws`` refuses an oversize stack before anything is drawn, and
+``_draw`` reads each stream's rows bitwise as the counter-based generator
+``Generator(Philox(SeedSequence(seed, spawn_key=stream)))`` (Salmon et al.,
+SC 2011) yields them in order, then exponentiates and membership-tests them
+in small chunks.  A read re-keys the thread's one Philox to the stream's
+cached key at the row's counter (``_read``), so opening a stream hashes no
+seed and builds no generator.  Row t of stream s sits at a fixed counter
+offset, so it does not depend on the batch or the chunk, and
 ``sample_element`` replays it alone from ``SeedSequence(seed, spawn_key=(t,
 *s))``.  A check draws all its trials as one stack and contracts it with
 Gamma in O(d^4).
@@ -29,7 +31,9 @@ Gamma in O(d^4).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -169,13 +173,41 @@ def _check_streams(streams) -> list:
     return [(tuple(map(int, s)), int(rows)) for s, rows in pairs]
 
 
-def _stream(seed: int, stream: tuple, row: int, count: int) -> np.random.Generator:
-    """The generator of ``stream`` at row ``row`` of ``count`` values: Philox makes four
-    64-bit words per counter step, and ``uniform`` takes one word a value."""
-    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream),
-                            counter=row * count // 4)
-    bits.random_raw(row * count % 4)
-    return np.random.Generator(bits)
+_KEY_CACHE_SIZE = 1024  # first-draw stream keys kept; a `numeric` benchmark round uses 36
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _stream_key(seed: int, stream: tuple) -> np.ndarray:
+    """The read-only key ``Philox(SeedSequence(seed, spawn_key=stream))`` derives.  Redraw
+    ids call ``_stream_key.__wrapped__``, so they never evict a first-draw key."""
+    key = np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64)
+    key.setflags(write=False)
+    return key
+
+
+_reader = threading.local()  # one Generator(Philox) per thread, re-keyed for every read
+
+
+def _read(seed: int, stream: tuple, row: int, rows: int, count: int, scale: float):
+    """Rows ``row``.. of ``stream``, ``count`` values each: a (rows, count) uniform stack.
+
+    The thread's generator is set to the stream's key at the counter step of
+    ``row`` with an empty buffer, and skips to its first word: Philox makes four
+    64-bit words per counter step, and ``uniform`` takes one word a value.
+    """
+    gen = getattr(_reader, "gen", None)
+    if gen is None:
+        gen = _reader.gen = np.random.Generator(np.random.Philox(0))
+    start = row * count
+    key = (_stream_key if len(stream) <= 1 else _stream_key.__wrapped__)(seed, stream)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer_pos": 4, "buffer": [0] * 4,
+        "state": {"counter": np.frombuffer((start // 4).to_bytes(32, "little"), "<u8"),
+                  "key": key},
+        "has_uint32": 0, "uinteger": 0}
+    if start % 4:
+        gen.bit_generator.random_raw(start % 4)
+    return gen.uniform(-scale, scale, (rows, count))
 
 
 _DRAW_CHUNK_ENTRIES = 1 << 14  # matrix entries drawn at once: 128 KiB of float64
@@ -185,7 +217,7 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
     """exp(sum_a c_a t_a) for (stream, first row, rows) triples: (stack, residuals, redraws).
 
     The one chunk loop of a draw: a chunk reads the next rows of the streams
-    it spans (``_stream``), and the generator sum, ``mat_exp`` and
+    it spans (``_read``), and the generator sum, ``mat_exp`` and
     ``membership_residual`` see at most ``_DRAW_CHUNK_ENTRIES`` matrix entries
     (or one row) at a time, each row by row, so no row depends on its chunk.
     A row t of stream s outside the 1e-8 membership band (none at these
@@ -203,11 +235,12 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
     pending, todo, draws = range(len(mats)), streams, 0
     for attempt in range(1, _RESAMPLE_LIMIT + 1):
         bounds = list(accumulate((rows for _, _, rows in todo), initial=0))
-        rngs = [_stream(seed, stream, first, count) for stream, first, _ in todo]
         for lo in range(0, len(pending), step):
             hi = min(lo + step, len(pending))
-            parts = [rng.uniform(-scale, scale, (min(hi, b) - max(lo, a), count))
-                     for rng, a, b in zip(rngs, bounds, bounds[1:]) if a < hi and b > lo]
+            parts = [_read(seed, stream, first + max(lo, a) - a, min(hi, b) - max(lo, a),
+                           count, scale)
+                     for (stream, first, _), a, b in zip(todo, bounds, bounds[1:])
+                     if a < hi and b > lo]
             coeffs = parts[0] if len(parts) == 1 else np.concatenate(parts)
             rows = slice(lo, hi) if attempt == 1 else pending[lo:hi]  # first draws are in order
             mats[rows] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
@@ -227,10 +260,11 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
 
 def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: float = 1.0):
     """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    streams = [((k,), trials) for k in range(count)]
-    mats, _, resamples = sample_substreams(basis.family, basis.n, seed, streams, scale)
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    check_draws(basis.family, basis.n, trials * count)
+    mats, _, resamples = _draw(basis, check_seed(seed),
+                               [((k,), 0, trials) for k in range(count)], scale)
     return mats.reshape(count, trials, basis.side, basis.side), resamples
 
 

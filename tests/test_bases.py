@@ -156,6 +156,18 @@ def test_sizes_over_the_build_budget_are_refused_before_building(monkeypatch, ca
             bases.check_size(family, largest + 1)
 
 
+def test_check_size_is_memoized_and_refuses_every_time():
+    from goldmankit import bases
+
+    bases.check_size.cache_clear()
+    assert bases.check_size("so", 4) == 4 and bases.check_size("so", 4) == 4
+    assert bases.check_size.cache_info().hits == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"so\(n\) requires n >= 2, got 1"):
+            bases.check_size("so", 1)
+    assert bases.check_size.cache_info().currsize == 1
+
+
 def test_residual_helper_matches_report():
     basis = build_basis(Family.SU, 4)
     assert normalization_residual(basis) == check_normalization(basis).max_abs_err

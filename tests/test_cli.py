@@ -302,10 +302,11 @@ def test_readme_cli_examples_parse():
     (["verify", "bracket", "--n", "1", "--trials", "2"], "so(n) requires n >= 2, got 1"),
 ])
 def test_verify_refuses_a_size_a_family_does_not_take(argv, message, capsys):
-    assert run(["--json", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    for _ in range(2):  # check_size is memoized, and a refusal is never stored
+        assert run(["--json", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_exotic_evaluate_takes_more_indices_than_einsum_labels(tmp_path, capsys):

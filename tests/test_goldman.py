@@ -3,6 +3,8 @@
 import contextlib
 import hashlib
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -421,9 +423,9 @@ def test_redraw_streams_never_repeat_a_first_draw_stream(monkeypatch):
     from goldmankit.cli import run
 
     opened = []
-    stream = goldman._stream
-    monkeypatch.setattr(goldman, "_stream",
-                        lambda seed, s, *a: opened.append(s) or stream(seed, s, *a))
+    read = goldman._read
+    monkeypatch.setattr(goldman, "_read",
+                        lambda seed, s, *a: opened.append(s) or read(seed, s, *a))
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["verify", "all", "--seed", "3"]) == 0
     inst = obs.random_instance(obs.enumerate_specs(1, 1, 0, 0, 1)[0], seed=3)
@@ -458,6 +460,90 @@ def test_draw_chunks_do_not_change_rows(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("count", [14, 3])  # g2; so(3) and sp(1)
+def test_the_rekeyed_reader_matches_a_fresh_generator_at_every_word_offset(count):
+    # a row starts at word row * count; with 3 values a row it starts at every
+    # offset 0..3 within Philox's four-word block, with 14 at offsets 0 and 2
+    from goldmankit import goldman
+
+    for seed in (0, 2 ** 64 + 3):
+        for stream in ((), (7,), (2, 7, 1)):
+            for row in range(9):
+                want = _generator(seed, stream).uniform(-0.7, 0.7, (row + 2) * count)
+                got = goldman._read(seed, stream, row, 2, count, 0.7)
+                assert np.array_equal(got, want[row * count:].reshape(2, count))
+
+
+@pytest.mark.parametrize("family,n", [(Family.G2, 1), (Family.SO, 3), (Family.SP, 1)])
+def test_chunks_read_each_stream_at_its_own_counter(family, n, monkeypatch):
+    # three rows a chunk: the first holds parts of three streams, and later chunks
+    # start mid-stream, mid-block; each part still reads its stream's own words
+    from goldmankit import goldman
+
+    basis = build_basis(family, n)
+    monkeypatch.setattr(goldman, "_DRAW_CHUNK_ENTRIES", 3 * basis.side ** 2)
+    fed = _stacks_fed_to_mat_exp(monkeypatch)
+    streams = [((0,), 1), ((1,), 1), ((2,), 5), ((3,), 5)]
+    sample_substreams(family, n, 11, streams, 0.7)
+    coeffs = np.concatenate([_generator(11, stream).uniform(-0.7, 0.7, (rows, len(basis)))
+                             for stream, rows in streams])
+    want = np.einsum("ta,aij->tij", coeffs, np.stack(basis.generators))
+    assert [len(x) for x in fed] == [3, 3, 3, 3] and np.array_equal(np.concatenate(fed), want)
+
+
+def test_threads_drawing_at_once_get_the_serial_bits(monkeypatch):
+    # each thread re-keys its own generator; a shared one would mix streams
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "_DRAW_CHUNK_ENTRIES", 2 * 49)  # many re-keyed reads
+    draw = lambda seed: sample_substreams(Family.G2, 1, seed, [((0,), 9), ((1,), 7)])[0]
+    serial = {seed: draw(seed) for seed in range(6)}
+    got, errors = {}, []
+
+    def worker(seeds):
+        try:
+            for _ in range(5):
+                for seed in seeds:
+                    got.setdefault(seed, []).append(draw(seed))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=([k, k + 3],)) for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == sorted(serial)
+    assert all(len(got[seed]) == 5 and all(np.array_equal(m, serial[seed]) for m in got[seed])
+               for seed in serial)
+
+
+def test_stream_keys_are_cached_bounded_and_read_only(monkeypatch):
+    from goldmankit import goldman
+
+    key = goldman._stream_key
+    key.cache_clear()
+    assert np.array_equal(key(5, (3,)), np.random.Philox(
+        np.random.SeedSequence(5, spawn_key=(3,))).state["state"]["key"])
+    with pytest.raises(ValueError, match="read-only"):
+        key(5, (3,))[0] = 1
+    assert key(5, (3,)) is key(5, (3,))
+    for k in range(goldman._KEY_CACHE_SIZE + 5):
+        key(6, (k,))
+    assert key.cache_info().currsize == key.cache_info().maxsize == goldman._KEY_CACHE_SIZE
+    # redraw ids are derived afresh and never enter the cache
+    key.cache_clear()
+    _reject_rows_once(monkeypatch, [0, 2])
+    sample_substreams(Family.SO, 3, 4, [((1,), 3)])
+    assert key.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
 def test_sample_substreams_refuses_a_seed_that_is_not_a_non_negative_int(seed, monkeypatch):
     from goldmankit import goldman
@@ -471,7 +557,8 @@ def test_sampling_refuses_a_stack_over_the_byte_budget(monkeypatch):
     from goldmankit import goldman
 
     monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
-    monkeypatch.setattr(goldman, "_stream", lambda *a: pytest.fail("seeded first"))
+    monkeypatch.setattr(goldman, "_stream_key", lambda *a: pytest.fail("keyed first"))
+    monkeypatch.setattr(goldman, "_read", lambda *a: pytest.fail("read first"))
     rows = goldman._SAMPLE_BYTES // (16 * 16 * 8) + 1  # one gl(16) row past 256 MiB
     with pytest.raises(ValueError, match=r"need 256 MiB, over the 256 MiB sampling budget"):
         sample_substreams(Family.GL, 16, 0, [((), rows)])
