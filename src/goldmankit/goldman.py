@@ -20,23 +20,22 @@ hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
 ``_draw`` reads each stream's rows bitwise as the counter-based generator
 ``Generator(Philox(SeedSequence(seed, spawn_key=stream)))`` (Salmon et al.,
 SC 2011) yields them in order, then exponentiates and membership-tests them
-in small chunks.  A read re-keys the thread's one Philox to the stream's
-cached key at the row's counter (``_read``), so opening a stream hashes no
-seed and builds no generator.  Row t of stream s sits at a fixed counter
-offset, so it does not depend on the batch or the chunk, and
-``sample_element`` replays it alone from ``SeedSequence(seed, spawn_key=(t,
-*s))``.  A check draws all its trials as one stack and contracts it with
-Gamma in O(d^4).
+in small chunks.  A read starts a Philox at the stream's cached key and
+the row's counter (``_read``), so opening a stream hashes no seed.  Row t
+of stream s sits at a fixed counter offset, so it does not depend on the
+batch or the chunk, and ``sample_element`` replays it alone from
+``SeedSequence(seed, spawn_key=(t, *s))``.  A check draws all its trials
+as one stack and contracts it with Gamma in O(d^4).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bases import (Family, LieBasis, as_family, build_basis, check_size, generator_stack,
                     matrix_side, symplectic_form)
@@ -185,29 +184,32 @@ def _stream_key(seed: int, stream: tuple) -> np.ndarray:
     return key
 
 
-_reader = threading.local()  # one Generator(Philox) per thread, re-keyed for every read
+class _Key(ISeedSequence):
+    """A seed sequence whose state is one cached key: ``Philox`` takes its key from
+    ``generate_state(2, uint64)``, so it starts at that key with no hashing."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def _read(seed: int, stream: tuple, row: int, rows: int, count: int, scale: float):
     """Rows ``row``.. of ``stream``, ``count`` values each: a (rows, count) uniform stack.
 
-    The thread's generator is set to the stream's key at the counter step of
-    ``row`` with an empty buffer, and skips to its first word: Philox makes four
-    64-bit words per counter step, and ``uniform`` takes one word a value.
+    A Philox at the stream's key and the counter step of ``row`` skips to the
+    row's first word: Philox makes four 64-bit words per counter step, and
+    ``uniform`` takes one word a value.
     """
-    gen = getattr(_reader, "gen", None)
-    if gen is None:
-        gen = _reader.gen = np.random.Generator(np.random.Philox(0))
     start = row * count
     key = (_stream_key if len(stream) <= 1 else _stream_key.__wrapped__)(seed, stream)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "buffer_pos": 4, "buffer": [0] * 4,
-        "state": {"counter": np.frombuffer((start // 4).to_bytes(32, "little"), "<u8"),
-                  "key": key},
-        "has_uint32": 0, "uinteger": 0}
+    bits = np.random.Philox(_Key(key), counter=start // 4)
     if start % 4:
-        gen.bit_generator.random_raw(start % 4)
-    return gen.uniform(-scale, scale, (rows, count))
+        bits.random_raw(start % 4)
+    return np.random.Generator(bits).uniform(-scale, scale, (rows, count))
 
 
 _DRAW_CHUNK_ENTRIES = 1 << 14  # matrix entries drawn at once: 128 KiB of float64
@@ -260,11 +262,10 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
 
 def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: float = 1.0):
     """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
-    check_draws(basis.family, basis.n, trials * count)
-    mats, _, resamples = _draw(basis, check_seed(seed),
-                               [((k,), 0, trials) for k in range(count)], scale)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    streams = [((k,), trials) for k in range(count)]
+    mats, _, resamples = sample_substreams(basis.family, basis.n, seed, streams, scale)
     return mats.reshape(count, trials, basis.side, basis.side), resamples
 
 

@@ -166,10 +166,7 @@ def _pade_13_scaled(x: np.ndarray) -> np.ndarray:
     e = np.linalg.solve(uv[1] - u, uv[1] + u)
     for k in range(0 if powers is None else int(powers.max())):
         rows = powers > k
-        if rows.all():
-            e = e @ e
-        else:
-            e[rows] = e[rows] @ e[rows]
+        e[rows] = e[rows] @ e[rows]
     return e
 
 

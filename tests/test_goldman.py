@@ -3,8 +3,6 @@
 import contextlib
 import hashlib
 import io
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -461,7 +459,7 @@ def test_draw_chunks_do_not_change_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [14, 3])  # g2; so(3) and sp(1)
-def test_the_rekeyed_reader_matches_a_fresh_generator_at_every_word_offset(count):
+def test_the_reader_matches_a_fresh_generator_at_every_word_offset(count):
     # a row starts at word row * count; with 3 values a row it starts at every
     # offset 0..3 within Philox's four-word block, with 14 at offsets 0 and 2
     from goldmankit import goldman
@@ -491,39 +489,6 @@ def test_chunks_read_each_stream_at_its_own_counter(family, n, monkeypatch):
     assert [len(x) for x in fed] == [3, 3, 3, 3] and np.array_equal(np.concatenate(fed), want)
 
 
-def test_threads_drawing_at_once_get_the_serial_bits(monkeypatch):
-    # each thread re-keys its own generator; a shared one would mix streams
-    from goldmankit import goldman
-
-    monkeypatch.setattr(goldman, "_DRAW_CHUNK_ENTRIES", 2 * 49)  # many re-keyed reads
-    draw = lambda seed: sample_substreams(Family.G2, 1, seed, [((0,), 9), ((1,), 7)])[0]
-    serial = {seed: draw(seed) for seed in range(6)}
-    got, errors = {}, []
-
-    def worker(seeds):
-        try:
-            for _ in range(5):
-                for seed in seeds:
-                    got.setdefault(seed, []).append(draw(seed))
-        except Exception as exc:  # reported below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=([k, k + 3],)) for k in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors and not any(thread.is_alive() for thread in threads)
-    assert sorted(got) == sorted(serial)
-    assert all(len(got[seed]) == 5 and all(np.array_equal(m, serial[seed]) for m in got[seed])
-               for seed in serial)
-
-
 def test_stream_keys_are_cached_bounded_and_read_only(monkeypatch):
     from goldmankit import goldman
 
@@ -542,6 +507,18 @@ def test_stream_keys_are_cached_bounded_and_read_only(monkeypatch):
     _reject_rows_once(monkeypatch, [0, 2])
     sample_substreams(Family.SO, 3, 4, [((1,), 3)])
     assert key.cache_info().currsize == 1
+
+
+def test_trial_counts_and_rows_may_be_numpy_ints():
+    # a numpy int trial count or row draws what the Python int does
+    from goldmankit import goldman
+
+    for check, args in [(verify_bracket, (Family.SO, 3)), (verify_defect, (Family.SP, 1)),
+                        (goldman.verify_symplectic_inverse, (1,))]:
+        assert (check(*args, trials=np.int64(10), seed=5).body()
+                == check(*args, trials=10, seed=5).body())
+    assert np.array_equal(goldman._read(5, (2,), np.int64(3), 2, 3, 1.0),
+                          goldman._read(5, (2,), 3, 2, 3, 1.0))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
