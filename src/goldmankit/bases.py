@@ -48,9 +48,11 @@ def as_family(f) -> Family:
     return Family(str(f).lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieBasis:
-    """An ordered generator list with its normalization signs."""
+    """Ordered generators with their normalization signs, read-only all the way down, equal
+    and hashed by identity: a basis keys the memos built from it (``generator_stack``, Gamma).
+    A generator that could change (writable, a view, not an array) is kept as a read-only copy."""
 
     family: Family
     n: int
@@ -61,6 +63,11 @@ class LieBasis:
     def __post_init__(self):
         if len(self.generators) != len(self.signs):
             raise ValueError("generator and sign lists must have equal length")
+        gens = tuple(g if isinstance(g, np.ndarray) and not g.flags.writeable and g.base is None
+                     else np.array(g) for g in self.generators)
+        for g in gens:
+            g.setflags(write=False)
+        object.__setattr__(self, "generators", gens)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -88,6 +95,11 @@ def matrix_side(family: Family, n: int) -> int:
     return n
 
 
+def entry_bytes(family) -> int:
+    """Bytes a matrix entry of the family takes: 16 for the complex u and su, 8 otherwise."""
+    return 16 if as_family(family) in (Family.U, Family.SU) else 8
+
+
 _BUILD_BYTES = 1 << 28  # check_size refuses generators or a Casimir tensor over 256 MiB
 
 
@@ -108,20 +120,20 @@ def check_size(family: Family, n: int) -> int:
     if family is Family.SO and n < 2:
         raise ValueError(f"so(n) requires n >= 2, got {n}")
     side = matrix_side(family, n)
-    size = (max(algebra_dim(family, n) * side ** 2, side ** 4)
-            * (16 if family in (Family.U, Family.SU) else 8))
+    size = max(algebra_dim(family, n) * side ** 2, side ** 4) * entry_bytes(family)
     if size > _BUILD_BYTES:
         raise ValueError(f"{family.value}({n}) needs {size / 2 ** 20:.0f} MiB for its generators "
                          f"or Casimir tensor, over the {_BUILD_BYTES >> 20} MiB budget")
     return n
 
 
-_BASIS_CACHE_SIZE = 64  # entries kept per memoized constant; `verify all --seed 42` builds 14 bases
+_BASIS_CACHE_SIZE = 64  # kept per memo, keyed by size or basis; `verify all` builds 14 bases
 
 
 def memoize_per_size(build):
-    """``build`` memoized as ``build_basis`` is: one read-only array per argument tuple, at
-    most ``_BASIS_CACHE_SIZE`` kept.  Callers validate the arguments (``check_size``) first."""
+    """``build`` memoized as ``build_basis`` is: one read-only array per argument tuple (a
+    size ``check_size`` took, or a basis, hashed by identity), at most ``_BASIS_CACHE_SIZE``
+    kept.  A raise is never stored, so a refused argument is refused on every call."""
     @lru_cache(maxsize=_BASIS_CACHE_SIZE)
     @wraps(build)
     def cached(*key):
@@ -293,19 +305,10 @@ def build_basis(family, n: int = 1) -> LieBasis:
     return _build_basis(family, check_size(family, n))
 
 
-def is_memoized(basis: LieBasis) -> bool:
-    """True if ``basis`` is the one ``build_basis`` returns for its (family, n)."""
-    try:
-        return basis is _build_basis(as_family(basis.family), check_size(basis.family, basis.n))
-    except ValueError:  # a hand-built basis of a size build_basis refuses
-        return False
-
-
+@memoize_per_size
 def generator_stack(basis: LieBasis) -> np.ndarray:
-    """The (dim, d, d) stack of the generators: built once and read-only for a basis from
-    ``build_basis``, stacked afresh for any other."""
-    return (_generator_stack(basis.family, basis.n) if is_memoized(basis)
-            else np.stack(basis.generators))
+    """The (dim, d, d) stack of the generators, built once per basis, read-only."""
+    return np.stack(basis.generators)
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
@@ -335,11 +338,6 @@ def _build_basis(family: Family, n: int) -> LieBasis:
             f"expected {algebra_dim(family, n)}"
         )
     return basis
-
-
-@memoize_per_size
-def _generator_stack(family: Family, n: int) -> np.ndarray:
-    return np.stack(_build_basis(family, n).generators)
 
 
 def normalization_residual(basis: LieBasis) -> float:

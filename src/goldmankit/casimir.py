@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
-    Family, LieBasis, as_family, build_basis, check_size, gell_mann, generator_stack, is_memoized,
+    Family, LieBasis, as_family, build_basis, check_size, gell_mann, generator_stack,
     matrix_side, memoize_per_size, normalization_residual,
 )
 from .linalg import kron, max_abs, permutation_matrix, real_part, unit_matrix
@@ -54,14 +54,14 @@ def casimir_tensor(basis: LieBasis) -> CasimirTensor:
     """Gamma = sum_a f(a) kron(t_a, t_a); real even for complex generators.
 
     One contraction over the stacked generators, in kron's block layout
-    Gamma4[i,k,j,l] = sum_a f(a) t_a[i,j] t_a[k,l].  Built once per (family,
-    n) for the basis ``build_basis`` returns, read-only; any other basis is
-    checked for normalization and contracted afresh.
+    Gamma4[i,k,j,l] = sum_a f(a) t_a[i,j] t_a[k,l].  Built once per basis,
+    read-only; a basis that fails normalization is refused on every call
+    (NormalizationError), as a raise is never memoized.
     """
-    gamma = _memo_gamma(basis.family, basis.n) if is_memoized(basis) else _gamma(basis)
-    return CasimirTensor(basis.family, basis.side ** 2, gamma)
+    return CasimirTensor(basis.family, basis.side ** 2, _gamma(basis))
 
 
+@memoize_per_size
 def _gamma(basis: LieBasis) -> np.ndarray:
     residual = normalization_residual(basis)
     if residual >= _NORMALIZATION_TOL:
@@ -71,11 +71,6 @@ def _gamma(basis: LieBasis) -> np.ndarray:
     signs = np.asarray(basis.signs, dtype=float)
     gamma4 = ((flat.T * signs) @ flat).reshape(d, d, d, d)
     return real_part(gamma4.transpose(0, 2, 1, 3).reshape(d * d, d * d))
-
-
-@memoize_per_size
-def _memo_gamma(family: Family, n: int) -> np.ndarray:
-    return _gamma(build_basis(family, n))
 
 
 def defect_matrix(family, n: int) -> np.ndarray:

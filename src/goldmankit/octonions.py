@@ -122,9 +122,9 @@ def _rebuilt_unit_matrices() -> np.ndarray:
 def unit_matrices() -> np.ndarray:
     """Stack of the seven operators, shape (7, 7, 7); O_i = unit_matrices()[i-1].
 
-    Raises NumericError-free AssertionError never in practice: the hard-coded
-    table and the eps-table rebuild must agree entry for entry, which is
-    checked here once per process.
+    The hard-coded table and the eps-table rebuild must agree entry for
+    entry, which is checked here once per process; RuntimeError names the
+    first (operator, row, col) entries where they differ.
     """
     hard = _hardcoded_unit_matrices()
     rebuilt = _rebuilt_unit_matrices()

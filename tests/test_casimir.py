@@ -183,32 +183,55 @@ def test_memoized_constants_are_shared_and_read_only():
 
 
 def test_a_hand_built_basis_is_not_served_the_memoized_tensor():
+    from goldmankit import casimir
+
     basis = build_basis(Family.SO, 4)
     gamma = casimir_tensor(basis).tensor
     broken = type(basis)(
         basis.family, basis.n, basis.side,
         (2.0 * basis.generators[0],) + basis.generators[1:], basis.signs,
     )
-    with pytest.raises(NormalizationError):
-        casimir_tensor(broken)
+    for _ in range(2):  # a refusal is never memoized, so it recurs
+        with pytest.raises(NormalizationError):
+            casimir_tensor(broken)
     copy = type(basis)(basis.family, basis.n, basis.side, basis.generators, basis.signs)
+    misses = casimir._gamma.cache_info().misses
     fresh = casimir_tensor(copy).tensor
     assert fresh is not gamma and np.array_equal(fresh, gamma)
+    assert casimir_tensor(copy).tensor is fresh
+    assert casimir._gamma.cache_info().misses == misses + 1
 
 
-def test_verify_all_builds_each_casimir_tensor_once(monkeypatch):
+def test_a_hand_built_basis_keeps_read_only_copies_so_its_tensor_never_goes_stale():
+    basis = build_basis(Family.SO, 3)
+    gens = [np.array(g) for g in basis.generators]  # writable
+    view = gens[1][:]
+    view.setflags(write=False)  # read-only, but over writable memory
+    own = type(basis)(basis.family, basis.n, basis.side, (gens[0], view, gens[2]), basis.signs)
+    assert own != type(basis)(basis.family, basis.n, basis.side, own.generators, own.signs)
+    assert own == own and len({own, own}) == 1
+    assert all(g is not h and not g.flags.writeable for g, h in zip(own.generators, gens))
+    gamma = casimir_tensor(own).tensor.copy()
+    gens[0] *= 2.0
+    gens[1] *= 2.0  # through the view's memory too: the basis and its tensor stay as they were
+    assert all(np.array_equal(g, h) for g, h in zip(own.generators, basis.generators))
+    assert np.array_equal(casimir_tensor(own).tensor, gamma)
+    with pytest.raises(ValueError, match="read-only"):
+        own.generators[0][0, 1] = 1.0
+    # the arrays build_basis made read-only are kept as they are
+    kept = type(basis)(basis.family, basis.n, basis.side, basis.generators, basis.signs)
+    assert all(g is h for g, h in zip(kept.generators, basis.generators))
+
+
+def test_verify_all_builds_each_casimir_tensor_once():
     # the casimir, bracket and split suites share one tensor per (family, n)
     from goldmankit import casimir
     from goldmankit.cli import run
 
-    built = []
-    gamma = casimir._gamma
-    monkeypatch.setattr(casimir, "_gamma",
-                        lambda basis: built.append((basis.family, basis.n)) or gamma(basis))
-    casimir._memo_gamma.cache_clear()
+    casimir._gamma.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["verify", "all", "--trials", "10"]) == 0
-    assert len(built) == len(set(built)) == 13
+    assert casimir._gamma.cache_info().misses == casimir._gamma.cache_info().currsize == 13
 
 
 # The seven commuting-pair expressions: the six off-diagonal unit-matrix

@@ -211,6 +211,25 @@ def test_membership_residual_families():
     assert membership_residual(Family.SO, 3, np.eye(3)) == 0.0
 
 
+def test_g2_membership_measures_rows_off_the_orthogonal_group():
+    # a row further than 1e-8 from orthogonal keeps that distance; the others are unchanged
+    assert membership_residual(Family.G2, 1, 2.0 * np.eye(7)) == 3.0
+    g = sample_element(Family.G2, 1, 3).matrix
+    res = membership_residual(Family.G2, 1, np.stack([g, 1.01 * g]))
+    assert res[0] == membership_residual(Family.G2, 1, g) < 1e-14
+    assert abs(res[1] - 0.0201) < 1e-12
+
+
+def test_a_g2_draw_redraws_a_row_off_the_orthogonal_group(monkeypatch):
+    from goldmankit import goldman
+
+    exp = goldman.mat_exp
+    monkeypatch.setattr(goldman, "mat_exp", lambda a: exp(a) * [[[1.0]], [[2.0]], [[1.0]]]
+                        if len(a) == 3 else exp(a))
+    mats, residuals, resamples = sample_substreams(Family.G2, 1, 5, [((), 3)])
+    assert resamples == 1 and residuals.max() < 1e-8
+
+
 @pytest.mark.parametrize("family,n", ALL_FAMILIES)
 def test_sampler_residual_sweep(family, n):
     # 10^4 draws per family at scale 1 never leave the 1e-8 membership band
@@ -489,7 +508,7 @@ def test_chunks_read_each_stream_at_its_own_counter(family, n, monkeypatch):
     assert [len(x) for x in fed] == [3, 3, 3, 3] and np.array_equal(np.concatenate(fed), want)
 
 
-def test_stream_keys_are_cached_bounded_and_read_only(monkeypatch):
+def test_stream_keys_are_cached_bounded_and_read_only():
     from goldmankit import goldman
 
     key = goldman._stream_key
@@ -502,11 +521,6 @@ def test_stream_keys_are_cached_bounded_and_read_only(monkeypatch):
     for k in range(goldman._KEY_CACHE_SIZE + 5):
         key(6, (k,))
     assert key.cache_info().currsize == key.cache_info().maxsize == goldman._KEY_CACHE_SIZE
-    # redraw ids are derived afresh and never enter the cache
-    key.cache_clear()
-    _reject_rows_once(monkeypatch, [0, 2])
-    sample_substreams(Family.SO, 3, 4, [((1,), 3)])
-    assert key.cache_info().currsize == 1
 
 
 def test_trial_counts_and_rows_may_be_numpy_ints():
@@ -585,6 +599,18 @@ def test_sample_element_refuses_a_basis_of_another_group(monkeypatch):
     monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
     with pytest.raises(ValueError, match=r"a so\(5\) basis was given for gl\(3\)"):
         sample_element("gl", 3, 0, 1.0, build_basis("so", 5))
+
+
+def test_sample_element_refuses_a_hand_built_basis_of_its_own_group(monkeypatch):
+    from goldmankit import goldman
+
+    basis = build_basis("so", 3)
+    negated = type(basis)(basis.family, basis.n, basis.side,
+                          tuple(-g for g in basis.generators), basis.signs)
+    assert sample_element("so", 3, 5, 1.0, basis).matrix.shape == (3, 3)
+    monkeypatch.setattr(goldman, "_draw", lambda *a: pytest.fail("drew before refusing"))
+    with pytest.raises(ValueError, match=r"a so\(3\) basis was given for so\(3\)"):
+        sample_element("so", 3, 5, 1.0, negated)
 
 
 def test_check_draws_refuses_before_anything_is_built(monkeypatch):

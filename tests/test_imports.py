@@ -1,7 +1,8 @@
 """Module boundaries: no goldmankit module imports another module's private names,
 one module builds the seed substreams, one owns the gauge loop, one renumbers
-index ids, none plans with numpy's einsum_path, every function the benchmark
-traces by name exists, and the package does not load scipy."""
+index ids, one decides which families are complex, none plans with numpy's
+einsum_path, every function the benchmark traces by name exists, and the package
+does not load scipy."""
 
 import ast
 import importlib
@@ -52,6 +53,13 @@ def test_one_module_renumbers_index_ids():
         owners = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
                   if re.search(mark, path.read_text(), re.M)]
         assert owners == ["symbolic/core.py"], mark
+
+
+def test_one_module_decides_which_families_are_complex():
+    # bases.entry_bytes is the one rule that u and su take 16-byte entries
+    owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+              if re.search(r"\b16\b.*\belse 8\b", path.read_text())]
+    assert owners == ["bases.py"]
 
 
 def test_no_einsum_path_or_dummy_operands():

@@ -166,3 +166,18 @@ def test_octonion_validation():
         Octonion(float("nan"))
     with pytest.raises(ValueError):
         Octonion.unit(8)
+
+
+def test_unit_matrices_refuse_a_table_that_disagrees_with_the_rebuild(monkeypatch):
+    # one flipped sign in O_1's entry e_32 is named as (operator, row, col) = (1, 3, 2)
+    from goldmankit import octonions
+
+    table = list(octonions._UNIT_MATRIX_ENTRIES)
+    table[0] = ((3, 2, -1),) + table[0][1:]
+    monkeypatch.setattr(octonions, "_UNIT_MATRIX_ENTRIES", tuple(table))
+    unit_matrices.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"\(operator, row, col\) = \[\[1 3 2\]\]"):
+            unit_matrices()
+    finally:
+        unit_matrices.cache_clear()
