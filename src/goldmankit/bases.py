@@ -103,15 +103,19 @@ def entry_bytes(family) -> int:
 _BUILD_BYTES = 1 << 28  # check_size refuses generators or a Casimir tensor over 256 MiB
 
 
-@lru_cache(maxsize=256)  # it is pure, and a refusal raises, so it is never stored
+@lru_cache(maxsize=256, typed=True)  # typed: 3.0 must not find the entry of 3
 def check_size(family: Family, n: int) -> int:
     """``n`` as an int if the family takes that size; ValueError otherwise.
 
-    G2 has no size parameter, so it takes n = 1 only.  Refuses a size whose
-    generators or Casimir tensor (about side^4 entries each, complex for u
-    and su) would exceed ``_BUILD_BYTES``, so nothing that large is built.
+    ``n`` must be an int or numpy integer; a bool or float is refused, not
+    truncated.  G2 has no size parameter, so it takes n = 1 only.  Refuses a
+    size whose generators or Casimir tensor (about side^4 entries each,
+    complex for u and su) would exceed ``_BUILD_BYTES``, so nothing that
+    large is built.  A refusal raises, so it is never cached.
     """
     family = as_family(family)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{family.value} size must be an integer, got {n!r}")
     n = int(n)
     if family is Family.G2 and n != 1:
         raise ValueError(f"g2 has no size parameter: n must be 1, got {n}")

@@ -85,13 +85,10 @@ def membership_residual(family, n: int, g: np.ndarray):
     elif family is Family.SO:
         res = np.maximum(np.abs(gt @ stack - np.eye(n)).max(axis=(1, 2)),
                          np.abs(np.linalg.det(stack) - 1.0))
-    else:
-        try:
-            res = automorphism_residual(stack)
-        except ValueError:  # it takes rows within 1e-8 of orthogonal; the rest keep that distance
-            res = np.abs(gt @ stack - np.eye(stack.shape[-1])).max(axis=(1, 2))
-            near = res <= 1e-8
-            res[near] = automorphism_residual(stack[near])
+    else:  # automorphism_residual takes rows within 1e-8 of orthogonal; the rest keep that distance
+        res = np.abs(gt @ stack - np.eye(7)).max(axis=(1, 2))
+        near = res <= 1e-8
+        res[near] = automorphism_residual(stack[near])
     return float(res[0]) if g.ndim == 2 else res
 
 

@@ -28,6 +28,9 @@ positive intersection of the left loop before the right one:
   through the resolved loop, paying one abstract coefficient per letter, and
   marks the output monomials ``extended`` so reports can quarantine them.
 
+Every decorated template takes its 1/6 term (h, gamma) from
+``_double_decoration``; plain x plain spells its own, with coefficient I.
+
 Which template an ordered pair takes depends on its atoms' words: plain (no
 letter), one letter, or longer.  Where the template wants the operands the
 other way round, they are swapped and its terms negated (``-``)::
@@ -117,15 +120,22 @@ def _pair_terms(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
     return 1, _extended_pair(p, q, fresh)
 
 
+def _double_decoration(p: TraceAtom, q: TraceAtom, fresh: _Fresh, family: str) -> Monomial:
+    """1/6 sum_{l,m} tr(p; U O l) tr(q; W O m) c[m, l], c a fresh ``family`` symbol:
+    the term the 1/3 sum_i O_i (x) O_i part of Gamma_g2 gives every decorated
+    template.  Allocates l, then m, then c."""
+    l = fresh.index()
+    m = fresh.index()
+    c = fresh.symbol(family)
+    return Monomial(SIXTH, (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
+                    (CoeffAtom(c, m, l),))
+
+
 def _plain_decorated(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
-    x = fresh.index()
-    y = fresh.index()
-    h = fresh.symbol("alpha")
     return [
         Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, False), q.word),)),
         Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, True), q.word),)),
-        Monomial(SIXTH, (TraceAtom(p.loop, (x,)), TraceAtom(q.loop, q.word + (y,))),
-                 (CoeffAtom(h, y, x),)),
+        _double_decoration(p, q, fresh, "alpha"),
     ]
 
 
@@ -134,16 +144,12 @@ def _decorated_pair(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
     x = fresh.index()
     alpha = fresh.symbol("alpha")
     beta = fresh.symbol("beta")
-    gamma = fresh.symbol("gamma")
-    l = fresh.index()
-    m = fresh.index()
     return [
         Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, False), p.word + (x,)),),
                  (CoeffAtom(alpha, x, j),)),
         Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, True), p.word + (x,)),),
                  (CoeffAtom(beta, x, j),)),
-        Monomial(SIXTH, (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
-                 (CoeffAtom(gamma, m, l),)),
+        _double_decoration(p, q, fresh, "gamma"),
     ]
 
 
@@ -157,13 +163,7 @@ def _extended_pair(p: TraceAtom, q: TraceAtom, fresh: _Fresh):
         word = tuple(new for new, _, _ in letters)
         terms.append(Monomial(HALF, (TraceAtom(Composite(p.loop, q.loop, invert), word),),
                               tuple(CoeffAtom(sym, new, old) for new, old, sym in letters), True))
-    l = fresh.index()
-    m = fresh.index()
-    gamma = fresh.symbol("gamma")
-    terms.append(Monomial(
-        SIXTH, (TraceAtom(p.loop, p.word + (l,)), TraceAtom(q.loop, q.word + (m,))),
-        (CoeffAtom(gamma, m, l),)))
-    return terms
+    return terms + [_double_decoration(p, q, fresh, "gamma")]
 
 
 def bracket(lhs: Expression, rhs: Expression) -> Expression:

@@ -1,5 +1,7 @@
 """Generator-set construction: dimensions, normalization, signs, closure."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,28 @@ def test_check_size_is_memoized_and_refuses_every_time():
         with pytest.raises(ValueError, match=r"so\(n\) requires n >= 2, got 1"):
             bases.check_size("so", 1)
     assert bases.check_size.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n", [3.7, 2.0, True, np.float64(3.0)])
+def test_a_size_that_is_not_an_integer_is_refused(n):
+    from goldmankit import bases, casimir, goldman
+
+    assert bases.check_size("so", 3) == 3  # cached, so np.float64(3.0) must not find it
+    for check in (build_basis, casimir.closed_form, casimir.defect_matrix,
+                  lambda family, n: goldman.verify_bracket(family, n, trials=1)):
+        with pytest.raises(ValueError, match=re.escape(f"so size must be an integer, got {n!r}")):
+            check("so", n)
+
+
+def test_a_numpy_integer_size_is_taken():
+    from goldmankit import casimir, goldman
+
+    n = np.int64(3)
+    assert build_basis("so", n) is build_basis("so", 3)
+    assert casimir.closed_form("so", n) is casimir.closed_form("so", 3)
+    assert casimir.defect_matrix("so", n) is casimir.defect_matrix("so", 3)
+    report = goldman.verify_bracket("su", np.int64(2), trials=2)
+    assert report.params["n"] == 2 and type(report.params["n"]) is int
 
 
 def test_residual_helper_matches_report():

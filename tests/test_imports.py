@@ -1,8 +1,8 @@
 """Module boundaries: no goldmankit module imports another module's private names,
 one module builds the seed substreams, one owns the gauge loop, one renumbers
-index ids, one decides which families are complex, none plans with numpy's
-einsum_path, every function the benchmark traces by name exists, and the package
-does not load scipy."""
+index ids, one compares expressions, one decides which families are complex,
+none plans with numpy's einsum_path, every function the benchmark traces by
+name exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -53,6 +53,13 @@ def test_one_module_renumbers_index_ids():
         owners = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
                   if re.search(mark, path.read_text(), re.M)]
         assert owners == ["symbolic/core.py"], mark
+
+
+def test_one_module_compares_expressions():
+    # symbolic.core.normalize is the one expression comparison; the worked example diffs through it
+    owners = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+              if "canonical_encoding(" in path.read_text()]
+    assert owners == ["symbolic/core.py"]
 
 
 def test_one_module_decides_which_families_are_complex():

@@ -817,13 +817,50 @@ def test_worked_example_reproduction():
     assert diff.coeff_multiset == {"1/6": 4, "1/2": 8}
 
 
-def test_worked_example_key_ignores_coefficient_names():
-    # the anonymized key of the golden diff must not depend on which symbol is which
-    traces = tuple(TraceAtom(Loop(name), (i,)) for i, name in enumerate("abcd"))
-    key = lambda s1, s2: examples._anon_key(Monomial(
-        Fraction(1), traces, (CoeffAtom(s1, 0, 1), CoeffAtom(s2, 2, 3))))
-    assert key("p", "q") == key("q", "p") == key("x", "y")
-    assert key("p", "p") == key("q", "q") != key("p", "q")
+def test_worked_example_ignores_minted_symbol_names(monkeypatch):
+    # which fresh symbol a rule mints is not part of the contract: rename them all
+    derived = sym.worked_example_bracket()
+    names = sorted({c.sym for m in derived.monomials for c in m.coeffs})
+    assert len(names) == 12
+    table = dict(zip(names, reversed(names)))
+    renamed = sym.Expression(tuple(
+        replace(m, coeffs=tuple(replace(c, sym=table[c.sym] + "x") for c in m.coeffs))
+        for m in derived.monomials))
+    monkeypatch.setattr(examples, "worked_example_bracket", lambda: renamed)
+    diff = examples.reproduce_examples()
+    assert diff.passed and diff.term_count == 12
+
+
+def test_worked_example_refuses_two_coefficient_atoms(monkeypatch):
+    # one anonymous name would merge p[..]*q[..] with q[..]*p[..]: refused, not coarsened
+    derived = sym.worked_example_bracket()
+    first, *rest = derived.monomials
+    doubled = replace(first, coeffs=first.coeffs * 2)
+    monkeypatch.setattr(examples, "worked_example_bracket",
+                        lambda: sym.Expression((doubled, *rest)))
+    with pytest.raises(ValueError, match="at most one coefficient atom") as err:
+        examples.reproduce_examples()
+    assert str(doubled) in str(err.value)
+
+
+def test_worked_example_residual_names_a_flipped_sign(monkeypatch):
+    # negate the decorated pair's inverse-resolution term: the residual is exactly
+    # the four (g..~g.) terms, each off by -1
+    original = _bracket_module._decorated_pair
+
+    def flipped(p, q, fresh):
+        terms = original(p, q, fresh)
+        terms[1] = replace(terms[1], coeff=-terms[1].coeff)
+        return terms
+
+    monkeypatch.setattr(_bracket_module, "_decorated_pair", flipped)
+    diff = examples.reproduce_examples()
+    assert not diff.passed
+    assert [m.coeff for m in diff.residual.monomials] == [-1] * 4
+    assert sorted(str(t.loop) for m in diff.residual.monomials for t in m.traces
+                  if isinstance(t.loop, Composite)) == [
+        "(g1.~g3)", "(g1.~g4)", "(g2.~g3)", "(g2.~g4)"]
+    assert all(len(m.traces) == 3 and len(m.coeffs) == 1 for m in diff.residual.monomials)
 
 
 def test_build_f_expression_roundtrip():
