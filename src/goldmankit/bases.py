@@ -100,6 +100,18 @@ def entry_bytes(family) -> int:
     return 16 if as_family(family) in (Family.U, Family.SU) else 8
 
 
+def check_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int if it is an int or numpy integer (a bool or float is refused, not
+    truncated) of at least ``minimum``, if given; else ValueError naming ``what``."""
+    kind = "a non-negative integer" if minimum == 0 else "an integer"
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or minimum == 0 and value < 0):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
+    return int(value)
+
+
 _BUILD_BYTES = 1 << 28  # check_size refuses generators or a Casimir tensor over 256 MiB
 
 
@@ -107,16 +119,13 @@ _BUILD_BYTES = 1 << 28  # check_size refuses generators or a Casimir tensor over
 def check_size(family: Family, n: int) -> int:
     """``n`` as an int if the family takes that size; ValueError otherwise.
 
-    ``n`` must be an int or numpy integer; a bool or float is refused, not
-    truncated.  G2 has no size parameter, so it takes n = 1 only.  Refuses a
-    size whose generators or Casimir tensor (about side^4 entries each,
-    complex for u and su) would exceed ``_BUILD_BYTES``, so nothing that
-    large is built.  A refusal raises, so it is never cached.
+    ``n`` must pass ``check_int``.  G2 has no size parameter, so it takes
+    n = 1 only.  Refuses a size whose generators or Casimir tensor (about
+    side^4 entries each, complex for u and su) would exceed ``_BUILD_BYTES``,
+    so nothing that large is built.  A refusal raises, so it is never cached.
     """
     family = as_family(family)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{family.value} size must be an integer, got {n!r}")
-    n = int(n)
+    n = check_int(n, f"{family.value} size")
     if family is Family.G2 and n != 1:
         raise ValueError(f"g2 has no size parameter: n must be 1, got {n}")
     if n < 1:
@@ -160,8 +169,7 @@ def gell_mann(n: int):
     Off-diagonal pairs are enumerated lexicographically.  dtype is complex
     (the k > j family is imaginary).
     """
-    if n < 1:
-        raise ValueError(f"gell_mann requires n >= 1, got {n}")
+    n = check_int(n, "gell_mann n", 1)
     mats = []
     h1 = math.sqrt(2.0 / n) * np.eye(n, dtype=complex)
     mats.append(h1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
-    Family, LieBasis, as_family, build_basis, check_size, gell_mann, generator_stack,
+    Family, LieBasis, as_family, build_basis, check_int, check_size, gell_mann, generator_stack,
     matrix_side, memoize_per_size, normalization_residual,
 )
 from .linalg import kron, max_abs, permutation_matrix, real_part, unit_matrix
@@ -149,8 +149,7 @@ def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> di
     f-lemma:   sum_{k!=j} f_kj (x) f_kj = 2 sum_{k!=j} e_jk (x) e_kj
     polarization: (a+b)(x)(a+b) - (a-b)(x)(a-b) = 2(a (x) b + b (x) a)
     """
-    if n < 2:
-        raise ValueError(f"tensor lemmas need n >= 2, got {n}")
+    n = check_int(n, "tensor lemma n", 2)
     gm = gell_mann(n)
     hs = gm[:n]
     offs = gm[n:]
@@ -179,7 +178,7 @@ def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> di
 
 def verify_tensor_lemmas(n: int, seed: int = 0) -> VerificationReport:
     with CheckRun("tensor-lemmas", seed=seed, trials=3) as run:
-        res = tensor_lemma_residuals(n, np.random.default_rng(np.random.SeedSequence(seed)))
+        res = tensor_lemma_residuals(n, np.random.default_rng(check_int(seed, "seed", 0)))
         worst = max(res.values())
         run.record(passed=worst < _LEMMA_TOL, max_abs_err=worst, params={"n": n})
     return run.report

@@ -28,7 +28,7 @@ from . import casimir as _casimir
 from . import goldman as _goldman
 from . import observables as _obs
 from . import symbolic as _sym
-from .bases import Family, build_basis, check_normalization, check_size, matrix_side
+from .bases import Family, build_basis, check_int, check_normalization, check_size, matrix_side
 from .linalg import NumericError
 from .octonions import conjugation_residual, structure_residual, unit_matrices
 from .reports import CheckRun, VerificationReport
@@ -61,29 +61,20 @@ class _Emitter:
         return 0 if self.all_passed else 1
 
 
-def _per_size(check, families=tuple(Family)):
+def _per_size(check, families=tuple(Family), grid=ALL_GRID):
     """Suite running ``check(family, size, **flags)`` on the given ``--group`` (or all
-    of ``families``, its choices) at the given ``--n`` (or the ``ALL_GRID`` sizes).
+    of ``families``, its choices) at the given ``--n`` (or the ``grid`` sizes).
     A size some family of the sweep does not take is refused before any check runs."""
     def cells(group=None, n=None):
         return [(fam, check_size(fam, size))
                 for fam in (families if group is None else [Family(group)])
-                for size in ((n,) if n is not None else ALL_GRID[fam])]
+                for size in ((n,) if n is not None else grid[fam])]
 
     def suite(group=None, n=None, **flags):
         for fam, size in cells(group, n):
             yield check(fam, size, **flags)
     suite.groups, suite.cells = [f.value for f in families], cells
     return suite
-
-
-def _symplectic_inverse(trials, seed, n=None):
-    for _, size in _symplectic_inverse.cells(n):
-        yield _goldman.verify_symplectic_inverse(size, trials=trials, seed=seed)
-
-
-_symplectic_inverse.cells = lambda n=None: [
-    (Family.SP, size) for size in ((n,) if n is not None else (1, 2, 3))]
 
 
 def _octonion(trials, seed):
@@ -104,13 +95,16 @@ def _octonion(trials, seed):
 _octonion.cells = lambda: [(Family.G2, 1)]
 
 
-def _exotic(trials, seed):
+_EXOTIC_GAUGES = 10  # gauges per spec in `verify exotic`; `exotic invariance` takes --trials
+
+
+def _exotic(seed):
     for spec in (
         _obs.ObservableSpec.make(1, 1, 0, 0, 1, [[1]], []),
         _obs.ObservableSpec.make(2, 2, 0, 1, 2, [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
     ):
         inst = _obs.random_instance(spec, seed=seed)
-        yield _obs.invariance_test(inst, trials=min(trials, 10), seed=seed)
+        yield _obs.invariance_test(inst, trials=_EXOTIC_GAUGES, seed=seed)
 
 
 def _symbolic(seed):
@@ -136,11 +130,13 @@ VERIFY_SUITES = {
                 _GROUP_N + _TRIALS_SEED),
     "defect": (_per_size(lambda *a, **kw: _goldman.verify_defect(*a, **kw),
                          families=(Family.SP, Family.SO)), _GROUP_N + _TRIALS_SEED),
-    "symplectic-inverse": (_symplectic_inverse, ("n",) + _TRIALS_SEED),
+    "symplectic-inverse": (
+        _per_size(lambda _, n, **kw: _goldman.verify_symplectic_inverse(n, **kw),
+                  families=(Family.SP,), grid={Family.SP: (1, 2, 3)}), ("n",) + _TRIALS_SEED),
     "octonion": (_octonion, _TRIALS_SEED),
     "split": (_per_size(lambda *a, **kw: _goldman.split_harness(*a, **kw)),
               _GROUP_N + ("seed",)),
-    "exotic": (_exotic, _TRIALS_SEED),
+    "exotic": (_exotic, ("seed",)),
     "symbolic": (_symbolic, ("seed",)),
 }
 
@@ -174,9 +170,8 @@ def cmd_verify(args) -> int:
     raised it, and the next suite runs; the exit code is then 1, as for any
     failed check.
     """
-    _goldman.check_seed(getattr(args, "seed", 0))
-    if getattr(args, "trials", 1) < 1:
-        raise ValueError("trials must be >= 1")
+    check_int(getattr(args, "seed", 0), "seed", 0)
+    check_int(getattr(args, "trials", 1), "trials", 1)
     em = _Emitter(args)
     runs = ([(name, suite, [f for f in flags if f in _TRIALS_SEED])
              for name, (suite, flags) in VERIFY_SUITES.items()]

@@ -37,8 +37,8 @@ from itertools import accumulate
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .bases import (Family, LieBasis, as_family, build_basis, check_size, entry_bytes,
-                    generator_stack, matrix_side, symplectic_form)
+from .bases import (Family, LieBasis, as_family, build_basis, check_int, check_size,
+                    entry_bytes, generator_stack, matrix_side, symplectic_form)
 from .casimir import casimir_tensor, defect_matrix
 from .linalg import NumericError, mat_exp, trace12_pairs
 from .octonions import automorphism_residual, unit_matrices
@@ -111,7 +111,7 @@ def sample_element(family, n: int, seed, scale: float = 1.0,
             raise ValueError("a SeedSequence seed needs pool_size 4 and a spawn key (t, *stream)")
         seed, key = seed.entropy, seed.spawn_key
     (stream, _), = _check_streams([(key[1:], 1)])
-    mats, res, _ = _draw(own, check_seed(seed), [(stream, key[0], 1)], scale)
+    mats, res, _ = _draw(own, check_int(seed, "seed", 0), [(stream, key[0], 1)], scale)
     return GroupElement(own.family, own.n, mats[0], float(res[0]))
 
 
@@ -133,15 +133,8 @@ def sample_substreams(family, n: int, seed: int, streams, scale: float = 1.0):
     """
     streams = _check_streams(streams)
     check_draws(family, n, sum(rows for _, rows in streams))
-    return _draw(build_basis(family, n), check_seed(seed),
+    return _draw(build_basis(family, n), check_int(seed, "seed", 0),
                  [(stream, 0, rows) for stream, rows in streams if rows], scale)
-
-
-def check_seed(seed) -> int:
-    """``seed`` as an int if it is a non-negative integer; ValueError otherwise."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
 
 
 def check_draws(family, n: int, rows: int) -> None:
@@ -159,19 +152,17 @@ def check_draws(family, n: int, rows: int) -> None:
 def _check_streams(streams) -> list:
     """``streams`` as (id, rows) pairs; ValueError unless the ids are distinct tuples, all
     empty or all of one int in [0, 2^32), and every row count is an int >= 0."""
-    ints = lambda *vs: all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                           and v >= 0 for v in vs)
     try:
-        pairs = [(tuple(stream), rows) for stream, rows in streams]
+        pairs = [(tuple(check_int(v, "stream id", 0) for v in stream), check_int(rows, "rows", 0))
+                 for stream, rows in streams]
         ok = (len({s for s, _ in pairs}) == len(pairs) and len({len(s) for s, _ in pairs}) <= 1
-              and all(len(s) <= 1 and ints(rows, *s) and max(s, default=0) < 1 << 32
-                      for s, rows in pairs))
-    except (TypeError, ValueError):  # not pairs, or unhashable ids
+              and all(len(s) <= 1 and max(s, default=0) < 1 << 32 for s, _ in pairs))
+    except (TypeError, ValueError):  # not pairs, or not non-negative integers
         ok = False
     if not ok:
         raise ValueError("streams must be (id, rows) pairs: distinct ids, all () or all one int "
                          "in [0, 2^32), and int row counts >= 0")
-    return [(tuple(map(int, s)), int(rows)) for s, rows in pairs]
+    return pairs
 
 
 _KEY_CACHE_SIZE = 1024  # stream keys kept; a `numeric` benchmark round uses 36 and no redraw
@@ -263,8 +254,7 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
 
 def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: float = 1.0):
     """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_int(trials, "trials", 1)
     streams = [((k,), trials) for k in range(count)]
     mats, _, resamples = sample_substreams(basis.family, basis.n, seed, streams, scale)
     return mats.reshape(count, trials, basis.side, basis.side), resamples

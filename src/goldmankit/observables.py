@@ -45,10 +45,13 @@ from string import ascii_letters
 
 import numpy as np
 
-from .bases import Family
+from .bases import Family, check_int
 from .goldman import sample_substreams
 from .octonions import unit_matrices
 from .reports import CheckRun, VerificationReport
+
+
+_COUNTS = ("r", "n1", "s", "n2", "t")  # an observable's integer parameters, in order
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,18 @@ class ObservableSpec:
 
     @classmethod
     def make(cls, r, n1, s, n2, t, K, Q) -> "ObservableSpec":
-        """Spec from K and Q given as row sequences (lists, tuples, 2-D arrays).
+        """Spec from K and Q given as row sequences (lists, tuples, 2-D integer arrays).
 
-        A matrix with no entries at all stands for t empty rows.
+        Counts and entries must pass ``check_int``.  A matrix with no entries at all
+        stands for t empty rows.
         """
-        def rows(m):
-            out = tuple(tuple(int(x) for x in row) for row in m)
-            return out if any(out) else ((),) * int(t)
+        r, n1, s, n2, t = map(check_int, (r, n1, s, n2, t), _COUNTS)
 
-        return cls(int(r), int(n1), int(s), int(n2), int(t), rows(K), rows(Q))
+        def rows(m, name):
+            out = tuple(tuple(check_int(x, f"{name} entry") for x in row) for row in m)
+            return out if any(out) else ((),) * t
+
+        return cls(r, n1, s, n2, t, rows(K, "K"), rows(Q, "Q"))
 
     @classmethod
     def from_columns(cls, r, n1, s, n2, t, k_cols, q_cols) -> "ObservableSpec":
@@ -180,6 +186,7 @@ def enumerate_specs(r: int, n1: int, s: int, n2: int, t: int) -> list[Observable
     The count is t^n1 * C(t,2)^s * t^(2*n2-2*s); a count over ``_SPEC_BUDGET``
     is refused with ValueError before any spec is built.
     """
+    r, n1, s, n2, t = map(check_int, (r, n1, s, n2, t), _COUNTS)
     param_errors = _parameter_errors(r, n1, s, n2, t)
     if param_errors:
         raise ValueError("invalid parameters: " + "; ".join(param_errors))
@@ -439,8 +446,7 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
     oversize count before anything is drawn.  The negative control is
     reported in the params.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_int(trials, "trials", 1)
     spec = inst.spec
     require_valid(spec)
     with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
@@ -473,14 +479,19 @@ class SpecJsonError(ValueError):
 def spec_from_json_dict(obj: dict) -> ObservableSpec:
     if not isinstance(obj, dict):
         raise SpecJsonError("$", "expected a JSON object")
-    values = {}
-    for name in ("r", "n1", "s", "n2", "t"):
+
+    def integer(path, value, what):  # check_int's refusal, at its JSON path
+        try:
+            return check_int(value, what)
+        except ValueError as exc:
+            raise SpecJsonError(path, str(exc)) from None
+
+    counts = []
+    for name in _COUNTS:
         if name not in obj:
             raise SpecJsonError(f"$.{name}", "missing required field")
-        if not isinstance(obj[name], int) or isinstance(obj[name], bool):
-            raise SpecJsonError(f"$.{name}", f"expected an integer, got {obj[name]!r}")
-        values[name] = obj[name]
-    t = values["t"]
+        counts.append(integer(f"$.{name}", obj[name], name))
+    r, n1, s, n2, t = counts
 
     def read_matrix(name, cols):
         raw = obj.get(name, [])
@@ -492,14 +503,11 @@ def spec_from_json_dict(obj: dict) -> ObservableSpec:
             if not isinstance(row, list) or len(row) != cols:
                 raise SpecJsonError(f"$.{name}[{i}]", f"expected {cols} entries")
             for j, x in enumerate(row):
-                if x not in (0, 1):
+                if integer(f"$.{name}[{i}][{j}]", x, f"{name} entry") not in (0, 1):
                     raise SpecJsonError(f"$.{name}[{i}][{j}]", f"expected 0 or 1, got {x!r}")
         return raw
 
-    K = read_matrix("K", values["n1"])
-    Q = read_matrix("Q", 2 * values["n2"] - values["s"])
-    return ObservableSpec.make(values["r"], values["n1"], values["s"],
-                               values["n2"], values["t"], K, Q)
+    return ObservableSpec.make(r, n1, s, n2, t, read_matrix("K", n1), read_matrix("Q", 2 * n2 - s))
 
 
 def instance_from_json_dict(obj: dict) -> ObservableInstance:

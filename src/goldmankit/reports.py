@@ -54,15 +54,9 @@ class VerificationReport:
 
 def _plain(v):
     """Plain-Python scalar for JSON (numpy scalars are not serializable)."""
-    if isinstance(v, bool):
-        return v
     if hasattr(v, "item"):
         return v.item()
-    if isinstance(v, float):
-        return v
-    if isinstance(v, int):
-        return v
-    return str(v) if not isinstance(v, str) else v
+    return v if isinstance(v, (int, float, str)) else str(v)
 
 
 class CheckRun:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..bases import Family
+from ..bases import Family, check_int
 from ..goldman import sample_substreams
 from ..observables import (ObservableSpec, contract, gauge_drift, index_layout,
                            require_valid)
@@ -80,8 +80,7 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
     refused, and so are more gauges than ``check_draws`` allows.  The
     negative control is reported in the params.
     """
-    if gauge_trials < 1:
-        raise ValueError("gauge_trials must be >= 1")
+    gauge_trials = check_int(gauge_trials, "gauge_trials", 1)
     if all(m.extended or not (m.traces or m.coeffs) for m in expr.monomials):
         raise ValueError("closure check has no monomial to check (the expression is 0 "
                          "or a constant, or every monomial is extended)")

@@ -199,7 +199,7 @@ def test_verify_defect_refuses_group_outside_sp_so(capsys):
 def test_verify_suite_refuses_flags_it_does_not_take(capsys):
     refused = [("tensor-lemmas", "--n", "9"), ("tensor-lemmas", "--group", "su"),
                ("octonion", "--group", "g2"), ("octonion", "--n", "2"),
-               ("exotic", "--n", "1"), ("symbolic", "--group", "g2"),
+               ("exotic", "--n", "1"), ("exotic", "--trials", "0"), ("symbolic", "--group", "g2"),
                ("symplectic-inverse", "--group", "sp")]
     for what, flag, value in refused:
         assert run(["verify", what, flag, value, "--trials", "2"]) == 2
@@ -212,12 +212,10 @@ def test_verify_suite_refuses_flags_it_does_not_take(capsys):
 def test_exotic_invariance_refuses_zero_trials(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"r": 1, "n1": 1, "s": 0, "n2": 0, "t": 1, "K": [[1]], "Q": []}))
-    for argv in (["exotic", "invariance", "--spec", str(path), "--trials", "0"],
-                 ["verify", "exotic", "--trials", "0"]):
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: trials must be >= 1")
+    assert run(["exotic", "invariance", "--spec", str(path), "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trials must be >= 1")
 
 
 def test_bracket_closure_refuses_nothing_to_check(monkeypatch, capsys):
@@ -392,6 +390,10 @@ REFUSALS = [
      "malformed JSON in {dir}/spec.json: "),
     ("bad spec field", ["exotic", "validate", "--spec", "{dir}/spec.json"],
      json.dumps(dict(FIRST_SPEC, K=[[5]])), "$.K[0][0]: "),
+    ("boolean spec entry", ["exotic", "validate", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, K=[[True]])), "$.K[0][0]: K entry must be an integer, got True"),
+    ("float spec entry", ["exotic", "evaluate", "--spec", "{dir}/spec.json"],
+     json.dumps(dict(FIRST_SPEC, K=[[1.0]])), "$.K[0][0]: K entry must be an integer, got 1.0"),
     ("bad instance matrix", ["exotic", "invariance", "--spec", "{dir}/spec.json"],
      json.dumps(dict(FIRST_SPEC, monodromies=[[1, 2], [0] * 49], alphas=[], betas=[])),
      "$.monodromies[0]: "),

@@ -1,8 +1,8 @@
 """Module boundaries: no goldmankit module imports another module's private names,
 one module builds the seed substreams, one owns the gauge loop, one renumbers
-index ids, one compares expressions, one decides which families are complex,
-none plans with numpy's einsum_path, every function the benchmark traces by
-name exists, and the package does not load scipy."""
+index ids, one compares expressions, one decides which families are complex
+and what counts as an integer, none plans with numpy's einsum_path, every
+function the benchmark traces by name exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -67,6 +67,14 @@ def test_one_module_decides_which_families_are_complex():
     owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
               if re.search(r"\b16\b.*\belse 8\b", path.read_text())]
     assert owners == ["bases.py"]
+
+
+def test_one_module_decides_what_is_an_integer():
+    # bases.check_int is the one integer test; every integer argument goes through it
+    for mark in (r"np\.integer\b", r"isinstance\([^()]*,\s*bool\)"):
+        owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                  if re.search(mark, path.read_text())]
+        assert owners == ["bases.py"], mark
 
 
 def test_no_einsum_path_or_dummy_operands():
