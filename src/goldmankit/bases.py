@@ -108,7 +108,7 @@ def check_int(value, what: str, minimum: int | None = None) -> int:
             or minimum == 0 and value < 0):
         raise ValueError(f"{what} must be {kind}, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}")
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
     return int(value)
 
 

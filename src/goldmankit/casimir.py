@@ -22,7 +22,7 @@ from .bases import (
     Family, LieBasis, as_family, build_basis, check_int, check_size, gell_mann, generator_stack,
     matrix_side, memoize_per_size, normalization_residual,
 )
-from .linalg import kron, max_abs, permutation_matrix, real_part, unit_matrix
+from .linalg import max_abs, permutation_matrix, real_part
 from .octonions import unit_matrices
 from .reports import CheckRun, VerificationReport
 
@@ -126,8 +126,7 @@ def _closed_form(family: Family, n: int) -> np.ndarray:
         return p + _defect_matrix(family, n)
     # g2: P - sum e_ij (x) e_ij + (1/3) sum O_i (x) O_i, the middle sum being so(7)'s chi
     o = unit_matrices()
-    oct_term = sum(kron(o[i], o[i]) for i in range(7))
-    return p + _defect_matrix(Family.SO, 7) + oct_term / 3.0
+    return p + _defect_matrix(Family.SO, 7) + _kron_sum(o, o) / 3.0
 
 
 def verify_closed_form(family, n: int = 1) -> VerificationReport:
@@ -142,6 +141,12 @@ def verify_closed_form(family, n: int = 1) -> VerificationReport:
     return run.report
 
 
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k kron(a_k, b_k) for two (K, n, n) stacks, as one contraction in kron's block layout."""
+    n = a.shape[-1]
+    return np.einsum("kij,kab->iajb", a, b).reshape(n * n, n * n)
+
+
 def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> dict:
     """Residuals of the three tensor identities behind the GL/U closed form.
 
@@ -150,25 +155,18 @@ def tensor_lemma_residuals(n: int, rng: np.random.Generator | None = None) -> di
     polarization: (a+b)(x)(a+b) - (a-b)(x)(a-b) = 2(a (x) b + b (x) a)
     """
     n = check_int(n, "tensor lemma n", 2)
-    gm = gell_mann(n)
-    hs = gm[:n]
-    offs = gm[n:]
-    h_lhs = sum(kron(h, h) for h in hs)
-    h_rhs = 2.0 * sum(
-        kron(unit_matrix(k, k, n), unit_matrix(k, k, n)) for k in range(1, n + 1)
-    )
-    f_lhs = sum(kron(f, f) for f in offs)
-    f_rhs = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            if k != j:
-                f_rhs += 2.0 * kron(unit_matrix(j, k, n), unit_matrix(k, j, n))
+    gm = np.stack(gell_mann(n))
+    units = np.eye(n * n).reshape(n * n, n, n)  # units[j n + k] = e_jk, 0-based
+    off = np.flatnonzero(~np.eye(n, dtype=bool))  # the e_jk with j != k
+    h_lhs = _kron_sum(gm[:n], gm[:n])
+    h_rhs = 2.0 * _kron_sum(units[:: n + 1], units[:: n + 1])
+    f_lhs = _kron_sum(gm[n:], gm[n:])
+    f_rhs = 2.0 * _kron_sum(units[off], np.swapaxes(units[off], 1, 2))
     if rng is None:
         rng = np.random.default_rng(0)
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    pol_lhs = kron(a + b, a + b) - kron(a - b, a - b)
-    pol_rhs = 2.0 * (kron(a, b) + kron(b, a))
+    a, b = rng.standard_normal((2, n, n))
+    pol_lhs = _kron_sum(np.stack([a + b, a - b]), np.stack([a + b, b - a]))  # b - a = -(a - b)
+    pol_rhs = 2.0 * _kron_sum(np.stack([a, b]), np.stack([b, a]))
     return {
         "h_lemma": max_abs(h_lhs - h_rhs),
         "f_lemma": max_abs(f_lhs - f_rhs),

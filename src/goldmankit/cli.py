@@ -30,7 +30,7 @@ from . import observables as _obs
 from . import symbolic as _sym
 from .bases import Family, build_basis, check_int, check_normalization, check_size, matrix_side
 from .linalg import NumericError
-from .octonions import conjugation_residual, structure_residual, unit_matrices
+from .octonions import conjugation_residual, structure_residual
 from .reports import CheckRun, VerificationReport
 
 FAMILY_CHOICES = [f.value for f in Family]
@@ -80,8 +80,7 @@ def _per_size(check, families=tuple(Family), grid=ALL_GRID):
 def _octonion(trials, seed):
     _goldman.check_draws(Family.G2, 1, trials)
     with CheckRun("octonion-structure", trials=49) as run:
-        unit_matrices()  # includes the rebuild self-test
-        structural = structure_residual()
+        structural = structure_residual()  # runs unit_matrices' rebuild self-test first
         run.record(passed=structural == 0.0, max_abs_err=structural)
     yield run.report
     with CheckRun("octonion-conjugation", seed=seed, trials=trials) as run:
@@ -145,7 +144,7 @@ VERIFY_SUITES = {
 # trials (bracket, defect, symplectic-inverse, octonion as one g2 cell) that
 # one `verify` would run; a bracket or defect trial contracts a pair with a
 # d^2 x d^2 tensor.  `verify all --trials 100000` needs 8.7e8 and runs in
-# about 13 s on 2 vCPUs with one BLAS thread.
+# about 11 s on 2 vCPUs with one BLAS thread.
 _VERIFY_WORK = 10 ** 9
 
 
@@ -165,10 +164,10 @@ def cmd_verify(args) -> int:
 
     A negative ``--seed``, a ``--trials`` below 1, and trials x side^4 over
     the sampled cells above ``_VERIFY_WORK`` are refused before the first
-    suite runs.  Under ``all``, a suite that raises is reported as a
-    failing ``suite-error`` report naming it, the error and the line that
-    raised it, and the next suite runs; the exit code is then 1, as for any
-    failed check.
+    suite runs.  The suites share one ``goldman.draw_scope``.  Under ``all``,
+    a suite that raises is reported as a failing ``suite-error`` report
+    naming it, the error and the line that raised it, and the next suite
+    runs; the exit code is then 1, as for any failed check.
     """
     check_int(getattr(args, "seed", 0), "seed", 0)
     check_int(getattr(args, "trials", 1), "trials", 1)
@@ -177,17 +176,18 @@ def cmd_verify(args) -> int:
              for name, (suite, flags) in VERIFY_SUITES.items()]
             if args.what == "all" else [(args.what, *VERIFY_SUITES[args.what])])
     _check_work(runs, args)
-    for name, suite, flags in runs:
-        try:
-            for report in suite(**{flag: getattr(args, flag) for flag in flags}):
-                em.emit(report)
-        except Exception as exc:
-            if args.what != "all":
-                raise
-            where = traceback.extract_tb(exc.__traceback__)[-1]
-            em.emit(VerificationReport("suite-error", passed=False, params={
-                "suite": name, "error": f"{type(exc).__name__}: {exc}",
-                "at": f"{Path(where.filename).name}:{where.lineno} in {where.name}"}))
+    with _goldman.draw_scope():
+        for name, suite, flags in runs:
+            try:
+                for report in suite(**{flag: getattr(args, flag) for flag in flags}):
+                    em.emit(report)
+            except Exception as exc:
+                if args.what != "all":
+                    raise
+                where = traceback.extract_tb(exc.__traceback__)[-1]
+                em.emit(VerificationReport("suite-error", passed=False, params={
+                    "suite": name, "error": f"{type(exc).__name__}: {exc}",
+                    "at": f"{Path(where.filename).name}:{where.lineno} in {where.name}"}))
     return em.exit_code()
 
 

@@ -24,12 +24,15 @@ in small chunks.  A read starts a Philox at the stream's cached key and
 the row's counter (``_read``), so opening a stream hashes no seed.  Row t
 of stream s sits at a fixed counter offset, so it does not depend on the
 batch or the chunk, and ``sample_element`` replays it alone from
-``SeedSequence(seed, spawn_key=(t, *s))``.  A check draws all its trials
-as one stack and contracts it with Gamma in O(d^4).
+``SeedSequence(seed, spawn_key=(t, *s))``, and one ``verify`` command
+draws each stream once (``draw_scope``).  A check draws all its trials as
+one stack and contracts it with Gamma in O(d^4).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -41,7 +44,7 @@ from .bases import (Family, LieBasis, as_family, build_basis, check_int, check_s
                     entry_bytes, generator_stack, matrix_side, symplectic_form)
 from .casimir import casimir_tensor, defect_matrix
 from .linalg import NumericError, mat_exp, trace12_pairs
-from .octonions import automorphism_residual, unit_matrices
+from .octonions import product_residual, unit_matrices
 from .reports import CheckRun, VerificationReport
 
 _RESAMPLE_LIMIT = 8
@@ -85,10 +88,10 @@ def membership_residual(family, n: int, g: np.ndarray):
     elif family is Family.SO:
         res = np.maximum(np.abs(gt @ stack - np.eye(n)).max(axis=(1, 2)),
                          np.abs(np.linalg.det(stack) - 1.0))
-    else:  # automorphism_residual takes rows within 1e-8 of orthogonal; the rest keep that distance
+    else:  # rows within 1e-8 of orthogonal take the automorphism residual; the rest keep that gap
         res = np.abs(gt @ stack - np.eye(7)).max(axis=(1, 2))
         near = res <= 1e-8
-        res[near] = automorphism_residual(stack[near])
+        res[near] = np.maximum(product_residual(stack[near]), res[near])
     return float(res[0]) if g.ndim == 2 else res
 
 
@@ -129,12 +132,47 @@ def sample_substreams(family, n: int, seed: int, streams, scale: float = 1.0):
     anything is drawn: more rows than ``check_draws`` allows, a seed that is
     not a non-negative int, and negative, non-int, ragged or repeated stream
     ids or row counts.  Returns the stack, its membership residuals and the
-    number of redraws (``_draw``).
+    number of redraws (``_draw``); inside ``draw_scope``, rows already drawn
+    may be served instead, bitwise the same and read-only.
     """
     streams = _check_streams(streams)
     check_draws(family, n, sum(rows for _, rows in streams))
-    return _draw(build_basis(family, n), check_int(seed, "seed", 0),
-                 [(stream, 0, rows) for stream, rows in streams if rows], scale)
+    seed, basis = check_int(seed, "seed", 0), build_basis(family, n)
+    request = [(stream, 0, rows) for stream, rows in streams if rows]
+    kept = _kept.get()
+    if kept is None or not request:
+        return _draw(basis, seed, request, scale)
+    held = [kept.get((basis, seed, scale, s), (None, None, 0, 0)) for s, _, _ in request]
+    starts = list(accumulate((rows for _, _, rows in request), initial=0))
+    mats, res, lo, _ = held[0]
+    if all(h[0] is mats and h[2] == lo + a and h[3] >= b - a
+           for h, a, b in zip(held, starts, starts[1:])):
+        return mats[lo:lo + starts[-1]], res[lo:lo + starts[-1]], 0  # kept draws had no redraw
+    out = mats, res, redraws = _draw(basis, seed, request, scale)
+    longer = [((basis, seed, scale, s), (mats, res, a, b - a))
+              for (s, _, _), h, a, b in zip(request, held, starts, starts[1:]) if h[3] < b - a]
+    held_bytes = sum({id(h[0]): h[0].nbytes + h[1].nbytes for h in kept.values()}.values())
+    if longer and not redraws and held_bytes + mats.nbytes + res.nbytes <= _KEEP_BYTES:
+        for array in (mats, res):
+            array.setflags(write=False)
+        kept.update(longer)
+    return out
+
+
+_KEEP_BYTES = 1 << 24  # a draw scope keeps drawn stacks up to 16 MiB in all
+_kept = ContextVar("kept", default=None)  # the kept draws of this thread's open scope, or None
+
+
+@contextmanager
+def draw_scope():
+    """Within the block, ``sample_substreams`` keeps each draw with no redraw, by (basis, seed,
+    scale, stream), while the kept stacks fit ``_KEEP_BYTES``, and serves rows that lie end to
+    end in one kept stack as a read-only view of it.  Nothing is kept after the block."""
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
 
 
 def check_draws(family, n: int, rows: int) -> None:
@@ -252,12 +290,13 @@ def _draw(basis: LieBasis, seed: int, streams, scale: float):
     )
 
 
-def _trial_draws(basis: LieBasis, seed: int, trials: int, count: int, scale: float = 1.0):
-    """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws."""
+def _trial_draws(family, n: int, seed: int, trials: int, count: int, scale: float = 1.0):
+    """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws.
+    A check draws first, so a refused trial count or seed builds nothing."""
     trials = check_int(trials, "trials", 1)
     streams = [((k,), trials) for k in range(count)]
-    mats, _, resamples = sample_substreams(basis.family, basis.n, seed, streams, scale)
-    return mats.reshape(count, trials, basis.side, basis.side), resamples
+    mats, _, resamples = sample_substreams(family, n, seed, streams, scale)
+    return mats.reshape(count, trials, *mats.shape[1:]), resamples
 
 
 def _bracket_stack(family: Family, a: np.ndarray, b: np.ndarray, gamma: np.ndarray):
@@ -308,9 +347,9 @@ def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0) -> Veri
     """
     family = as_family(family)
     with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:
+        (a, b), resamples = _trial_draws(family, n, seed, trials, 2)
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
-        (a, b), resamples = _trial_draws(basis, seed, trials, 2)
         worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma), relative=True)
         run.record(passed=worst_rel < _BRACKET_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
                    params={"group": family.value, "n": basis.n, "intersections": 1,
@@ -324,9 +363,9 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0) -> Verif
     if family not in (Family.SP, Family.SO):
         raise ValueError(f"defect lemma applies to sp/so only, got {family.value}")
     with CheckRun("defect-lemma", seed=seed, trials=trials) as run:
+        (a, b), resamples = _trial_draws(family, n, seed, trials, 2)
         basis = build_basis(family, n)
         chi = defect_matrix(family, n)
-        (a, b), resamples = _trial_draws(basis, seed, trials, 2)
         lhs = trace12_pairs(a, b, chi)
         worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)),
                                              relative=False)
@@ -358,8 +397,7 @@ def symplectic_inverse_residual(b: np.ndarray, n: int):
 def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0) -> VerificationReport:
     """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
     with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
-        basis = build_basis(Family.SP, n)
-        (b,), resamples = _trial_draws(basis, seed, trials, 1)
+        (b,), resamples = _trial_draws(Family.SP, n, seed, trials, 1)
         worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials), False)
         run.record(passed=worst_abs < _SYMPLECTIC_INVERSE_TOL, max_abs_err=worst_abs,
                    params={"n": n, "worst_trial": worst, "resamples": resamples})
@@ -380,9 +418,9 @@ def split_harness(family, n: int = 1, seed: int = 0) -> VerificationReport:
     """
     family = as_family(family)
     with CheckRun("split-harness", seed=seed) as run:
+        mats, _ = _trial_draws(family, n, seed, 1, 6, _SPLIT_SCALE)
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
-        mats, _ = _trial_draws(basis, seed, 1, 6, _SPLIT_SCALE)
         t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = mats[:, 0]
         a = t_0_x2 @ mtilde1 @ t_x1_0
         b = t_0_y2 @ mtilde2 @ t_y1_0

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from goldmankit.bases import Family, build_basis
+from goldmankit.bases import Family, build_basis, gell_mann
 from goldmankit.casimir import (
     NormalizationError,
     casimir_tensor,
@@ -17,6 +17,7 @@ from goldmankit.casimir import (
     verify_tensor_lemmas,
 )
 from goldmankit.linalg import kron, max_abs, permutation_matrix, trace12, unit_matrix
+from goldmankit.octonions import structure_residual, unit_matrices
 
 GRID = (
     [(f, n) for f in (Family.GL, Family.U, Family.SL, Family.SU) for n in range(2, 6)]
@@ -149,6 +150,56 @@ def test_polarization_identity_random():
     lhs = kron(a + b, a + b) - kron(a - b, a - b)
     rhs = 2.0 * (kron(a, b) + kron(b, a))
     assert max_abs(lhs - rhs) < 1e-13
+
+
+def _loop_lemma_residuals(n, rng):
+    """The three lemma residuals with each side a Python sum of kron calls: the reference."""
+    gm = gell_mann(n)
+    e = lambda i, j: unit_matrix(i, j, n)
+    h_rhs = 2.0 * sum(kron(e(k, k), e(k, k)) for k in range(1, n + 1))
+    f_rhs = 2.0 * sum(kron(e(j, k), e(k, j))
+                      for k in range(1, n + 1) for j in range(1, n + 1) if k != j)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return {"h_lemma": max_abs(sum(kron(h, h) for h in gm[:n]) - h_rhs),
+            "f_lemma": max_abs(sum(kron(f, f) for f in gm[n:]) - f_rhs),
+            "polarization": max_abs(kron(a + b, a + b) - kron(a - b, a - b)
+                                    - 2.0 * (kron(a, b) + kron(b, a)))}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_lemma_sides_equal_the_kron_loop(n):
+    for seed in range(5):
+        got = tensor_lemma_residuals(n, np.random.default_rng(seed))
+        assert got == _loop_lemma_residuals(n, np.random.default_rng(seed))
+
+
+def _flip_one_product_sign(monkeypatch):
+    from goldmankit import octonions
+
+    unit_matrices()  # the operators are built and cross-checked from the intact table
+    eps = octonions.eps_table().copy()
+    eps[0, 1, 2] = -1  # e_1 e_2 = -e_3
+    monkeypatch.setattr(octonions, "eps_table", lambda: eps)
+    return structure_residual()
+
+
+def _scale_one_gell_mann_matrix(monkeypatch):
+    from goldmankit import casimir
+
+    worst = []
+    for k in range(9):
+        scaled = lambda n, k=k: [1.01 * m if i == k else m for i, m in enumerate(gell_mann(n))]
+        monkeypatch.setattr(casimir, "gell_mann", scaled)
+        res = tensor_lemma_residuals(3)
+        worst.append(max(res["h_lemma"], res["f_lemma"]))
+    return min(worst)
+
+
+@pytest.mark.parametrize("mutate, floor", [(_flip_one_product_sign, 0.0),
+                                           (_scale_one_gell_mann_matrix, 1e-3)])
+def test_a_broken_rule_leaves_a_residual(mutate, floor, monkeypatch):
+    # the stacked checks cannot pass vacuously: one wrong sign or one scaled matrix shows
+    assert mutate(monkeypatch) > floor
 
 
 def test_lemma_residual_fields():

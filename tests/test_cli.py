@@ -157,7 +157,7 @@ def test_verify_octonion_refuses_zero_trials(capsys):
     assert run(["verify", "octonion", "--trials", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: trials must be >= 1")
+    assert captured.err.startswith("error: trials must be >= 1, got 0")
 
 
 def test_verify_all_ignores_group_and_n(capsys):
@@ -215,7 +215,7 @@ def test_exotic_invariance_refuses_zero_trials(tmp_path, capsys):
     assert run(["exotic", "invariance", "--spec", str(path), "--trials", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: trials must be >= 1")
+    assert captured.err.startswith("error: trials must be >= 1, got 0")
 
 
 def test_bracket_closure_refuses_nothing_to_check(monkeypatch, capsys):
@@ -420,7 +420,8 @@ REFUSALS = [
      "seed must be a non-negative integer, got -1"),
     ("negative seed, verify all", ["verify", "all", "--seed", "-1"], None,
      "seed must be a non-negative integer, got -1"),
-    ("zero trials, verify all", ["verify", "all", "--trials", "0"], None, "trials must be >= 1"),
+    ("zero trials, verify all", ["verify", "all", "--trials", "0"], None,
+     "trials must be >= 1, got 0"),
     ("negative seed, verify octonion", ["verify", "octonion", "--seed", "-1"], None,
      "seed must be a non-negative integer, got -1"),
     ("negative seed, verify tensor-lemmas", ["verify", "tensor-lemmas", "--seed", "-1"], None,

@@ -680,3 +680,154 @@ def test_a_g2_draw_past_one_chunk_is_pinned():
     mats, _, _ = sample_substreams(Family.G2, 1, 5, [((), 400)])
     assert mats.size > goldman._DRAW_CHUNK_ENTRIES
     assert _sha256(mats) == G2_PAST_ONE_CHUNK_SHA256
+
+
+@pytest.mark.parametrize("check, kwargs, message", [
+    (lambda **kw: verify_bracket("su", 30, **kw), {"trials": 0}, "trials must be >= 1, got 0"),
+    (lambda **kw: verify_bracket("su", 30, **kw), {"seed": -1}, "seed must be a non-negative"),
+    (lambda **kw: verify_defect("so", 30, **kw), {"trials": 0}, "trials must be >= 1, got 0"),
+    (lambda **kw: verify_symplectic_inverse(30, **kw), {"seed": -1}, "seed must be"),
+    (lambda **kw: split_harness("gl", 30, **kw), {"seed": -1}, "seed must be a non-negative"),
+])
+def test_a_refused_count_builds_nothing(check, kwargs, message, monkeypatch):
+    # trials and seed are checked before the basis, Gamma or chi of a large size is built
+    from goldmankit import goldman
+
+    for builder in ("build_basis", "casimir_tensor", "defect_matrix"):
+        monkeypatch.setattr(goldman, builder, lambda *a: pytest.fail(f"called {builder} first"))
+    with pytest.raises(ValueError, match=message):
+        check(**kwargs)
+
+
+def _spy_draws(monkeypatch):
+    from goldmankit import goldman
+
+    calls = []
+    draw = goldman._draw
+    monkeypatch.setattr(goldman, "_draw", lambda *a: calls.append(a) or draw(*a))
+    return calls
+
+
+def _verify_all(argv):
+    from goldmankit.cli import run
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--json", "verify", "all"] + argv)
+    return code, [line.split(',"elapsed_ms"')[0] for line in out.getvalue().splitlines()]
+
+
+def test_verify_all_draws_each_stream_once(monkeypatch):
+    # 39 requests: the defect, two symplectic-inverse and four exotic ones ask only for rows
+    # the bracket suite drew
+    calls = _spy_draws(monkeypatch)
+    assert _verify_all(["--seed", "42"])[0] == 0
+    assert len(calls) == 29
+
+
+def test_served_stacks_equal_fresh_draws_bit_for_bit(monkeypatch):
+    from goldmankit import goldman, observables
+    from goldmankit.symbolic import closure
+
+    requests = []
+
+    def spy(*args):
+        out = sample_substreams(*args)
+        requests.append((args, out))
+        return out
+
+    for module in (goldman, observables, closure):
+        monkeypatch.setattr(module, "sample_substreams", spy)
+    draws = _spy_draws(monkeypatch)
+    assert _verify_all(["--seed", "42", "--trials", "10"])[0] == 0
+    assert len(requests) == 39 and len(draws) == 29
+    for args, (mats, residuals, resamples) in requests:
+        fresh, fresh_residuals, fresh_resamples = sample_substreams(*args)
+        assert mats.tobytes() == fresh.tobytes() and mats.shape == fresh.shape
+        assert residuals.tobytes() == fresh_residuals.tobytes()
+        assert resamples == fresh_resamples == 0
+        assert not mats.flags.writeable and not residuals.flags.writeable
+    assert len(draws) == 29 + 39
+
+
+def test_a_forced_redraw_gives_the_same_resamples_served_or_fresh(monkeypatch):
+    from goldmankit import goldman
+
+    rejected = sample_element(Family.SP, 1, np.random.SeedSequence(8, spawn_key=(3, 0))).matrix
+
+    def reject(family, n, g):  # row 3 of stream (0,) fails its first membership test
+        res = membership_residual(family, n, g)
+        res[(g == rejected).all(axis=(1, 2))] = np.inf
+        return res
+
+    monkeypatch.setattr(goldman, "membership_residual", reject)
+    fresh = verify_defect(Family.SP, 1, trials=5, seed=8)
+    with goldman.draw_scope():
+        assert verify_bracket(Family.SP, 1, trials=5, seed=8).params["resamples"] == 1
+        shared = verify_defect(Family.SP, 1, trials=5, seed=8)
+    assert fresh.params["resamples"] == shared.params["resamples"] == 1
+    assert fresh.to_json(include_elapsed=False) == shared.to_json(include_elapsed=False)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--json", "verify", "all", "--trials", "2", "--seed", "4"], 1),
+    (["--json", "verify", "bracket", "--group", "g2", "--trials", "2", "--seed", "4"], 2),
+])
+def test_no_draw_is_kept_after_a_verify_whose_suite_raises(argv, code, monkeypatch):
+    from goldmankit import goldman
+    from goldmankit.cli import run
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(goldman, "_bracket_stack", boom)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == code
+    draws = _spy_draws(monkeypatch)
+    sample_substreams(Family.G2, 1, 4, [((0,), 2), ((1,), 2)])
+    assert len(draws) == 1 and goldman._kept.get() is None
+
+
+def test_a_draw_scope_keeps_no_more_than_its_byte_bound(monkeypatch):
+    from goldmankit import goldman
+
+    scopes = []
+    scope = goldman.draw_scope
+
+    @contextlib.contextmanager
+    def spy():
+        with scope():
+            scopes.append(goldman._kept.get())
+            yield
+
+    argv = ["--seed", "42", "--trials", "10"]
+    unbounded = _verify_all(argv)
+    monkeypatch.setattr(goldman, "draw_scope", spy)
+    # the bracket draws fill 20 000 bytes up to so(3): so(5)'s and g2's are not kept
+    monkeypatch.setattr(goldman, "_KEEP_BYTES", 20000)
+    draws = _spy_draws(monkeypatch)
+    assert _verify_all(argv) == unbounded
+    kept = {id(mats): mats.nbytes + res.nbytes for mats, res, _, _ in scopes[0].values()}
+    assert 0 < sum(kept.values()) <= 20000
+    assert len(draws) == 34  # so(5)'s defect and the four exotic requests are drawn again
+
+
+def test_a_draw_scope_serves_rows_that_lie_end_to_end_in_a_kept_stack(monkeypatch):
+    from goldmankit import goldman
+
+    draws = _spy_draws(monkeypatch)
+    served = [((0,), 5)], [((1,), 2)], [((0,), 5), ((1,), 3)], [((0,), 6)]
+    with goldman.draw_scope():
+        first = sample_substreams(Family.SO, 4, 6, [((0,), 5), ((1,), 5)])
+        views = [sample_substreams(Family.SO, 4, 6, streams) for streams in served[:3]]
+        assert len(draws) == 1 and all(np.shares_memory(v[0], first[0]) for v in views)
+        sample_substreams(Family.SO, 4, 6, [((1,), 4), ((0,), 2)])  # not end to end: drawn
+        sample_substreams(Family.SO, 4, 6, [((0,), 3), ((1,), 3)])
+        sample_substreams(Family.SO, 4, 6, [((0,), 6)])  # longer than kept: drawn, then kept
+        assert len(draws) == 4
+        views.append(sample_substreams(Family.SO, 4, 6, [((0,), 6)]))
+        assert len(draws) == 4
+    for streams, (mats, residuals, resamples) in zip(served, views):
+        fresh = sample_substreams(Family.SO, 4, 6, streams)
+        assert mats.tobytes() == fresh[0].tobytes() and residuals.tobytes() == fresh[1].tobytes()
+        assert resamples == fresh[2] == 0 and not mats.flags.writeable

@@ -1,8 +1,9 @@
 """Module boundaries: no goldmankit module imports another module's private names,
 one module builds the seed substreams, one owns the gauge loop, one renumbers
 index ids, one compares expressions, one decides which families are complex
-and what counts as an integer, none plans with numpy's einsum_path, every
-function the benchmark traces by name exists, and the package does not load scipy."""
+and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, none
+plans with numpy's einsum_path, every function the benchmark traces by name
+exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -75,6 +76,19 @@ def test_one_module_decides_what_is_an_integer():
         owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                   if re.search(mark, path.read_text())]
         assert owners == ["bases.py"], mark
+
+
+def test_only_cmd_verify_opens_a_draw_scope():
+    # goldman.draw_scope shares draws within one `verify` command; opened anywhere
+    # else, it would become a cache of draws that lives across calls
+    cli = ast.parse((SRC / "cli.py").read_text())
+    cmd_verify = next(node for node in cli.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "cmd_verify")
+    opened = [(path.relative_to(SRC).as_posix(), node) for path in sorted(SRC.rglob("*.py"))
+              for node in ast.walk(cli if path.name == "cli.py" else ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and "draw_scope" in ast.unparse(node.func)]
+    assert [path for path, _ in opened] == ["cli.py"]
+    assert opened[0][1] in list(ast.walk(cmd_verify))
 
 
 def test_no_einsum_path_or_dummy_operands():

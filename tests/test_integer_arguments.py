@@ -104,5 +104,5 @@ def test_check_int_is_the_one_rule():
         bases.check_int(1.5, "seed", 0)
     with pytest.raises(ValueError, match=r"^trials must be an integer, got 2\.5$"):
         bases.check_int(2.5, "trials", 1)
-    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
         bases.check_int(0, "trials", 1)

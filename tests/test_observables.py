@@ -549,7 +549,7 @@ def test_invariance_fails_when_no_gauge_moves_the_control(monkeypatch):
 @pytest.mark.parametrize("trials", [0, -3])
 def test_invariance_refuses_fewer_than_one_trial(trials):
     inst = obs.random_instance(FIRST, seed=23)
-    with pytest.raises(ValueError, match="trials must be >= 1"):
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
         obs.invariance_test(inst, trials=trials)
 
 
