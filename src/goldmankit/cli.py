@@ -61,10 +61,11 @@ class _Emitter:
         return 0 if self.all_passed else 1
 
 
-def _per_size(check, families=tuple(Family), grid=ALL_GRID):
+def _per_size(check, families=tuple(Family), grid=ALL_GRID, draws=None):
     """Suite running ``check(family, size, **flags)`` on the given ``--group`` (or all
     of ``families``, its choices) at the given ``--n`` (or the ``grid`` sizes).
-    A size some family of the sweep does not take is refused before any check runs."""
+    A size some family of the sweep does not take is refused before any check runs.
+    ``draws`` names the sampled check whose ``goldman.declared_draw`` the suite declares."""
     def cells(group=None, n=None):
         return [(fam, check_size(fam, size))
                 for fam in (families if group is None else [Family(group)])
@@ -73,25 +74,27 @@ def _per_size(check, families=tuple(Family), grid=ALL_GRID):
     def suite(group=None, n=None, **flags):
         for fam, size in cells(group, n):
             yield check(fam, size, **flags)
-    suite.groups, suite.cells = [f.value for f in families], cells
+    suite.groups = [f.value for f in families]
+    if draws is not None:
+        suite.draws = lambda group=None, n=None, trials=1, seed=0: [
+            _goldman.declared_draw(draws, *cell, seed, trials) for cell in cells(group, n)]
     return suite
 
 
 def _octonion(trials, seed):
-    _goldman.check_draws(Family.G2, 1, trials)
     with CheckRun("octonion-structure", trials=49) as run:
         structural = structure_residual()  # runs unit_matrices' rebuild self-test first
         run.record(passed=structural == 0.0, max_abs_err=structural)
     yield run.report
     with CheckRun("octonion-conjugation", seed=seed, trials=trials) as run:
-        gs, _, _ = _goldman.sample_substreams(Family.G2, 1, seed, [((), trials)])
+        gs, _, _ = _goldman.sample_substreams(*_octonion.draws(trials, seed)[0])
         worst = max(float(conjugation_residual(gs[start:start + _RESIDUAL_CHUNK]).max())
                     for start in range(0, trials, _RESIDUAL_CHUNK))
         run.record(passed=worst < _CONJUGATION_TOL, max_abs_err=worst)
     yield run.report
 
 
-_octonion.cells = lambda: [(Family.G2, 1)]
+_octonion.draws = lambda trials, seed: [_goldman.Draw(Family.G2, 1, seed, (((), trials),))]
 
 
 _EXOTIC_GAUGES = 10  # gauges per spec in `verify exotic`; `exotic invariance` takes --trials
@@ -125,49 +128,51 @@ VERIFY_SUITES = {
     "casimir": (_per_size(lambda *a: _casimir.verify_closed_form(*a)), _GROUP_N),
     "tensor-lemmas": (lambda seed: (
         _casimir.verify_tensor_lemmas(size, seed=seed) for size in (2, 3, 4)), ("seed",)),
-    "bracket": (_per_size(lambda *a, **kw: _goldman.verify_bracket(*a, **kw)),
+    "bracket": (_per_size(lambda *a, **kw: _goldman.verify_bracket(*a, **kw), draws="bracket"),
                 _GROUP_N + _TRIALS_SEED),
     "defect": (_per_size(lambda *a, **kw: _goldman.verify_defect(*a, **kw),
-                         families=(Family.SP, Family.SO)), _GROUP_N + _TRIALS_SEED),
-    "symplectic-inverse": (
-        _per_size(lambda _, n, **kw: _goldman.verify_symplectic_inverse(n, **kw),
-                  families=(Family.SP,), grid={Family.SP: (1, 2, 3)}), ("n",) + _TRIALS_SEED),
+                         families=(Family.SP, Family.SO), draws="defect"),
+               _GROUP_N + _TRIALS_SEED),
+    "symplectic-inverse": (_per_size(
+        lambda _, n, **kw: _goldman.verify_symplectic_inverse(n, **kw), families=(Family.SP,),
+        grid={Family.SP: (1, 2, 3)}, draws="symplectic-inverse"), ("n",) + _TRIALS_SEED),
     "octonion": (_octonion, _TRIALS_SEED),
-    "split": (_per_size(lambda *a, **kw: _goldman.split_harness(*a, **kw)),
+    "split": (_per_size(lambda *a, **kw: _goldman.split_harness(*a, **kw), draws="split"),
               _GROUP_N + ("seed",)),
     "exotic": (_exotic, ("seed",)),
     "symbolic": (_symbolic, ("seed",)),
 }
 
 
-# Largest trials x side^4 summed over the cells of the suites with cells and
-# trials (bracket, defect, symplectic-inverse, octonion as one g2 cell) that
-# one `verify` would run; a bracket or defect trial contracts a pair with a
+# Largest trials x side^4, summed over the draws that the suites taking
+# --trials (bracket, defect, symplectic-inverse, octonion) declare, that one
+# `verify` would run; a bracket or defect trial contracts a pair with a
 # d^2 x d^2 tensor.  `verify all --trials 100000` needs 8.7e8 and runs in
-# about 11 s on 2 vCPUs with one BLAS thread.
+# about 12 s on 2 vCPUs with one BLAS thread.
 _VERIFY_WORK = 10 ** 9
 
 
-def _check_work(runs, args) -> None:
-    """ValueError if the requested cells' trials x side^4 exceed ``_VERIFY_WORK``."""
-    work = sum(args.trials * matrix_side(fam, size) ** 4
-               for _, suite, flags in runs if "trials" in flags and hasattr(suite, "cells")
-               for fam, size in suite.cells(**{f: getattr(args, f) for f in flags
-                                               if f in _GROUP_N}))
+def _check_work(runs, args) -> list:
+    """The runs' declared ``goldman.Draw`` requests; ValueError if their work is too much."""
+    declared = [(draw, "trials" in flags) for _, suite, flags in runs if hasattr(suite, "draws")
+                for draw in suite.draws(**{f: getattr(args, f) for f in flags})]
+    work = sum(max(rows for _, rows in draw.streams) * matrix_side(draw.family, draw.n) ** 4
+               for draw, priced in declared if priced)
     if work > _VERIFY_WORK:
         raise ValueError(f"--trials {args.trials} needs {work:.3g} trials x side^4 over the "
                          f"requested cells, over the budget of {_VERIFY_WORK:.0e}")
+    return [draw for draw, _ in declared]
 
 
 def cmd_verify(args) -> int:
     """Run one suite, or with ``all`` every suite over its full grid.
 
-    A negative ``--seed``, a ``--trials`` below 1, and trials x side^4 over
-    the sampled cells above ``_VERIFY_WORK`` are refused before the first
-    suite runs.  The suites share one ``goldman.draw_scope``.  Under ``all``,
-    a suite that raises is reported as a failing ``suite-error`` report
-    naming it, the error and the line that raised it, and the next suite
-    runs; the exit code is then 1, as for any failed check.
+    A negative ``--seed``, a ``--trials`` below 1, and declared draws over
+    ``_VERIFY_WORK`` or the sampling budget are refused before the first
+    suite runs; the draws are then drawn up front in one ``goldman.draw_scope``.
+    Under ``all``, a suite that raises is reported as a failing ``suite-error``
+    report naming it, the error and the line that raised it, and the next
+    suite runs; the exit code is then 1, as for any failed check.
     """
     check_int(getattr(args, "seed", 0), "seed", 0)
     check_int(getattr(args, "trials", 1), "trials", 1)
@@ -175,8 +180,7 @@ def cmd_verify(args) -> int:
     runs = ([(name, suite, [f for f in flags if f in _TRIALS_SEED])
              for name, (suite, flags) in VERIFY_SUITES.items()]
             if args.what == "all" else [(args.what, *VERIFY_SUITES[args.what])])
-    _check_work(runs, args)
-    with _goldman.draw_scope():
+    with _goldman.draw_scope(_check_work(runs, args)):
         for name, suite, flags in runs:
             try:
                 for report in suite(**{flag: getattr(args, flag) for flag in flags}):

@@ -17,25 +17,27 @@ modelled (reports carry an ``intersections`` field for a future summation
 hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
 [-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path:
 ``check_draws`` refuses an oversize stack before anything is drawn, and
-``_draw`` reads each stream's rows bitwise as the counter-based generator
+``_draw_all`` reads each stream's rows bitwise as the counter-based generator
 ``Generator(Philox(SeedSequence(seed, spawn_key=stream)))`` (Salmon et al.,
 SC 2011) yields them in order, then exponentiates and membership-tests them
 in small chunks.  A read starts a Philox at the stream's cached key and
 the row's counter (``_read``), so opening a stream hashes no seed.  Row t
 of stream s sits at a fixed counter offset, so it does not depend on the
-batch or the chunk, and ``sample_element`` replays it alone from
-``SeedSequence(seed, spawn_key=(t, *s))``, and one ``verify`` command
-draws each stream once (``draw_scope``).  A check draws all its trials as
-one stack and contracts it with Gamma in O(d^4).
+batch, the chunk or the requests beside it; ``sample_element`` replays it
+alone from ``SeedSequence(seed, spawn_key=(t, *s))``, and one ``verify``
+draws its suites' declared streams once, up front (``draw_scope``).  A
+check draws all its trials as one stack and contracts it with Gamma in O(d^4).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -102,19 +104,20 @@ def sample_element(family, n: int, seed, scale: float = 1.0,
     ``seed`` is an int, standing for row 0 of stream (), or a numpy
     SeedSequence with int entropy and spawn key (t, *stream): the element is
     then row t of that stream, bitwise as ``sample_substreams`` draws it, from
-    ``build_basis(family, n)``.  Any other ``basis`` is refused, of any size.
+    ``build_basis(family, n)``.  Any other ``basis`` is refused, of any size;
+    the seed and spawn key are checked before the basis is built.
     """
-    own = build_basis(family, n)
-    if basis is not None and basis is not own:
-        raise ValueError(f"a {basis.family.value}({basis.n}) basis was given for "
-                         f"{own.family.value}({own.n}), which draws only from build_basis's")
     key = (0,)
     if isinstance(seed, np.random.SeedSequence):
         if seed.pool_size != 4 or not seed.spawn_key:  # streams are keyed by four-word pools
             raise ValueError("a SeedSequence seed needs pool_size 4 and a spawn key (t, *stream)")
         seed, key = seed.entropy, seed.spawn_key
     (stream, _), = _check_streams([(key[1:], 1)])
-    mats, res, _ = _draw(own, check_int(seed, "seed", 0), [(stream, key[0], 1)], scale)
+    seed, own = check_int(seed, "seed", 0), build_basis(family, n)
+    if basis is not None and basis is not own:
+        raise ValueError(f"a {basis.family.value}({basis.n}) basis was given for "
+                         f"{own.family.value}({own.n}), which draws only from build_basis's")
+    mats, res, _ = _draw(own, seed, [(stream, key[0], 1)], scale)
     return GroupElement(own.family, own.n, mats[0], float(res[0]))
 
 
@@ -132,43 +135,50 @@ def sample_substreams(family, n: int, seed: int, streams, scale: float = 1.0):
     anything is drawn: more rows than ``check_draws`` allows, a seed that is
     not a non-negative int, and negative, non-int, ragged or repeated stream
     ids or row counts.  Returns the stack, its membership residuals and the
-    number of redraws (``_draw``); inside ``draw_scope``, rows already drawn
+    number of redraws (``_draw``); inside ``draw_scope``, rows drawn up front
     may be served instead, bitwise the same and read-only.
     """
     streams = _check_streams(streams)
     check_draws(family, n, sum(rows for _, rows in streams))
     seed, basis = check_int(seed, "seed", 0), build_basis(family, n)
     request = [(stream, 0, rows) for stream, rows in streams if rows]
-    kept = _kept.get()
-    if kept is None or not request:
-        return _draw(basis, seed, request, scale)
-    held = [kept.get((basis, seed, scale, s), (None, None, 0, 0)) for s, _, _ in request]
-    starts = list(accumulate((rows for _, _, rows in request), initial=0))
-    mats, res, lo, _ = held[0]
-    if all(h[0] is mats and h[2] == lo + a and h[3] >= b - a
-           for h, a, b in zip(held, starts, starts[1:])):
-        return mats[lo:lo + starts[-1]], res[lo:lo + starts[-1]], 0  # kept draws had no redraw
-    out = mats, res, redraws = _draw(basis, seed, request, scale)
-    longer = [((basis, seed, scale, s), (mats, res, a, b - a))
-              for (s, _, _), h, a, b in zip(request, held, starts, starts[1:]) if h[3] < b - a]
-    held_bytes = sum({id(h[0]): h[0].nbytes + h[1].nbytes for h in kept.values()}.values())
-    if longer and not redraws and held_bytes + mats.nbytes + res.nbytes <= _KEEP_BYTES:
-        for array in (mats, res):
-            array.setflags(write=False)
-        kept.update(longer)
-    return out
+    if request and (planned := _kept.get()):
+        held = [planned.get((basis, seed, scale, s), (None, None, 0, 0)) for s, _, _ in request]
+        starts = list(accumulate((rows for _, _, rows in request), initial=0))
+        mats, res, lo, _ = held[0]
+        if all(h[0] is mats and h[2] == lo + a and h[3] >= b - a
+               for h, a, b in zip(held, starts, starts[1:])):
+            return mats[lo:lo + starts[-1]], res[lo:lo + starts[-1]], 0  # planned: no redraw
+    return _draw(basis, seed, request, scale)
 
 
-_KEEP_BYTES = 1 << 24  # a draw scope keeps drawn stacks up to 16 MiB in all
-_kept = ContextVar("kept", default=None)  # the kept draws of this thread's open scope, or None
+Draw = namedtuple("Draw", "family n seed streams scale", defaults=(1.0,))  # a declared request
+_KEEP_BYTES = 1 << 24  # a draw scope draws its plan up front only if the plan fits 16 MiB
+_kept = ContextVar("kept", default=None)  # the planned stacks of this thread's open scope
 
 
 @contextmanager
-def draw_scope():
-    """Within the block, ``sample_substreams`` keeps each draw with no redraw, by (basis, seed,
-    scale, stream), while the kept stacks fit ``_KEEP_BYTES``, and serves rows that lie end to
-    end in one kept stack as a read-only view of it.  Nothing is kept after the block."""
-    token = _kept.set({})
+def draw_scope(draws=()):
+    """Draw the union of the ``Draw`` requests, each checked by ``check_draws``, up front: each
+    (basis, seed, scale, stream) once to the most rows asked for, if that fits ``_KEEP_BYTES``.
+    In the block ``sample_substreams`` serves rows end to end in a stack with no redraw as views."""
+    union = {}
+    for family, n, seed, streams, scale in draws:
+        check_draws(family, n, sum(rows for _, rows in streams))
+        most = union.setdefault(build_basis(family, n), {}).setdefault((seed, scale), {})
+        most.update((stream, max(rows, most.get(stream, 0))) for stream, rows in streams)
+    plan = [(basis, seed, scale, [(stream, 0, rows) for stream, rows in most.items()])
+            for basis, by_draw in union.items() for (seed, scale), most in by_draw.items()]
+    size = sum(sum(rows for *_, rows in streams) * (basis.side ** 2 * entry_bytes(basis.family) + 8)
+               for basis, _, _, streams in plan)
+    drawn = _draw_all(plan) if size <= _KEEP_BYTES else []
+    planned = {(basis, seed, scale, stream): (mats, res, lo, rows)
+               for (basis, seed, scale, streams), (mats, res, redraws) in zip(plan, drawn)
+               if not redraws for (stream, _, rows), lo in zip(streams, accumulate(
+                   (k for *_, k in streams), initial=0))}
+    for mats, res, _ in drawn:
+        mats.flags.writeable = res.flags.writeable = False
+    token = _kept.set(planned)
     try:
         yield
     finally:
@@ -243,60 +253,89 @@ def _read(seed: int, stream: tuple, row: int, rows: int, count: int, scale: floa
 
 
 _DRAW_CHUNK_ENTRIES = 1 << 14  # matrix entries drawn at once: 128 KiB of float64
+_SPLIT_SCALE = 0.7  # A and B multiply three draws; smaller draws keep the absolute round-off low
 
 
 def _draw(basis: LieBasis, seed: int, streams, scale: float):
-    """exp(sum_a c_a t_a) for (stream, first row, rows) triples: (stack, residuals, redraws).
+    """``_draw_all`` of one request: exp(sum_a c_a t_a), residuals and redraws."""
+    return _draw_all([(basis, seed, scale, streams)])[0]
 
-    The one chunk loop of a draw: a chunk reads the next rows of the streams
-    it spans (``_read``), and the generator sum, ``mat_exp`` and
-    ``membership_residual`` see at most ``_DRAW_CHUNK_ENTRIES`` matrix entries
-    (or one row) at a time, each row by row, so no row depends on its chunk.
-    A row t of stream s outside the 1e-8 membership band (none at these
-    scales) is redrawn alone from stream (t, *s, attempt) a handful of times,
-    then NumericError is raised.  Redraw ids have two or three words and
-    first-draw ids at most one, so no redraw repeats a first draw.
+
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of ``parts`` end to end: its one array itself, or their concatenation."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _draw_all(requests) -> list:
+    """(stack, residuals, redraws) of each (basis, seed, scale, (stream, first row, rows)) request.
+
+    The one chunk loop of a draw: the requests of one matrix side and dtype are drawn as one
+    stack, streams end to end.  A chunk of ``_DRAW_CHUNK_ENTRIES`` matrix entries (or one row)
+    is read (``_read``), summed with each basis's generators, exponentiated by one ``mat_exp``
+    and tested by basis (``membership_residual``), all row by row.  A row t of stream s outside
+    the 1e-8 membership band is redrawn alone from stream (t, *s, attempt) a few times, then
+    NumericError is raised; redraw ids have two or three words and first-draw ids at most one.
     """
-    if not 0.0 < scale <= 2.0:
-        raise ValueError(f"scale must lie in (0, 2], got {scale}")
-    gens, count = generator_stack(basis), len(basis)
-    starts = list(accumulate((rows for _, _, rows in streams), initial=0))
-    mats = np.empty((starts[-1], basis.side, basis.side), dtype=gens.dtype)
-    res = np.empty(len(mats))
-    step = max(1, _DRAW_CHUNK_ENTRIES // basis.side ** 2)
-    pending, todo, draws = range(len(mats)), streams, 0
-    for attempt in range(1, _RESAMPLE_LIMIT + 1):
-        bounds = list(accumulate((rows for _, _, rows in todo), initial=0))
-        for lo in range(0, len(pending), step):
-            hi = min(lo + step, len(pending))
-            parts = [_read(seed, stream, first + max(lo, a) - a, min(hi, b) - max(lo, a),
-                           count, scale)
-                     for (stream, first, _), a, b in zip(todo, bounds, bounds[1:])
-                     if a < hi and b > lo]
-            coeffs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            rows = slice(lo, hi) if attempt == 1 else pending[lo:hi]  # first draws are in order
-            mats[rows] = mat_exp(np.einsum("ta,aij->tij", coeffs, gens))
-            res[rows] = membership_residual(basis.family, basis.n, mats[rows])
-        draws += len(pending)
-        pending = np.flatnonzero(~(res < _MEMBERSHIP_TOL))
-        if not pending.size:
-            return mats, res, draws - len(mats)
-        which = np.searchsorted(starts, pending, "right") - 1
-        todo = [((int(streams[j][1] + i - starts[j]), *streams[j][0], attempt), 0, 1)
-                for i, j in zip(pending, which)]
-    raise NumericError(
-        f"could not sample a {basis.family.value} element within residual "
-        f"{_MEMBERSHIP_TOL:.1e} (last residual {res[pending].max():.3e})"
-    )
+    groups, out = {}, [None] * len(requests)
+    for i, (basis, _, scale, _) in enumerate(requests):
+        if not 0.0 < scale <= 2.0:
+            raise ValueError(f"scale must lie in (0, 2], got {scale}")
+        groups.setdefault((basis.side, generator_stack(basis).dtype), []).append(i)
+    for (side, dtype), members in groups.items():
+        # (basis, seed, scale, stream, first row, rows) pieces, end to end in the group's stack
+        pieces = [(*requests[i][:3], *stream) for i in members for stream in requests[i][3]]
+        starts = list(accumulate((piece[-1] for piece in pieces), initial=0))
+        mats, res = np.empty((starts[-1], side, side), dtype=dtype), np.empty(starts[-1])
+        step = max(1, _DRAW_CHUNK_ENTRIES // side ** 2)
+        pending, todo, redrawn = range(len(res)), pieces, []
+        for attempt in range(1, _RESAMPLE_LIMIT + 1):
+            bounds = list(accumulate((piece[-1] for piece in todo), initial=0))
+            for lo in range(0, len(pending), step):
+                hi = min(lo + step, len(pending))
+                cut = todo if hi - lo == bounds[-1] else [  # the spans of the chunk
+                    (*key, first + max(lo, a) - a, min(hi, b) - max(lo, a))
+                    for (*key, first, _), a, b in zip(todo, bounds, bounds[1:])
+                    if a < hi and b > lo]
+                runs = [(basis, list(run)) for basis, run in groupby(cut, itemgetter(0))]
+                exps = mat_exp(_joined([np.einsum("ta,aij->tij", _joined(
+                    [_read(seed, s, t, k, len(basis), scale) for _, seed, scale, s, t, k in run]),
+                    generator_stack(basis)) for basis, run in runs]))
+                rows = slice(lo, hi) if attempt == 1 else pending[lo:hi]  # first draws are in order
+                mats[rows] = exps
+                ends = list(accumulate((sum(c[-1] for c in run) for _, run in runs), initial=0))
+                res[rows] = _joined([membership_residual(basis.family, basis.n, exps[a:b])
+                                     for (basis, _), a, b in zip(runs, ends, ends[1:])])
+            pending = np.flatnonzero(~(res < _MEMBERSHIP_TOL))
+            if not pending.size:
+                break
+            redrawn.append(pending)
+            which = np.searchsorted(starts, pending, "right") - 1
+            todo = [(*pieces[j][:3], (int(pieces[j][4] + t - starts[j]), *pieces[j][3], attempt),
+                     0, 1) for t, j in zip(pending, which)]
+        else:
+            family = pieces[np.searchsorted(starts, pending[0], "right") - 1][0].family
+            raise NumericError(f"could not sample a {family.value} element within residual "
+                               f"{_MEMBERSHIP_TOL:.1e} (last residual {res[pending].max():.3e})")
+        edges = list(accumulate((sum(c[-1] for c in requests[i][3]) for i in members), initial=0))
+        for i, a, b in zip(members, edges, edges[1:]):
+            out[i] = mats[a:b], res[a:b], sum(int(((p >= a) & (p < b)).sum()) for p in redrawn)
+    return out
 
 
-def _trial_draws(family, n: int, seed: int, trials: int, count: int, scale: float = 1.0):
-    """``count`` (trials, d, d) stacks (stack k is rows 0..trials-1 of stream (k,)), redraws.
-    A check draws first, so a refused trial count or seed builds nothing."""
+def declared_draw(check: str, family, n: int, seed: int, trials: int = 1) -> Draw:
+    """The request of the check named by its ``verify`` suite: operand k of trial t is row t of
+    stream (k,), k < 2 ("bracket", "defect"), 1 ("symplectic-inverse") or 6 ("split", at 0.7)."""
+    count = {"bracket": 2, "defect": 2, "symplectic-inverse": 1, "split": 6}[check]
     trials = check_int(trials, "trials", 1)
-    streams = [((k,), trials) for k in range(count)]
-    mats, _, resamples = sample_substreams(family, n, seed, streams, scale)
-    return mats.reshape(count, trials, *mats.shape[1:]), resamples
+    return Draw(family, n, seed, tuple(((k,), trials) for k in range(count)),
+                _SPLIT_SCALE if check == "split" else 1.0)
+
+
+def _trial_draws(*check):
+    """A check's ``declared_draw`` as (trials, d, d) stacks, stack k from stream (k,); redraws."""
+    draw = declared_draw(*check)
+    mats, _, resamples = sample_substreams(*draw)
+    return mats.reshape(len(draw.streams), -1, *mats.shape[1:]), resamples
 
 
 def _bracket_stack(family: Family, a: np.ndarray, b: np.ndarray, gamma: np.ndarray):
@@ -347,7 +386,7 @@ def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0) -> Veri
     """
     family = as_family(family)
     with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:
-        (a, b), resamples = _trial_draws(family, n, seed, trials, 2)
+        (a, b), resamples = _trial_draws("bracket", family, n, seed, trials)
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma), relative=True)
@@ -363,7 +402,7 @@ def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0) -> Verif
     if family not in (Family.SP, Family.SO):
         raise ValueError(f"defect lemma applies to sp/so only, got {family.value}")
     with CheckRun("defect-lemma", seed=seed, trials=trials) as run:
-        (a, b), resamples = _trial_draws(family, n, seed, trials, 2)
+        (a, b), resamples = _trial_draws("defect", family, n, seed, trials)
         basis = build_basis(family, n)
         chi = defect_matrix(family, n)
         lhs = trace12_pairs(a, b, chi)
@@ -397,14 +436,11 @@ def symplectic_inverse_residual(b: np.ndarray, n: int):
 def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0) -> VerificationReport:
     """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
     with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
-        (b,), resamples = _trial_draws(Family.SP, n, seed, trials, 1)
+        (b,), resamples = _trial_draws("symplectic-inverse", Family.SP, n, seed, trials)
         worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials), False)
         run.record(passed=worst_abs < _SYMPLECTIC_INVERSE_TOL, max_abs_err=worst_abs,
                    params={"n": n, "worst_trial": worst, "resamples": resamples})
     return run.report
-
-
-_SPLIT_SCALE = 0.7  # A and B multiply three draws; smaller draws keep the absolute round-off low
 
 
 def split_harness(family, n: int = 1, seed: int = 0) -> VerificationReport:
@@ -418,7 +454,7 @@ def split_harness(family, n: int = 1, seed: int = 0) -> VerificationReport:
     """
     family = as_family(family)
     with CheckRun("split-harness", seed=seed) as run:
-        mats, _ = _trial_draws(family, n, seed, 1, 6, _SPLIT_SCALE)
+        mats, _ = _trial_draws("split", family, n, seed)
         basis = build_basis(family, n)
         gamma = casimir_tensor(basis).tensor
         t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = mats[:, 0]

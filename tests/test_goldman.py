@@ -717,12 +717,39 @@ def _verify_all(argv):
     return code, [line.split(',"elapsed_ms"')[0] for line in out.getvalue().splitlines()]
 
 
-def test_verify_all_draws_each_stream_once(monkeypatch):
-    # 39 requests: the defect, two symplectic-inverse and four exotic ones ask only for rows
-    # the bracket suite drew
-    calls = _spy_draws(monkeypatch)
-    assert _verify_all(["--seed", "42"])[0] == 0
-    assert len(calls) == 29
+def _spy(monkeypatch, name, calls):
+    """Record each call of ``goldman.<name>`` (its arguments) in ``calls``."""
+    from goldmankit import goldman
+
+    original = getattr(goldman, name)
+    monkeypatch.setattr(goldman, name, lambda *a: calls.append(a) or original(*a))
+
+
+def test_verify_all_reads_each_declared_stream_once(monkeypatch):
+    # the plan holds each declared (basis, seed, scale, stream) once and reads it in one
+    # piece; mat_exp runs once per (side, dtype) group of the plan, then once for the
+    # symbolic suite's closure draw, which no suite declares
+    from goldmankit import goldman
+
+    declared, plans, reads, exps = [], [], [], []
+    _spy(monkeypatch, "draw_scope", declared)
+    _spy(monkeypatch, "_draw_all", plans)
+    _spy(monkeypatch, "_read", reads)
+    _spy(monkeypatch, "mat_exp", exps)
+    assert _verify_all(["--seed", "42", "--trials", "10"])[0] == 0
+    (plan,), *undeclared = plans
+    rows = {(basis, seed, scale, stream): k for basis, seed, scale, pieces in plan
+            for stream, _, k in pieces}
+    assert len(rows) == sum(len(pieces) for *_, pieces in plan) == 26 + 1 + 1 + 78
+    for draw in declared[0][0]:
+        basis = build_basis(draw.family, draw.n)
+        assert all(rows[basis, draw.seed, draw.scale, s] >= k for s, k in draw.streams)
+    pieces = sorted((stream, 0, k, len(basis), scale)
+                    for (basis, _, scale, stream), k in rows.items())
+    assert sorted(read[1:] for read in reads[:len(rows)]) == pieces
+    assert [len(requests) for (requests,) in undeclared] == [1]
+    groups = {(basis.side, goldman.generator_stack(basis).dtype) for basis, *_ in plan}
+    assert len(groups) == 8 and len(exps) == len(groups) + len(undeclared)
 
 
 def test_served_stacks_equal_fresh_draws_bit_for_bit(monkeypatch):
@@ -738,16 +765,14 @@ def test_served_stacks_equal_fresh_draws_bit_for_bit(monkeypatch):
 
     for module in (goldman, observables, closure):
         monkeypatch.setattr(module, "sample_substreams", spy)
-    draws = _spy_draws(monkeypatch)
     assert _verify_all(["--seed", "42", "--trials", "10"])[0] == 0
-    assert len(requests) == 39 and len(draws) == 29
-    for args, (mats, residuals, resamples) in requests:
+    served = [(args, out) for args, out in requests if not out[0].flags.writeable]
+    assert len(requests) == 39 and len(served) == 38  # all but the closure draw
+    for args, (mats, residuals, resamples) in served:
         fresh, fresh_residuals, fresh_resamples = sample_substreams(*args)
         assert mats.tobytes() == fresh.tobytes() and mats.shape == fresh.shape
         assert residuals.tobytes() == fresh_residuals.tobytes()
-        assert resamples == fresh_resamples == 0
-        assert not mats.flags.writeable and not residuals.flags.writeable
-    assert len(draws) == 29 + 39
+        assert resamples == fresh_resamples == 0 and not residuals.flags.writeable
 
 
 def test_a_forced_redraw_gives_the_same_resamples_served_or_fresh(monkeypatch):
@@ -788,46 +813,118 @@ def test_no_draw_is_kept_after_a_verify_whose_suite_raises(argv, code, monkeypat
     assert len(draws) == 1 and goldman._kept.get() is None
 
 
-def test_a_draw_scope_keeps_no_more_than_its_byte_bound(monkeypatch):
+def test_a_plan_over_the_byte_bound_draws_nothing_up_front(monkeypatch):
+    # the plan is priced before it is drawn: one byte over the bound, no stack is drawn
+    # up front or kept, every request draws alone, and the bodies stay the same
     from goldmankit import goldman
 
-    scopes = []
+    argv = ["--seed", "42", "--trials", "10"]
+    plans, scopes = [], []
+    _spy(monkeypatch, "_draw_all", plans)
+    unbounded = _verify_all(argv)
+    size = sum(k * (basis.side ** 2 * goldman.generator_stack(basis).itemsize + 8)
+               for basis, _, _, pieces in plans[0][0] for _, _, k in pieces)
     scope = goldman.draw_scope
 
     @contextlib.contextmanager
-    def spy():
-        with scope():
+    def spy(draws=()):
+        with scope(draws):
             scopes.append(goldman._kept.get())
             yield
 
-    argv = ["--seed", "42", "--trials", "10"]
-    unbounded = _verify_all(argv)
     monkeypatch.setattr(goldman, "draw_scope", spy)
-    # the bracket draws fill 20 000 bytes up to so(3): so(5)'s and g2's are not kept
-    monkeypatch.setattr(goldman, "_KEEP_BYTES", 20000)
-    draws = _spy_draws(monkeypatch)
+    monkeypatch.setattr(goldman, "_KEEP_BYTES", size - 1)
+    plans.clear()
     assert _verify_all(argv) == unbounded
-    kept = {id(mats): mats.nbytes + res.nbytes for mats, res, _, _ in scopes[0].values()}
-    assert 0 < sum(kept.values()) <= 20000
-    assert len(draws) == 34  # so(5)'s defect and the four exotic requests are drawn again
+    assert scopes == [{}] and len(plans) == 39 and all(len(p) == 1 for (p,) in plans)
+    monkeypatch.setattr(goldman, "_KEEP_BYTES", size)
+    plans.clear()
+    assert _verify_all(argv) == unbounded and len(plans) == 2
 
 
-def test_a_draw_scope_serves_rows_that_lie_end_to_end_in_a_kept_stack(monkeypatch):
+def test_a_numeric_failure_in_the_plan_exits_2_before_any_report(monkeypatch, capsys):
+    # the plan is drawn before the first suite runs; a kernel failure there ends the
+    # command as any numeric kernel failure does
+    from goldmankit import goldman
+    from goldmankit.cli import run
+    from goldmankit.linalg import NumericError
+
+    def failing_exp(x):
+        raise NumericError("mat_exp did not converge")
+
+    monkeypatch.setattr(goldman, "mat_exp", failing_exp)
+    assert run(["verify", "all", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: mat_exp did not converge\n"
+
+
+def test_a_draw_scope_serves_rows_that_lie_end_to_end_in_a_planned_stack(monkeypatch):
     from goldmankit import goldman
 
     draws = _spy_draws(monkeypatch)
-    served = [((0,), 5)], [((1,), 2)], [((0,), 5), ((1,), 3)], [((0,), 6)]
-    with goldman.draw_scope():
-        first = sample_substreams(Family.SO, 4, 6, [((0,), 5), ((1,), 5)])
-        views = [sample_substreams(Family.SO, 4, 6, streams) for streams in served[:3]]
-        assert len(draws) == 1 and all(np.shares_memory(v[0], first[0]) for v in views)
+    served = [((0,), 5)], [((1,), 2)], [((0,), 5), ((1,), 3)], [((0,), 3)]
+    plan = [goldman.Draw(Family.SO, 4, 6, (((0,), 5), ((1,), 5))),
+            goldman.Draw(Family.SO, 4, 6, (((0,), 3),))]
+    with goldman.draw_scope(plan):
+        views = [sample_substreams(Family.SO, 4, 6, streams) for streams in served]
+        assert not draws and all(v[0].base is views[0][0].base for v in views)
         sample_substreams(Family.SO, 4, 6, [((1,), 4), ((0,), 2)])  # not end to end: drawn
         sample_substreams(Family.SO, 4, 6, [((0,), 3), ((1,), 3)])
-        sample_substreams(Family.SO, 4, 6, [((0,), 6)])  # longer than kept: drawn, then kept
-        assert len(draws) == 4
-        views.append(sample_substreams(Family.SO, 4, 6, [((0,), 6)]))
-        assert len(draws) == 4
+        sample_substreams(Family.SO, 4, 6, [((0,), 5)], 0.7)  # another scale
+        for _ in range(2):  # longer than planned: drawn, and not kept
+            sample_substreams(Family.SO, 4, 6, [((0,), 6)])
+        assert len(draws) == 5
     for streams, (mats, residuals, resamples) in zip(served, views):
         fresh = sample_substreams(Family.SO, 4, 6, streams)
         assert mats.tobytes() == fresh[0].tobytes() and residuals.tobytes() == fresh[1].tobytes()
         assert resamples == fresh[2] == 0 and not mats.flags.writeable
+
+
+def test_a_planned_stack_with_a_redraw_is_not_served(monkeypatch):
+    from goldmankit import goldman
+
+    _reject_rows_once(monkeypatch, [3])
+    with goldman.draw_scope([goldman.Draw(Family.SP, 1, 8, (((0,), 5),))]):
+        assert goldman._kept.get() == {}
+        mats, _, resamples = sample_substreams(Family.SP, 1, 8, [((0,), 5)])
+    assert resamples == 0 and mats.flags.writeable
+
+
+def test_sample_element_checks_the_seed_before_building_the_basis(monkeypatch):
+    from goldmankit import goldman
+
+    monkeypatch.setattr(goldman, "build_basis", lambda *a: pytest.fail("built the basis first"))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        sample_element("su", 30, -1)
+    with pytest.raises(ValueError, match=r"needs pool_size 4 and a spawn key"):
+        sample_element("su", 30, np.random.SeedSequence(1))
+    with pytest.raises(ValueError, match="streams must be"):
+        sample_element("su", 30, np.random.SeedSequence(1, spawn_key=(0, 2 ** 32)))
+
+
+# mixed families of one matrix side and dtype, drawn in one call: (family, n, scale, rows of
+# stream (0,)); the last set holds a gl(3) request longer than one 1820-row chunk
+MIXED_DRAWS = [
+    [(Family.GL, 2, 1.0, 7), (Family.SL, 2, 0.7, 4), (Family.SP, 1, 1.0, 9)],
+    [(Family.U, 2, 1.0, 6), (Family.SU, 2, 1.0, 5)],
+    [(Family.GL, 3, 1.0, 1900), (Family.SL, 3, 1.0, 40), (Family.SO, 3, 0.7, 3)],
+]
+
+
+@pytest.mark.parametrize("members", MIXED_DRAWS, ids=lambda m: "+".join(f.value for f, *_ in m))
+def test_one_draw_of_mixed_families_equals_their_draws_apart(members, monkeypatch):
+    from goldmankit import goldman
+
+    requests = [(build_basis(family, n), 5, scale, [((0,), 0, rows), ((1,), 0, 2)])
+                for family, n, scale, rows in members]
+    exps = []
+    _spy(monkeypatch, "mat_exp", exps)
+    drawn = goldman._draw_all(requests)
+    side = requests[0][0].side
+    chunk = goldman._DRAW_CHUNK_ENTRIES // side ** 2
+    assert len(exps) == -(-sum(rows + 2 for *_, rows in members) // chunk)
+    monkeypatch.undo()
+    for (family, n, scale, rows), (mats, residuals, redraws) in zip(members, drawn):
+        fresh = sample_substreams(family, n, 5, [((0,), rows), ((1,), 2)], scale)
+        assert mats.dtype == fresh[0].dtype and mats.tobytes() == fresh[0].tobytes()
+        assert residuals.tobytes() == fresh[1].tobytes() and redraws == fresh[2] == 0

@@ -1,9 +1,10 @@
 """Module boundaries: no goldmankit module imports another module's private names,
 one module builds the seed substreams, one owns the gauge loop, one renumbers
 index ids, one compares expressions, one decides which families are complex
-and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, none
-plans with numpy's einsum_path, every function the benchmark traces by name
-exists, and the package does not load scipy."""
+and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, one
+function exponentiates draws, no ``verify`` suite carries cells, none plans with
+numpy's einsum_path, every function the benchmark traces by name exists, and the
+package does not load scipy."""
 
 import ast
 import importlib
@@ -89,6 +90,26 @@ def test_only_cmd_verify_opens_a_draw_scope():
               if isinstance(node, ast.Call) and "draw_scope" in ast.unparse(node.func)]
     assert [path for path, _ in opened] == ["cli.py"]
     assert opened[0][1] in list(ast.walk(cmd_verify))
+
+
+def test_one_function_exponentiates_draws():
+    # goldman._draw_all is the one chunk loop of a draw; no other function calls mat_exp
+    callers = [f"{path.relative_to(SRC).as_posix()}:{fn.name}"
+               for path in sorted(SRC.rglob("*.py")) for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                       == "mat_exp" for node in ast.walk(fn))]
+    assert callers == ["goldman.py:_draw_all"]
+
+
+def test_no_verify_suite_carries_cells():
+    # a suite that draws declares its goldman.Draw requests; the work budget prices those
+    from goldmankit import cli
+
+    assert [name for name, (suite, _) in cli.VERIFY_SUITES.items() if hasattr(suite, "cells")] == []
+    assert sorted(name for name, (suite, _) in cli.VERIFY_SUITES.items()
+                  if hasattr(suite, "draws")) == ["bracket", "defect", "octonion", "split",
+                                                  "symplectic-inverse"]
 
 
 def test_no_einsum_path_or_dummy_operands():
