@@ -9,9 +9,9 @@ intersecting once, by standing assumption -- or composites built by bracket
 resolution: ``a.b`` and ``a.~b`` for the two smoothings.
 
 Everything here is immutable.  ``wiring`` is the one reader of which atoms
-hold which ids; ``normalize`` merges monomials that agree up to index
-renaming and atom reordering, and renumbers ids so no id is shared between
-two monomials' binders.
+hold which ids; ``indices`` reads only which ids occur.  ``normalize`` merges
+monomials that agree up to index renaming and atom reordering, and renumbers
+ids so no id is shared between two monomials' binders.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class Monomial:
     extended: bool = False
 
     def indices(self) -> frozenset:
-        return frozenset(wiring(self)[1])
+        return frozenset(itertools.chain(*(t.word for t in self.traces),
+                                         *((c.row, c.col) for c in self.coeffs)))
 
     def __str__(self):
         ids = sorted(self.indices())
@@ -188,7 +189,7 @@ def wiring(m: Monomial):
 WALK_BUDGET = 10 ** 5  # walks one canonical_encoding may take; a larger bound is refused
 
 
-def _walk(atoms, holders, order, number, enc):
+def _walk(atoms, holders, order, number, enc, plain=False):
     """The smallest encoding of the walks that go on from ``order[len(enc)]``.
 
     A walk visits atoms in order, numbers each one's ids in slot order and
@@ -198,9 +199,22 @@ def _walk(atoms, holders, order, number, enc):
     atoms of an id held by three or more atoms.  Those are appended sorted by
     label: of two orders, the one with the smaller label at the first place
     they differ encodes smaller there.  Only runs of equal label are branched
-    over, each order walked on by a call of its own.
+    over, each order walked on by a call of its own.  ``plain`` says that no
+    id of the component is on three atoms: one walk from ``order[0]``, no runs.
     """
     placed = set(order)
+    if plain:
+        for a in order:  # order grows as the walk reaches new atoms
+            label, ids = atoms[a]
+            for i in ids:
+                if i not in number:
+                    number[i] = len(number)
+                    for b in holders[i]:
+                        if b not in placed:
+                            placed.add(b)
+                            order.append(b)
+            enc.append((label, tuple(map(number.__getitem__, ids))))
+        return tuple(enc)
     while len(enc) < len(order):
         label, ids = atoms[order[len(enc)]]
         runs = []  # (start, stop) in order of each run of new atoms with one label
@@ -274,27 +288,30 @@ def canonical_encoding(m: Monomial):
         if s in seen:
             continue
         seen.add(s)
-        part, starts, tied = [s], [s], {}
+        part, starts, low, tied = [s], [s], atoms[s][0], {}
         for a in part:
             for i in atoms[a][1]:
-                if len(holders[i]) > 2:
-                    tied[i] = set(holders[i])
-                for b in holders[i]:
+                held = holders[i]
+                if len(held) > 2:
+                    tied[i] = set(held)
+                for b in held:
                     if b in seen:
                         continue
                     seen.add(b)
                     part.append(b)
-                    if atoms[b][0] < atoms[starts[0]][0]:
-                        starts = [b]
-                    elif atoms[b][0] == atoms[starts[0]][0]:
+                    label = atoms[b][0]
+                    if label < low:
+                        starts, low = [b], label
+                    elif label == low:
                         starts.append(b)
-        parts.append(starts)
+        parts.append((starts, not tied))
         bound += len(starts) * (_branches(atoms, list(tied.values())) if tied else 1)
     if bound > WALK_BUDGET:
         raise ValueError(f"canonical encoding may take {bound} walks, over the budget of "
                          f"{WALK_BUDGET}: too many atoms of one label share an index")
-    encodings = sorted(min([_walk(atoms, holders, [s], {}, []) for s in starts])
-                       for starts in parts)
+    encodings = sorted(_walk(atoms, holders, starts, {}, [], plain) if len(starts) == 1
+                       else min(_walk(atoms, holders, [s], {}, [], plain) for s in starts)
+                       for starts, plain in parts)
     return tuple(encodings), m.extended
 
 
@@ -303,25 +320,23 @@ def normalize(expr: Expression) -> Expression:
 
     Raises ValueError where ``canonical_encoding`` refuses a monomial, one
     whose walks could exceed ``WALK_BUDGET``."""
-    merged: dict = {}
-    shapes: dict = {}
+    merged: dict = {}  # key -> [summed coefficient, first monomial seen]
     for m in expr.monomials:
         key = canonical_encoding(m)
-        merged[key] = merged.get(key, Fraction(0)) + m.coeff
-        shapes.setdefault(key, m)
-    out = []
-    next_id = 0
+        entry = merged.get(key)
+        if entry:
+            entry[0] += m.coeff
+        else:
+            merged[key] = [m.coeff, m]
+    out, next_id = [], 0
     for key in sorted(merged, key=repr):
-        coeff = merged[key]
+        coeff, m = merged[key]
         if coeff == 0:
             continue
-        m = shapes[key]
         ids = sorted(m.indices())
         table = {i: next_id + k for k, i in enumerate(ids)}
         next_id += len(ids)
-        out.append(rename_indices(
-            Monomial(coeff, m.traces, m.coeffs, m.extended), table
-        ))
+        out.append(rename_indices(Monomial(coeff, m.traces, m.coeffs, m.extended), table))
     return Expression(tuple(out))
 
 

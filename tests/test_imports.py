@@ -2,9 +2,9 @@
 one module builds the seed substreams, one owns the gauge loop, one renumbers
 index ids, one compares expressions, one decides which families are complex
 and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, one
-function exponentiates draws, no ``verify`` suite carries cells, none plans with
-numpy's einsum_path, every function the benchmark traces by name exists, and the
-package does not load scipy."""
+function exponentiates draws, two build a monomial's wiring, no ``verify`` suite
+carries cells, none plans with numpy's einsum_path, every function the benchmark
+traces by name exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -100,6 +100,16 @@ def test_one_function_exponentiates_draws():
                and any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
                        == "mat_exp" for node in ast.walk(fn))]
     assert callers == ["goldman.py:_draw_all"]
+
+
+def test_two_functions_build_the_wiring():
+    # indices, __str__ and normalize's renumbering read ids off the slots, not the wiring
+    callers = [f"{path.relative_to(SRC).as_posix()}:{fn.name}"
+               for path in sorted(SRC.rglob("*.py")) for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                       == "wiring" for node in ast.walk(fn))]
+    assert callers == ["symbolic/core.py:canonical_encoding", "symbolic/signature.py:_links"]
 
 
 def test_no_verify_suite_carries_cells():

@@ -460,6 +460,40 @@ def test_encoding_equals_the_walk_oracle_on_random_wiring(m):
     assert repr(core.canonical_encoding(m)) == repr(encode_by_walks(m)), str(m)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_wirings(max_traces=6, max_coeffs=5))
+def test_indices_read_off_the_slots_equal_the_wiring_ids(m):
+    assert m.indices() == frozenset(core.wiring(m)[1]), str(m)
+
+
+def _raw_tied_sum():
+    """Six renamed, reordered copies of the 3-pair tied product, unnormalized."""
+    (m,) = _tied(3).monomials
+    ids = sorted(m.indices())
+    copies = [rename_indices(replace(m, traces=tuple(order)), dict(zip(ids, perm)))
+              for order, perm in zip(itertools.permutations(m.traces),
+                                     itertools.permutations(ids))]
+    return sym.Expression(tuple(copies))
+
+
+def _raw_closure_bracket(monkeypatch):
+    """bracket(tr(z), F) for spec (3, 3, 0, 0, 3), unnormalized."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_bracket_module, "normalize", lambda expr: expr)
+        (spec, *_) = enumerate_specs(3, 3, 0, 0, 3)
+        return sym.bracket(sym.parse_expr("tr(z)"), sym.build_f_expression(spec))
+
+
+@pytest.mark.parametrize("raw", [lambda _: _raw_tied_sum(), _raw_closure_bracket],
+                         ids=["tied-sum", "closure-bracket"])
+def test_normalize_builds_one_wiring_per_input_monomial(monkeypatch, raw):
+    expr = raw(monkeypatch)
+    calls, wiring = [], core.wiring
+    monkeypatch.setattr(core, "wiring", lambda m: calls.append(m) or wiring(m))
+    sym.normalize(expr)
+    assert len(calls) == len(expr.monomials) > 1
+
+
 def _counting_walks(monkeypatch):
     """The start of each call of ``core._walk``, recursive ones included: one
     call per start and one per order a branch walks on with."""
