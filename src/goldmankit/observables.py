@@ -25,10 +25,12 @@ evaluates the monomials of the symbolic engine: each word trace a ring of
 letter tensors, the whole network contracted pairwise on one greedy plan per
 index structure (``_plan``), one plan and one einsum call per step for a
 single network or a (B, 7, 7) stack.  ``evaluate_brute`` is the reference
-oracle, a literal sum over all 7^#indices tuples of the word tables
-``word_trace_table``, refused above a budget.  K and Q are plain tuples of
-0/1 rows.  ``gauge_drift``, the one gauge-invariance loop, serves
-``invariance_test`` and the symbolic closure check.  Invariance is under
+oracle, refused above a budget: one einsum with no contraction path, a
+literal sum over all 7^#indices tuples, of the coefficient matrices and the
+word tables ``word_trace_table``, each the trace contraction of its word's
+two halves.  K and Q are plain tuples of 0/1 rows.  ``gauge_drift``, the
+one gauge-invariance loop, serves ``invariance_test`` and the symbolic
+closure check.  Invariance is under
 *simultaneous* conjugation of every monodromy and every alpha/beta by one
 group element; nothing is claimed when the coefficients are held fixed.
 """
@@ -253,16 +255,26 @@ def random_instance(spec: ObservableSpec, seed: int = 0) -> ObservableInstance:
 
 
 def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
-    """T[i1..ik] = tr(M O_{i1} ... O_{ik}) as a (7,)*length array.
+    """T[i1..ik] = tr(M O_{i1} ... O_{ik}) as a (..., 7, ..., 7) array, k = ``length``.
 
-    The literal definition, read only by the oracle ``evaluate_brute``;
-    ``contract`` never builds it.
+    The table is read only by the oracle ``evaluate_brute``; ``contract`` never
+    builds it.  It is split in two: the first h = k // 2 letters multiply
+    onto M and the rest onto I, as (..., 7^h, 7, 7) and (7^(k-h), 7, 7)
+    stacks of words, and one trace contraction of the two halves gives it.  No
+    array holds more than about 7^k entries.  M may be a (..., 7, 7) stack.
     """
+    length = check_int(length, "length", 0)
     o = unit_matrices()
-    x = np.asarray(m)  # shape (..., 7, 7) growing one index axis per letter
-    for _ in range(length):
-        x = np.einsum("...ab,ibc->...iac", x, o)
-    return np.einsum("...aa->...", x)
+
+    def grow(words, letters):  # every word times every O_i1 ... O_i{letters}, in index order
+        for _ in range(letters):
+            words = np.einsum("...Iab,ibc->...Iiac", words, o).reshape(*words.shape[:-3], -1, 7, 7)
+        return words
+
+    head = grow(np.asarray(m)[..., None, :, :], length // 2)
+    tail = grow(np.eye(7)[None], length - length // 2)
+    table = np.einsum("...Iab,Jba->...IJ", head, tail)
+    return table.reshape(table.shape[:-2] + (7,) * length)
 
 
 _OPERAND_BUDGET = 256  # contract refuses more operands before planning,
@@ -382,10 +394,14 @@ def evaluate(inst: ObservableInstance) -> float:
 
 
 def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
-    """Reference engine: literal sum over every index tuple.
+    """Reference engine: the literal sum over every index tuple.
 
-    Refused, with the cost, above ``budget`` summed indices.
+    One einsum over the word tables ``word_trace_table`` and the coefficient
+    matrices, with no contraction path: numpy walks all 7^#indices tuples
+    and adds up each tuple's product, with no intermediate.  Refused, with
+    the cost, above ``budget`` summed indices.
     """
+    budget = check_int(budget, "budget", 0)
     spec = inst.spec
     require_valid(spec)
     free = spec.n_indices
@@ -395,15 +411,9 @@ def evaluate_brute(inst: ObservableInstance, budget: int = 6) -> float:
             f"the budget of 7^{budget}; use evaluate"
         )
     traces, coeffs = _factors(spec, inst.monodromies + inst.alphas + inst.betas)
-    ops = [(word_trace_table(mat, len(word)), word) for mat, word in traces]
-    ops += [(mat, (row, col)) for mat, row, col in coeffs]
-    total = 0.0
-    for assignment in itertools.product(range(7), repeat=free):
-        term = 1.0
-        for tensor, labels in ops:
-            term *= tensor[tuple(assignment[p] for p in labels)]
-        total += term
-    return total
+    operands = [x for mat, word in traces for x in (word_trace_table(mat, len(word)), list(word))]
+    operands += [x for mat, row, col in coeffs for x in (mat, [row, col])]
+    return float(np.einsum(*operands, [], optimize=False))
 
 
 _GAUGE_CHUNK = 64  # gauges conjugated and contracted as one stack

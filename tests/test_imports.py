@@ -2,9 +2,10 @@
 one module builds the seed substreams, one owns the gauge loop, one renumbers
 index ids, one compares expressions, one decides which families are complex
 and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, one
-function exponentiates draws, two build a monomial's wiring, no ``verify`` suite
-carries cells, none plans with numpy's einsum_path, every function the benchmark
-traces by name exists, and the package does not load scipy."""
+function exponentiates draws, two build a monomial's wiring, only the brute-force
+oracle builds word tables and nothing calls it, no ``verify`` suite carries
+cells, none plans with numpy's einsum_path, every function the benchmark traces
+by name exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -92,24 +93,31 @@ def test_only_cmd_verify_opens_a_draw_scope():
     assert opened[0][1] in list(ast.walk(cmd_verify))
 
 
+def _callers(name):
+    """Every "path:function" under src/ whose body calls a function named ``name``."""
+    return [f"{path.relative_to(SRC).as_posix()}:{fn.name}"
+            for path in sorted(SRC.rglob("*.py")) for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+                    for node in ast.walk(fn))]
+
+
 def test_one_function_exponentiates_draws():
     # goldman._draw_all is the one chunk loop of a draw; no other function calls mat_exp
-    callers = [f"{path.relative_to(SRC).as_posix()}:{fn.name}"
-               for path in sorted(SRC.rglob("*.py")) for fn in ast.walk(ast.parse(path.read_text()))
-               if isinstance(fn, ast.FunctionDef)
-               and any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
-                       == "mat_exp" for node in ast.walk(fn))]
-    assert callers == ["goldman.py:_draw_all"]
+    assert _callers("mat_exp") == ["goldman.py:_draw_all"]
 
 
 def test_two_functions_build_the_wiring():
     # indices, __str__ and normalize's renumbering read ids off the slots, not the wiring
-    callers = [f"{path.relative_to(SRC).as_posix()}:{fn.name}"
-               for path in sorted(SRC.rglob("*.py")) for fn in ast.walk(ast.parse(path.read_text()))
-               if isinstance(fn, ast.FunctionDef)
-               and any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
-                       == "wiring" for node in ast.walk(fn))]
-    assert callers == ["symbolic/core.py:canonical_encoding", "symbolic/signature.py:_links"]
+    assert _callers("wiring") == ["symbolic/core.py:canonical_encoding",
+                                  "symbolic/signature.py:_links"]
+
+
+def test_the_brute_force_oracle_is_a_leaf():
+    # observables.evaluate_brute alone reads word tables and no function calls it, so the
+    # oracle can leave src/ in one piece; contract never builds a word table
+    assert _callers("word_trace_table") == ["observables.py:evaluate_brute"]
+    assert _callers("evaluate_brute") == []
 
 
 def test_no_verify_suite_carries_cells():

@@ -58,6 +58,10 @@ ENTRIES = [
     ("closure_check seed", lambda v: _closure(seed=v), 2, "seed"),
     ("random_instance seed",
      lambda v: _matrices(obs.random_instance(FIRST, seed=v).monodromies), 2, "seed"),
+    ("evaluate_brute budget",
+     lambda v: obs.evaluate_brute(obs.random_instance(FIRST), budget=v), 2, "budget"),
+    ("word_trace_table length", lambda v: obs.word_trace_table(np.eye(7), v).tobytes(), 2,
+     "length"),
     ("sample_substreams n",
      lambda v: _matrices(goldman.sample_substreams("so", v, 0, [((), 2)])[0]), 3, "so size"),
     ("sample_substreams seed",

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,6 +502,53 @@ def test_brute_matches_factorized(spec):
     a = obs.evaluate(inst)
     b = obs.evaluate_brute(inst)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def _letter_chain(m, length):
+    """tr(M O_i1 ... O_ik) as a (..., 7, ..., 7) array, one letter at a time onto M."""
+    x = np.asarray(m)
+    for _ in range(length):
+        x = np.einsum("...ab,ibc->...iac", x, unit_matrices())
+    return np.einsum("...aa->...", x)
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_word_trace_table_equals_the_letter_chain(length):
+    stack = np.stack([sample_element("g2", 1, seed=60 + k).matrix for k in range(3)])
+    for m in (stack[0], stack):
+        table = obs.word_trace_table(m, length)
+        assert table.shape == m.shape[:-2] + (7,) * length
+        np.testing.assert_allclose(table, _letter_chain(m, length), rtol=0, atol=1e-13)
+
+
+def test_word_trace_table_holds_no_7_to_the_k_by_49_array():
+    # split in two halves of 7^3 words each; the letter chain peaks near 53 MB at length 6
+    m = sample_element("g2", 1, seed=3).matrix
+    obs.word_trace_table(m, 6)
+    tracemalloc.start()
+    try:
+        obs.word_trace_table(m, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_brute_takes_a_word_with_a_repeated_index(monkeypatch):
+    # no valid spec repeats an index within one word, so THIRD's first word
+    # (0, 2) becomes (0, 2, 0): index 0 then sits in three places, twice in one table
+    layout = obs.index_layout
+
+    def repeated(spec):
+        simple, words, alphas, betas = layout(spec)
+        return simple, [words[0] + words[0][:1], *words[1:]], alphas, betas
+
+    inst = obs.random_instance(THIRD, seed=29)
+    monkeypatch.setattr(obs, "index_layout", repeated)
+    a, b = obs.evaluate(inst), obs.evaluate_brute(inst)
+    assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    monkeypatch.undo()
+    assert abs(obs.evaluate(inst) - a) > 1e-3 * max(1.0, abs(a))  # the repeat changed the sum
 
 
 @pytest.mark.parametrize("spec", [FIRST, THIRD])
