@@ -35,7 +35,6 @@ from .reports import CheckRun, VerificationReport
 
 FAMILY_CHOICES = [f.value for f in Family]
 _CONJUGATION_TOL = 1e-8  # absolute, on octonions.conjugation_residual
-_RESIDUAL_CHUNK = 256  # automorphisms checked as one stack, a few hundred KiB per product
 
 
 # Size grids for `verify all`; chosen to cover every family quickly.
@@ -65,7 +64,7 @@ def _per_size(check, families=tuple(Family), grid=ALL_GRID, draws=None):
     """Suite running ``check(family, size, **flags)`` on the given ``--group`` (or all
     of ``families``, its choices) at the given ``--n`` (or the ``grid`` sizes).
     A size some family of the sweep does not take is refused before any check runs.
-    ``draws`` names the sampled check whose ``goldman.declared_draw`` the suite declares."""
+    ``draws`` is the ``goldman.SampledCheck`` whose draws the suite declares."""
     def cells(group=None, n=None):
         return [(fam, check_size(fam, size))
                 for fam in (families if group is None else [Family(group)])
@@ -77,8 +76,14 @@ def _per_size(check, families=tuple(Family), grid=ALL_GRID, draws=None):
     suite.groups = [f.value for f in families]
     if draws is not None:
         suite.draws = lambda group=None, n=None, trials=1, seed=0: [
-            _goldman.declared_draw(draws, *cell, seed, trials) for cell in cells(group, n)]
+            draws.draw(*cell, seed, trials) for cell in cells(group, n)]
     return suite
+
+
+_CONJUGATION = _goldman.SampledCheck("octonion-conjugation", ((),), _CONJUGATION_TOL, False,
+                                     lambda _, n, operands: (conjugation_residual(*operands), None))
+_conjugation = _per_size(lambda *a, **kw: _goldman.run_check(_CONJUGATION, *a, **kw),
+                         families=(Family.G2,), draws=_CONJUGATION)
 
 
 def _octonion(trials, seed):
@@ -86,15 +91,10 @@ def _octonion(trials, seed):
         structural = structure_residual()  # runs unit_matrices' rebuild self-test first
         run.record(passed=structural == 0.0, max_abs_err=structural)
     yield run.report
-    with CheckRun("octonion-conjugation", seed=seed, trials=trials) as run:
-        gs, _, _ = _goldman.sample_substreams(*_octonion.draws(trials, seed)[0])
-        worst = max(float(conjugation_residual(gs[start:start + _RESIDUAL_CHUNK]).max())
-                    for start in range(0, trials, _RESIDUAL_CHUNK))
-        run.record(passed=worst < _CONJUGATION_TOL, max_abs_err=worst)
-    yield run.report
+    yield from _conjugation(trials=trials, seed=seed)
 
 
-_octonion.draws = lambda trials, seed: [_goldman.Draw(Family.G2, 1, seed, (((), trials),))]
+_octonion.draws = _conjugation.draws
 
 
 _EXOTIC_GAUGES = 10  # gauges per spec in `verify exotic`; `exotic invariance` takes --trials
@@ -128,17 +128,18 @@ VERIFY_SUITES = {
     "casimir": (_per_size(lambda *a: _casimir.verify_closed_form(*a)), _GROUP_N),
     "tensor-lemmas": (lambda seed: (
         _casimir.verify_tensor_lemmas(size, seed=seed) for size in (2, 3, 4)), ("seed",)),
-    "bracket": (_per_size(lambda *a, **kw: _goldman.verify_bracket(*a, **kw), draws="bracket"),
-                _GROUP_N + _TRIALS_SEED),
+    "bracket": (_per_size(lambda *a, **kw: _goldman.verify_bracket(*a, **kw),
+                          draws=_goldman.BRACKET_CHECK), _GROUP_N + _TRIALS_SEED),
     "defect": (_per_size(lambda *a, **kw: _goldman.verify_defect(*a, **kw),
-                         families=(Family.SP, Family.SO), draws="defect"),
+                         families=(Family.SP, Family.SO), draws=_goldman.DEFECT_CHECK),
                _GROUP_N + _TRIALS_SEED),
     "symplectic-inverse": (_per_size(
         lambda _, n, **kw: _goldman.verify_symplectic_inverse(n, **kw), families=(Family.SP,),
-        grid={Family.SP: (1, 2, 3)}, draws="symplectic-inverse"), ("n",) + _TRIALS_SEED),
+        grid={Family.SP: (1, 2, 3)}, draws=_goldman.SYMPLECTIC_INVERSE_CHECK),
+        ("n",) + _TRIALS_SEED),
     "octonion": (_octonion, _TRIALS_SEED),
-    "split": (_per_size(lambda *a, **kw: _goldman.split_harness(*a, **kw), draws="split"),
-              _GROUP_N + ("seed",)),
+    "split": (_per_size(lambda *a, **kw: _goldman.split_harness(*a, **kw),
+                        draws=_goldman.SPLIT_CHECK), _GROUP_N + ("seed",)),
     "exotic": (_exotic, ("seed",)),
     "symbolic": (_symbolic, ("seed",)),
 }

@@ -14,19 +14,14 @@ must equal the family's resolved-loop form:
 Composite monodromies of the two intersection resolutions are realised
 algebraically as AB and AB^-1; only a single transversal intersection is
 modelled (reports carry an ``intersections`` field for a future summation
-hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on
-[-1, 1] (on [-0.7, 0.7] in the split harness).  Every draw takes one path:
-``check_draws`` refuses an oversize stack before anything is drawn, and
-``_draw_all`` reads each stream's rows bitwise as the counter-based generator
-``Generator(Philox(SeedSequence(seed, spawn_key=stream)))`` (Salmon et al.,
-SC 2011) yields them in order, then exponentiates and membership-tests them
-in small chunks.  A read starts a Philox at the stream's cached key and
-the row's counter (``_read``), so opening a stream hashes no seed.  Row t
-of stream s sits at a fixed counter offset, so it does not depend on the
-batch, the chunk or the requests beside it; ``sample_element`` replays it
-alone from ``SeedSequence(seed, spawn_key=(t, *s))``, and one ``verify``
-draws its suites' declared streams once, up front (``draw_scope``).  A
-check draws all its trials as one stack and contracts it with Gamma in O(d^4).
+hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on [-1, 1]
+(on [-0.7, 0.7] in the split harness).  Row t of stream s is read bitwise as
+``Generator(Philox(SeedSequence(seed, spawn_key=s)))`` (Salmon et al., SC 2011)
+yields it, so no row depends on the batch or the chunk, and ``sample_element``
+replays it alone from ``SeedSequence(seed, spawn_key=(t, *s))``.  One ``verify``
+draws its suites' declared streams once, up front (``draw_scope``).  Each
+sampled check is a ``SampledCheck`` record that ``run_check`` draws, reduces
+with one rule (relative error = err / max(|rhs|, ``_REL_FLOOR``)) and reports.
 """
 
 from __future__ import annotations
@@ -322,20 +317,34 @@ def _draw_all(requests) -> list:
     return out
 
 
-def declared_draw(check: str, family, n: int, seed: int, trials: int = 1) -> Draw:
-    """The request of the check named by its ``verify`` suite: operand k of trial t is row t of
-    stream (k,), k < 2 ("bracket", "defect"), 1 ("symplectic-inverse") or 6 ("split", at 0.7)."""
-    count = {"bracket": 2, "defect": 2, "symplectic-inverse": 1, "split": 6}[check]
-    trials = check_int(trials, "trials", 1)
-    return Draw(family, n, seed, tuple(((k,), trials) for k in range(count)),
-                _SPLIT_SCALE if check == "split" else 1.0)
+class SampledCheck(namedtuple("SampledCheck", "name streams tol relative residuals scale extras",
+                              defaults=(1.0, ()))):
+    """A Monte-Carlo check for ``run_check``: operand k of trial t is row t of ``streams[k]`` at
+    ``scale``; ``residuals(family, n, operands)`` maps the (operands, trials, d, d) stack to
+    per-trial errors and the rhs they are relative to, or None.  The verdict reads relative
+    error if ``relative``, else absolute, against ``tol``; ``extras`` pairs join the params."""
+
+    def draw(self, family, n: int, seed: int, trials: int = 1) -> Draw:
+        trials = check_int(trials, "trials", 1)
+        return Draw(family, n, seed, tuple((s, trials) for s in self.streams), self.scale)
 
 
-def _trial_draws(*check):
-    """A check's ``declared_draw`` as (trials, d, d) stacks, stack k from stream (k,); redraws."""
-    draw = declared_draw(*check)
-    mats, _, resamples = sample_substreams(*draw)
-    return mats.reshape(len(draw.streams), -1, *mats.shape[1:]), resamples
+def run_check(check, family, n: int, seed: int, trials: int = 1) -> VerificationReport:
+    """Run ``check`` on ``trials`` trials.  A trial's relative error is err / max(|rhs|,
+    ``_REL_FLOOR``), or 0.0 with no rhs.  Params: ``group``, ``n``, the extras, ``worst_trial``
+    (the trial the verdict reads, row t of each stream) and ``resamples`` (redraws)."""
+    family = as_family(family)
+    with CheckRun(check.name, seed=seed, trials=trials) as run:
+        mats, _, resamples = sample_substreams(*check.draw(family, n, seed, trials))
+        n = build_basis(family, n).n
+        err, rhs = check.residuals(family, n, mats.reshape(-1, trials, *mats.shape[1:]))
+        rel = np.zeros_like(err) if rhs is None else err / np.maximum(np.abs(rhs), _REL_FLOOR)
+        verdict = rel if check.relative else err
+        worst = int(np.argmax(verdict))
+        run.record(passed=bool(verdict[worst] < check.tol), max_abs_err=float(err.max()),
+                   max_rel_err=float(rel.max()), params={"group": family.value, "n": n,
+                   **dict(check.extras), "worst_trial": worst, "resamples": resamples})
+    return run.report
 
 
 def _bracket_stack(family: Family, a: np.ndarray, b: np.ndarray, gamma: np.ndarray):
@@ -367,51 +376,34 @@ def bracket_sides(family, a: GroupElement, b: GroupElement,
     return lhs[0], rhs[0]
 
 
-def _reduce(lhs: np.ndarray, rhs: np.ndarray, relative: bool):
-    """(trial with the largest relative error if ``relative``, else absolute, the largest
-    absolute error, the largest relative error): the trial is the one the verdict reads."""
-    err = np.abs(lhs - rhs)
-    rel = err / np.maximum(np.abs(rhs), _REL_FLOOR)
-    return int(np.argmax(rel if relative else err)), float(err.max()), float(rel.max())
+def _bracket_residuals(family, n, operands):
+    lhs, rhs = _bracket_stack(family, *operands, casimir_tensor(build_basis(family, n)).tensor)
+    return np.abs(lhs - rhs), rhs
+
+
+def _defect_residuals(family, n, operands):
+    a, b = operands
+    rhs = -np.einsum("tij,tji->t", a, np.linalg.inv(b))
+    return np.abs(trace12_pairs(a, b, defect_matrix(family, n)) - rhs), rhs
+
+
+BRACKET_CHECK = SampledCheck("goldman-bracket", ((0,), (1,)), _BRACKET_TOL, True,
+                             _bracket_residuals, extras=(("intersections", 1),))
+DEFECT_CHECK = SampledCheck("defect-lemma", ((0,), (1,)), _DEFECT_TOL, False, _defect_residuals)
 
 
 def verify_bracket(family, n: int = 1, trials: int = 100, seed: int = 0) -> VerificationReport:
-    """Bracket identity on ``trials`` independently sampled pairs.
-
-    ``params["worst_trial"]`` is the trial t with the largest relative error,
-    the one the verdict reads (row t of streams (0,) and (1,));
-    ``params["resamples"]`` counts redraws.  For sides above 2 that trial,
-    replayed alone through ``bracket_sides``, matches its error here only to
-    round-off, since ``trace12_pairs`` sums the stack in another order.
-    """
-    family = as_family(family)
-    with CheckRun("goldman-bracket", seed=seed, trials=trials) as run:
-        (a, b), resamples = _trial_draws("bracket", family, n, seed, trials)
-        basis = build_basis(family, n)
-        gamma = casimir_tensor(basis).tensor
-        worst, worst_abs, worst_rel = _reduce(*_bracket_stack(family, a, b, gamma), relative=True)
-        run.record(passed=worst_rel < _BRACKET_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
-                   params={"group": family.value, "n": basis.n, "intersections": 1,
-                           "worst_trial": worst, "resamples": resamples})
-    return run.report
+    """Bracket identity on ``trials`` independently sampled pairs.  For sides above 2 the
+    worst trial, replayed alone through ``bracket_sides``, matches its error here only to
+    round-off, since ``trace12_pairs`` sums the stack in another order."""
+    return run_check(BRACKET_CHECK, family, n, seed, trials)
 
 
 def verify_defect(family, n: int = 1, trials: int = 100, seed: int = 0) -> VerificationReport:
     """tr_12[(A (x) B) chi] = -tr(A B^-1) for the SP/SO defect matrices."""
-    family = as_family(family)
-    if family not in (Family.SP, Family.SO):
-        raise ValueError(f"defect lemma applies to sp/so only, got {family.value}")
-    with CheckRun("defect-lemma", seed=seed, trials=trials) as run:
-        (a, b), resamples = _trial_draws("defect", family, n, seed, trials)
-        basis = build_basis(family, n)
-        chi = defect_matrix(family, n)
-        lhs = trace12_pairs(a, b, chi)
-        worst, worst_abs, worst_rel = _reduce(lhs, -np.einsum("tij,tji->t", a, np.linalg.inv(b)),
-                                             relative=False)
-        run.record(passed=worst_abs < _DEFECT_TOL, max_abs_err=worst_abs, max_rel_err=worst_rel,
-                   params={"group": family.value, "n": basis.n,
-                           "worst_trial": worst, "resamples": resamples})
-    return run.report
+    if as_family(family) not in (Family.SP, Family.SO):
+        raise ValueError(f"defect lemma applies to sp/so only, got {as_family(family).value}")
+    return run_check(DEFECT_CHECK, family, n, seed, trials)
 
 
 def symplectic_inverse_residual(b: np.ndarray, n: int):
@@ -433,14 +425,28 @@ def symplectic_inverse_residual(b: np.ndarray, n: int):
     return float(res[0]) if b.ndim == 2 else res
 
 
+SYMPLECTIC_INVERSE_CHECK = SampledCheck(
+    "symplectic-inverse", ((0,),), _SYMPLECTIC_INVERSE_TOL, False,
+    lambda _, n, operands: (symplectic_inverse_residual(*operands, n), None))
+
+
 def verify_symplectic_inverse(n: int = 1, trials: int = 100, seed: int = 0) -> VerificationReport:
     """The entry relations of B^-1 on ``trials`` sampled B in Sp(2n,R)."""
-    with CheckRun("symplectic-inverse", seed=seed, trials=trials) as run:
-        (b,), resamples = _trial_draws("symplectic-inverse", Family.SP, n, seed, trials)
-        worst, worst_abs, _ = _reduce(symplectic_inverse_residual(b, n), np.zeros(trials), False)
-        run.record(passed=worst_abs < _SYMPLECTIC_INVERSE_TOL, max_abs_err=worst_abs,
-                   params={"n": n, "worst_trial": worst, "resamples": resamples})
-    return run.report
+    return run_check(SYMPLECTIC_INVERSE_CHECK, Family.SP, n, seed, trials)
+
+
+def _split_residuals(family, n, operands):
+    """max(trace deviation, bracket error) of each trial, and the bracket's rhs."""
+    t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = operands
+    a, b = t_0_x2 @ mtilde1 @ t_x1_0, t_0_y2 @ mtilde2 @ t_y1_0
+    trace = lambda m: np.trace(m, axis1=1, axis2=2)
+    lhs, rhs = _bracket_stack(family, a, b, casimir_tensor(build_basis(family, n)).tensor)
+    return np.max([np.abs(trace(a) - trace(t_x1_0 @ t_0_x2 @ mtilde1)),
+                   np.abs(trace(b) - trace(t_y1_0 @ t_0_y2 @ mtilde2)), np.abs(lhs - rhs)], 0), rhs
+
+
+SPLIT_CHECK = SampledCheck("split-harness", tuple((k,) for k in range(6)), _SPLIT_TOL, False,
+                           _split_residuals, scale=_SPLIT_SCALE)
 
 
 def split_harness(family, n: int = 1, seed: int = 0) -> VerificationReport:
@@ -452,21 +458,4 @@ def split_harness(family, n: int = 1, seed: int = 0) -> VerificationReport:
     which must carry the same trace as M and still satisfy the bracket
     identity; loop 2 gives B likewise.
     """
-    family = as_family(family)
-    with CheckRun("split-harness", seed=seed) as run:
-        mats, _ = _trial_draws("split", family, n, seed)
-        basis = build_basis(family, n)
-        gamma = casimir_tensor(basis).tensor
-        t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = mats[:, 0]
-        a = t_0_x2 @ mtilde1 @ t_x1_0
-        b = t_0_y2 @ mtilde2 @ t_y1_0
-        trace_dev = max(
-            abs(np.trace(a) - np.trace(t_x1_0 @ t_0_x2 @ mtilde1)),
-            abs(np.trace(b) - np.trace(t_y1_0 @ t_0_y2 @ mtilde2)),
-        )
-        (lhs,), (rhs,) = _bracket_stack(family, a[None], b[None], gamma)
-        worst = max(trace_dev, abs(lhs - rhs))
-        run.record(passed=worst < _SPLIT_TOL, max_abs_err=worst,
-                   max_rel_err=worst / max(abs(rhs), _REL_FLOOR),
-                   params={"group": family.value, "n": basis.n})
-    return run.report
+    return run_check(SPLIT_CHECK, family, n, seed)

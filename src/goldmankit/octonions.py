@@ -187,14 +187,20 @@ def product_residual(stack: np.ndarray) -> np.ndarray:
     return np.abs(prod_im.reshape(target_im.shape) - target_im).max(axis=(1, 2))
 
 
+_RESIDUAL_CHUNK = 256  # stacked matrices checked at once, a few hundred KiB per product
+
+
 def conjugation_residual(g: np.ndarray) -> float:
     """Residual of the operator-transport identity g O_i g^{-1} = sum_k O_k g_{ki}.
 
     Only holds on the automorphism group, so g is rejected unless
     automorphism_residual(g) < 1e-8.  ``g`` may also be a (T, 7, 7) stack,
-    giving one residual per matrix; the stack is rejected if any is not.
+    giving one residual per matrix, in chunks; the stack is rejected if any is not.
     """
     g = np.asarray(g, dtype=np.float64)
+    if g.ndim == 3 and len(g) > _RESIDUAL_CHUNK:
+        return np.concatenate([conjugation_residual(g[start:start + _RESIDUAL_CHUNK])
+                               for start in range(0, len(g), _RESIDUAL_CHUNK)])
     res = np.max(automorphism_residual(g))
     if res >= 1e-8:
         raise ValueError(f"conjugation identity requires an automorphism; residual {res:.3e}")

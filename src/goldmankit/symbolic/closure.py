@@ -1,11 +1,15 @@
 """Numeric instantiation of symbolic expressions and the closure check.
 
-Base loop symbols are instantiated with random group elements, composites
-with the corresponding matrix products (``a.b -> M_a M_b``, ``a.~b ->
-M_a M_b^-1``), and abstract coefficient symbols with independent random
-group elements.  A monomial passes the closure check when its wiring earns a
-legal observable signature and its numeric value is invariant, to a pinned
-relative tolerance, under ``observables.gauge_drift``.
+Base loops are instantiated with random group elements, composites with the
+matching products (``a.b -> M_a M_b``, ``a.~b -> M_a M_b^-1``) and coefficient
+symbols with independent random group elements.  A monomial passes when its
+wiring earns a legal signature and its value is invariant, to a pinned
+relative tolerance, under ``observables.gauge_drift``.  But for g in G2,
+g^T O_i g = sum_j g_ij O_j, so every slot (a word letter, a coefficient row or
+column) moves as a vector, and an id on exactly two slots contracts to
+g^T g = I: any monomial whose ids each fill exactly two slots is invariant,
+legal or not.  The drift checks only the representation data (the O_i that
+``contract`` reads, and ``conjugate``); the verdict rests on ``recognize``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""CLI robustness: on generated input, ``bracket --check-closure`` and
-``exotic evaluate`` end in exit 0, 1 or 2, never in an exception, and a
-refusal (2) is exactly one ``error: …`` line with nothing on stdout."""
+"""CLI robustness: on generated input, ``bracket --check-closure``,
+``exotic evaluate`` and every ``verify`` suite end in exit 0, 1 or 2, never
+in an exception, and a refusal (2) is exactly one ``error: …`` line with
+nothing on stdout (after argparse's usage, for a flag value it refuses)."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldmankit import observables as obs
-from goldmankit.cli import run
+from goldmankit.cli import FAMILY_CHOICES, VERIFY_SUITES, run
 
 
 def _loopterms(names):
@@ -103,3 +104,38 @@ def test_exotic_evaluate_exits_cleanly(spec, as_text):
         text = json.dumps(spec)
         path.write_text(text[: len(text) // 2] if as_text else text)
         _outcome(["exotic", "evaluate", "--spec", str(path), "--seed", "1"])
+
+
+_VERIFY_FLAGS = dict({name: flags for name, (_, flags) in VERIFY_SUITES.items()},
+                     all=("group", "n", "trials", "seed"))
+_FLAG_VALUES = {"group": st.sampled_from(FAMILY_CHOICES + ["xx"]), "n": st.integers(-1, 6),
+                "trials": st.integers(0, 3), "seed": st.integers(-1, 3)}
+
+
+@st.composite
+def _verify_argvs(draw):
+    """``verify <suite>`` with a random subset of its flags, each near its edges."""
+    what = draw(st.sampled_from(sorted(_VERIFY_FLAGS)))
+    argv = ["verify", what]
+    for flag in _VERIFY_FLAGS[what]:
+        if draw(st.booleans()):
+            argv += [f"--{flag}", str(draw(_FLAG_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(argv=_verify_argvs())
+@example(argv=["verify", "defect", "--group", "gl"])  # a family the suite does not take
+@example(argv=["verify", "bracket", "--group", "g2", "--n", "2"])
+@example(argv=["verify", "all", "--trials", "0", "--seed", "-1"])
+def test_verify_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and err.getvalue().endswith("\n")
+        assert [line for line in lines if "error: " in line] == lines[-1:]
+        # a handler's refusal is its one line; argparse prints its usage first
+        assert lines[0].startswith("usage: " if len(lines) > 1 else "error: ")

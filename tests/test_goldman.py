@@ -22,7 +22,7 @@ from goldmankit.goldman import (
     verify_symplectic_inverse,
 )
 from goldmankit.linalg import mat_exp, max_abs, trace12
-from goldmankit.octonions import unit_matrices
+from goldmankit.octonions import conjugation_residual, unit_matrices
 
 ALL_FAMILIES = [
     (Family.GL, 3), (Family.U, 3), (Family.SL, 3), (Family.SU, 3),
@@ -310,18 +310,61 @@ def test_sample_element_redraws_the_pairs_verify_bracket_checked(family, n, monk
             assert np.array_equal(sample_element(family, n, seed, 1.0, basis).matrix, stack[t])
 
 
+def _replayed(report, family, n, stream, scale=1.0):
+    """Row ``worst_trial`` of ``stream``, drawn alone as ``report``'s check drew it."""
+    key = (report.params["worst_trial"], *stream)
+    seed = np.random.SeedSequence(entropy=report.seed, spawn_key=key)
+    return sample_element(family, n, seed, scale).matrix
+
+
 def test_defect_and_symplectic_report_worst_trial():
+    # and split and octonion conjugation: every sampled check names the trial its verdict
+    # reads, and that trial's rows, drawn alone, give the reported error
+    from goldmankit import cli
+
     defect = verify_defect(Family.SO, 4, trials=12, seed=3)
     chi = defect_matrix(Family.SO, 4)
-    t = defect.params["worst_trial"]
-    a, b = (sample_element(Family.SO, 4, np.random.SeedSequence(entropy=3, spawn_key=(t, k))).matrix
-            for k in range(2))
+    a, b = (_replayed(defect, Family.SO, 4, (k,)) for k in range(2))
     err = abs(trace12(np.kron(a, b) @ chi) + np.trace(a @ np.linalg.inv(b)))
     assert abs(err - defect.max_abs_err) <= 1e-13 and defect.params["resamples"] == 0
     inverse = verify_symplectic_inverse(2, trials=12, seed=3)
-    t = inverse.params["worst_trial"]
-    b = sample_element(Family.SP, 2, np.random.SeedSequence(entropy=3, spawn_key=(t, 0))).matrix
+    b = _replayed(inverse, Family.SP, 2, (0,))
     assert symplectic_inverse_residual(b, 2) == inverse.max_abs_err
+    assert inverse.max_rel_err == 0.0 and inverse.params["group"] == "sp"
+    for family, n in ((Family.U, 3), (Family.G2, 1)):
+        split = split_harness(family, n, seed=6)
+        assert split.params["worst_trial"] == 0 and split.params["resamples"] == 0
+        t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = (
+            _replayed(split, family, n, (k,), 0.7) for k in range(6))
+        a, b = t_0_x2 @ mtilde1 @ t_x1_0, t_0_y2 @ mtilde2 @ t_y1_0
+        lhs, rhs = bracket_sides(family, GroupElement(family, n, a, 0.0),
+                                 GroupElement(family, n, b, 0.0))
+        err = max(abs(np.trace(a) - np.trace(t_x1_0 @ t_0_x2 @ mtilde1)),
+                  abs(np.trace(b) - np.trace(t_y1_0 @ t_0_y2 @ mtilde2)), abs(lhs - rhs))
+        assert abs(err - split.max_abs_err) <= 1e-15
+        assert abs(err / abs(rhs) - split.max_rel_err) <= 1e-15
+    _, conjugation = cli._octonion(300, 5)  # past one residual chunk
+    assert conjugation.params == {"group": "g2", "n": 1, "resamples": 0,
+                                  "worst_trial": conjugation.params["worst_trial"]}
+    g = _replayed(conjugation, Family.G2, 1, ())
+    assert conjugation_residual(g) == conjugation.max_abs_err
+    assert conjugation.max_rel_err == 0.0
+
+
+def test_run_check_reduces_by_one_rule():
+    # a trial's relative error is err / max(|rhs|, 1e-12), 0.0 with no rhs; the verdict and
+    # worst_trial read the relative error of a relative check and the absolute one otherwise
+    from goldmankit import goldman
+
+    err, rhs = np.array([1e-13, 4e-10, 3e-16]), np.array([1e-3, -2.0, 0.0])
+    for relative, given, worst, rel, passed in [(True, rhs, 2, 3e-16 / 1e-12, False),
+                                                (False, rhs, 1, 3e-16 / 1e-12, True),
+                                                (False, None, 1, 0.0, True)]:
+        check = goldman.SampledCheck("probe", ((0,),), 1e-9, relative, lambda *_: (err, given))
+        report = goldman.run_check(check, "so", 3, seed=1, trials=3)
+        assert report.params == {"group": "so", "n": 3, "worst_trial": worst, "resamples": 0}
+        assert report.max_abs_err == 4e-10 and report.max_rel_err == rel
+        assert report.passed is passed and report.check == "probe" and report.trials == 3
 
 
 def test_verify_rejects_zero_trials():

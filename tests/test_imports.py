@@ -2,10 +2,11 @@
 one module builds the seed substreams, one owns the gauge loop, one renumbers
 index ids, one compares expressions, one decides which families are complex
 and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, one
-function exponentiates draws, two build a monomial's wiring, only the brute-force
-oracle builds word tables and nothing calls it, no ``verify`` suite carries
-cells, none plans with numpy's einsum_path, every function the benchmark traces
-by name exists, and the package does not load scipy."""
+function exponentiates draws, one runner draws and reports every sampled check,
+two build a monomial's wiring, only the brute-force oracle builds word tables
+and nothing calls it, no ``verify`` suite carries cells, none plans with numpy's
+einsum_path, every function the benchmark traces by name exists, and the
+package does not load scipy."""
 
 import ast
 import importlib
@@ -105,6 +106,17 @@ def _callers(name):
 def test_one_function_exponentiates_draws():
     # goldman._draw_all is the one chunk loop of a draw; no other function calls mat_exp
     assert _callers("mat_exp") == ["goldman.py:_draw_all"]
+
+
+def test_one_runner_draws_and_reports_every_sampled_check():
+    # goldman.run_check draws, reduces and reports bracket, defect, symplectic-inverse, split
+    # and octonion conjugation; cli's other two CheckRuns (the octonion structure table and
+    # the worked example) draw nothing
+    def callers(name):
+        return [c for c in _callers(name) if c.split(":")[0] in ("goldman.py", "cli.py")]
+
+    assert callers("sample_substreams") == ["goldman.py:run_check"]
+    assert callers("CheckRun") == ["cli.py:_octonion", "cli.py:_symbolic", "goldman.py:run_check"]
 
 
 def test_two_functions_build_the_wiring():

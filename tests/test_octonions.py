@@ -131,21 +131,22 @@ def test_conjugation_rejects_non_automorphism():
 def test_stacked_conjugation_residual_equals_per_matrix_values():
     # reference: the identity's two sides for one matrix at a time, as plain einsums
     o = unit_matrices()
-    gs, _, _ = sample_substreams(Family.G2, 1, 5, [((), 40)])
+    gs, _, _ = sample_substreams(Family.G2, 1, 5, [((), 300)])  # past one 256-row chunk
     single = [max_abs(np.einsum("ab,ibc,dc->iad", g, o, g) - np.einsum("kad,ki->iad", o, g))
               for g in gs]
     stacked = conjugation_residual(gs)
-    assert stacked.shape == (40,)
+    assert stacked.shape == (300,)
     assert max_abs(stacked - single) <= 1e-15
     assert max_abs(np.array([conjugation_residual(g) for g in gs]) - single) <= 1e-15
 
 
 def test_conjugation_rejects_a_stack_holding_a_non_automorphism():
-    gs, _, _ = sample_substreams(Family.G2, 1, 5, [((), 4)])
+    gs, _, _ = sample_substreams(Family.G2, 1, 5, [((), 300)])
     x = np.random.default_rng(3).standard_normal((7, 7))
     rotation = mat_exp(0.5 * (x - x.T) / np.linalg.norm(x - x.T))
-    with pytest.raises(ValueError, match="automorphism"):
-        conjugation_residual(np.concatenate([gs[:2], rotation[None], gs[2:]]))
+    for at in (2, 280):  # in the first 256-row chunk and past it
+        with pytest.raises(ValueError, match="automorphism"):
+            conjugation_residual(np.concatenate([gs[:at], rotation[None], gs[at:]]))
 
 
 def test_conjugation_monte_carlo():

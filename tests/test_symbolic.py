@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from canonical_oracle import encode_by_search, encode_by_walks
 from signature_oracle import recognize_by_search
@@ -688,6 +688,36 @@ def test_closure_fails_when_no_gauge_moves_the_control(monkeypatch):
     assert not report.passed
     assert report.params["negative_control"] == 0.0
     assert report.max_rel_err == 0.0
+
+
+@st.composite
+def _paired_wirings(draw, max_traces=4, max_coeffs=3):
+    """A monomial whose ids each fill exactly two slots, anywhere: legal or not."""
+    lengths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_traces))
+    n_coeffs = draw(st.integers(0, max_coeffs))
+    if (sum(lengths) + 2 * n_coeffs) % 2:
+        lengths.append(1)
+    ids = [i // 2 for i in range(sum(lengths) + 2 * n_coeffs)]
+    traces = tuple(TraceAtom(Loop(draw(st.sampled_from("ab"))), (0,) * n) for n in lengths)
+    coeffs = tuple(CoeffAtom(draw(st.sampled_from("xy")), 0, 0) for _ in range(n_coeffs))
+    return _with_slots(Monomial(Fraction(1), traces, coeffs), draw(st.permutations(ids)))
+
+
+_RETURNING_WORD = Monomial(Fraction(1), (TraceAtom(Loop("a"), (0, 0)),), ())  # tr(a; O i O i)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_paired_wirings())
+@example(_RETURNING_WORD)
+@example(Monomial(Fraction(1), (TraceAtom(Loop("a"), (0,)), TraceAtom(Loop("b"), (0,))), ()))
+def test_a_monomial_with_every_id_twice_is_gauge_invariant(m):
+    # g^T O_i g = sum_j g_ij O_j moves every slot as a vector, so an id on two slots
+    # contracts to g^T g = I: the drift passes whether recognize accepts the wiring or not
+    assert not signature.recognize(_RETURNING_WORD).valid
+    names, mats, gauges = closure._draw(sym.Expression((m,)), seed=3, gauges=3)
+    values = lambda moved: [closure.evaluate_monomial(m, dict(zip(names, moved)))]
+    _, _, worst, _ = observables.gauge_drift(mats, gauges, values, closure._CLOSURE_TOL)
+    assert worst < closure._CLOSURE_TOL, str(m)
 
 
 def test_closure_refuses_gauges_over_the_sampling_budget_before_any_key():
