@@ -28,11 +28,11 @@ single network or a (B, 7, 7) stack.  ``evaluate_brute`` is the reference
 oracle, refused above a budget: one einsum with no contraction path, a
 literal sum over all 7^#indices tuples, of the coefficient matrices and the
 word tables ``word_trace_table``, each the trace contraction of its word's
-two halves.  K and Q are plain tuples of 0/1 rows.  ``gauge_drift``, the
-one gauge-invariance loop, serves ``invariance_test`` and the symbolic
-closure check.  Invariance is under
-*simultaneous* conjugation of every monodromy and every alpha/beta by one
-group element; nothing is claimed when the coefficients are held fixed.
+two halves.  K and Q are plain tuples of 0/1 rows.  ``gauge_drift`` is the
+one gauge loop; ``negative_control``, shared by ``invariance_test`` and the
+symbolic closure check, runs through it.  Invariance is under *simultaneous*
+conjugation of every monodromy and every alpha/beta by one group element;
+nothing is claimed when the coefficients are held fixed.
 """
 
 from __future__ import annotations
@@ -248,10 +248,8 @@ def random_instance(spec: ObservableSpec, seed: int = 0) -> ObservableInstance:
     require_valid(spec)
     n_coeff = (spec.n1 - spec.r) + (spec.n2 - spec.s)
     mats, _, _ = sample_substreams(Family.G2, 1, seed, [((0,), spec.n_loops + n_coeff)])
-    monos = tuple(mats[: spec.n_loops])
-    alphas = tuple(mats[spec.n_loops: spec.n_loops + spec.n1 - spec.r])
-    betas = tuple(mats[spec.n_loops + spec.n1 - spec.r:])
-    return ObservableInstance(spec, monos, alphas, betas)
+    n, a = spec.n_loops, spec.n_loops + spec.n1 - spec.r
+    return ObservableInstance(spec, tuple(mats[:n]), tuple(mats[n:a]), tuple(mats[a:]))
 
 
 def word_trace_table(m: np.ndarray, length: int) -> np.ndarray:
@@ -420,29 +418,29 @@ _GAUGE_CHUNK = 64  # gauges conjugated and contracted as one stack
 _CONTROL_FLOOR = 1e-3  # the negative control must move at least this much
 
 
-def gauge_drift(mats: np.ndarray, gauges: np.ndarray, values, tol: float):
-    """(passed, largest change, largest relative change, negative control) of
-    ``values`` when an (E, 7, 7) stack ``mats`` is conjugated by each gauge.
-
-    The (T, 7, 7) gauges go in chunks of at most ``_GAUGE_CHUNK`` under the
-    identity; ``values`` contracts a moved (E, B, 7, 7) stack to a list of
-    B-row arrays (or floats no gauge moves), and no row depends on the chunk.
-    A change is taken from row 0, relative to max(1, |row 0|).  It passes when
-    the relative change is under ``tol`` and the negative control, the largest
-    change of a single tr(M O_i) for M = mats[0], exceeds ``_CONTROL_FLOOR``.
-    """
-    drift = worst = control = 0.0
+def gauge_drift(mats: np.ndarray, gauges: np.ndarray, values):
+    """(largest change, largest relative change) of ``values`` when an (E, 7, 7)
+    stack ``mats`` is conjugated by each gauge, in chunks of at most ``_GAUGE_CHUNK``
+    under the identity.  ``values`` contracts a moved (E, B, 7, 7) stack to a list
+    of arrays of B rows (no row depends on the chunk); a change is taken from
+    row 0, relative to max(1, |row 0|)."""
+    drift = worst = 0.0
     for start in range(0, len(gauges), _GAUGE_CHUNK):
         stack = np.concatenate([np.eye(7)[None], gauges[start:start + _GAUGE_CHUNK]])
-        moved = conjugate(stack, mats)
-        singles = np.einsum("gab,iba->gi", moved[0], unit_matrices())
-        control = max(control, float(np.max(np.abs(singles[1:] - singles[0]))))
-        for value in values(moved):
-            value = value * np.ones(len(stack))  # a float no gauge moves
+        for value in values(conjugate(stack, mats)):
             change = float(np.max(np.abs(value[1:] - value[0])))
             drift = max(drift, change)
-            worst = max(worst, change / max(1.0, abs(float(value[0]))))
-    return worst < tol and control > _CONTROL_FLOOR, drift, worst, control
+            worst = max(worst, change / max(1.0, float(np.max(np.abs(value[0])))))
+    return drift, worst
+
+
+def negative_control(mat: np.ndarray, gauges: np.ndarray):
+    """(passed, control): the ``gauge_drift`` of the seven tr(M O_i) for the 7x7
+    M = ``mat``; it passes above ``_CONTROL_FLOOR``, so gauges that move nothing
+    cannot pass a check."""
+    singles = lambda moved: [np.einsum("gab,iba->gi", moved[0], unit_matrices())]
+    control = gauge_drift(mat[None], gauges, singles)[0]
+    return control > _CONTROL_FLOOR, control
 
 
 _INVARIANCE_TOL = 1e-8  # relative change of the observable
@@ -453,7 +451,7 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
     """Change of the observable under random simultaneous conjugation (``gauge_drift``).
 
     All gauges are drawn as one stack, and ``sample_substreams`` refuses an
-    oversize count before anything is drawn.  The negative control is
+    oversize count before anything is drawn.  The ``negative_control`` is
     reported in the params.
     """
     trials = check_int(trials, "trials", 1)
@@ -461,10 +459,10 @@ def invariance_test(inst: ObservableInstance, trials: int = 50,
     require_valid(spec)
     with CheckRun("exotic-invariance", seed=seed, trials=trials) as run:
         gauges, _, _ = sample_substreams(Family.G2, 1, seed, [((1,), trials)])
-        passed, drift, worst, control = gauge_drift(
-            np.stack(inst.monodromies + inst.alphas + inst.betas), gauges,
-            lambda moved: [contract(*_factors(spec, moved))], _INVARIANCE_TOL)
-        run.record(passed=passed, max_abs_err=drift, max_rel_err=worst,
+        mats = np.stack(inst.monodromies + inst.alphas + inst.betas)
+        drift, worst = gauge_drift(mats, gauges, lambda moved: [contract(*_factors(spec, moved))])
+        moved, control = negative_control(mats[0], gauges)
+        run.record(passed=worst < _INVARIANCE_TOL and moved, max_abs_err=drift, max_rel_err=worst,
                    params={"r": spec.r, "n1": spec.n1, "s": spec.s, "n2": spec.n2, "t": spec.t,
                            "negative_control": control})
     return run.report

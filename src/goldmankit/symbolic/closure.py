@@ -2,14 +2,12 @@
 
 Base loops are instantiated with random group elements, composites with the
 matching products (``a.b -> M_a M_b``, ``a.~b -> M_a M_b^-1``) and coefficient
-symbols with independent random group elements.  A monomial passes when its
-wiring earns a legal signature and its value is invariant, to a pinned
-relative tolerance, under ``observables.gauge_drift``.  But for g in G2,
-g^T O_i g = sum_j g_ij O_j, so every slot (a word letter, a coefficient row or
-column) moves as a vector, and an id on exactly two slots contracts to
-g^T g = I: any monomial whose ids each fill exactly two slots is invariant,
-legal or not.  The drift checks only the representation data (the O_i that
-``contract`` reads, and ``conjugate``); the verdict rests on ``recognize``.
+symbols with independent random group elements.  For g in G2,
+g^T O_i g = sum_j g_ij O_j moves every slot (a word letter, a coefficient row
+or column) as a vector, and an id on two slots contracts to g^T g = I: a
+monomial whose ids each fill two slots is invariant, legal or not.  So the
+closure verdict is recognition, and its numeric part checks that covariance
+of the O_i once per call; no monomial is contracted.
 """
 
 from __future__ import annotations
@@ -21,8 +19,9 @@ import numpy as np
 
 from ..bases import Family, check_int
 from ..goldman import sample_substreams
-from ..observables import (ObservableSpec, contract, gauge_drift, index_layout,
+from ..observables import (ObservableSpec, contract, index_layout, negative_control,
                            require_valid)
+from ..octonions import conjugation_residual
 from ..reports import CheckRun, VerificationReport
 from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, symbols
 from .signature import recognize
@@ -71,18 +70,23 @@ class ClosureResult:
     failures: list = field(default_factory=list)
 
 
-_CLOSURE_TOL = 1e-7  # relative change of a monomial under conjugation
+_CLOSURE_TOL = 1e-7  # covariance residual |g O_i g^T - sum_k O_k g_ki| of the O_i
 
 
 def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> ClosureResult:
-    """Signature validity plus per-monomial gauge invariance (``gauge_drift``).
+    """Signature validity of every monomial plus one covariance check of the O_i.
 
+    Fails on an unrecognized monomial, a ``conjugation_residual`` of the drawn
+    gauges over ``_CLOSURE_TOL`` or a ``negative_control`` of the first drawn
+    matrix that fails.  An entry of sum_k O_k g_ki is +-g_ki, so max(1, |rhs|)
+    is 1 and the residual is both ``max_abs_err`` and ``max_rel_err``.
+    ``trials`` counts the (monomial, gauge) pairs that covariance covers.
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
-    rule) are quarantined: listed in the failures with a note, neither
-    checked nor failing the check.  An expression that would pass vacuously,
-    with no monomial outside that quarantine but constants (0 included), is
-    refused, and so are more gauges than ``check_draws`` allows.  The
-    negative control is reported in the params.
+    rule) are quarantined: listed in the failures, neither checked nor
+    failing.  An expression with no monomial outside that quarantine but
+    constants (0 included) is refused, as are more gauges than
+    ``check_draws`` allows.  Params hold the negative control and the
+    recognized, unrecognized and extended counts.
     """
     gauge_trials = check_int(gauge_trials, "gauge_trials", 1)
     if all(m.extended or not (m.traces or m.coeffs) for m in expr.monomials):
@@ -90,22 +94,20 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
                          "or a constant, or every monomial is extended)")
     with CheckRun("symbolic-closure", seed=seed, trials=len(expr.monomials) * gauge_trials) as run:
         signatures = [recognize(m) for m in expr.monomials]
-        pairs = list(zip(expr.monomials, signatures))
         failures = [(m, "extended rule output, quarantined" if m.extended
                      else f"unrecognized monomial: {sig.reason}\n  {m}")
-                    for m, sig in pairs if m.extended or not sig.valid]
-        checked = [m for m, sig in pairs if sig.valid and not m.extended]
-        unrecognized = any(not (m.extended or sig.valid) for m, sig in pairs)
-        names, mats, gauges = _draw(expr, seed, gauge_trials)
-
-        def values(moved):
-            env = dict(zip(names, moved))
-            return [evaluate_monomial(m, env) for m in checked]
-
-        passed, drift, worst, control = gauge_drift(mats, gauges, values, _CLOSURE_TOL)
-        run.record(passed=passed and not unrecognized, max_abs_err=drift, max_rel_err=worst,
+                    for m, sig in zip(expr.monomials, signatures) if m.extended or not sig.valid]
+        extended = sum(m.extended for m in expr.monomials)
+        unrecognized = len(failures) - extended
+        _, mats, gauges = _draw(expr, seed, gauge_trials)
+        residual = float(np.max(conjugation_residual(gauges)))
+        moved, control = negative_control(mats[0], gauges)
+        run.record(passed=not unrecognized and residual < _CLOSURE_TOL and moved,
+                   max_abs_err=residual, max_rel_err=residual,
                    params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials,
-                           "negative_control": control})
+                           "negative_control": control, "extended": extended,
+                           "recognized": len(expr.monomials) - len(failures),
+                           "unrecognized": unrecognized})
     return ClosureResult(run.report, signatures, failures)
 
 

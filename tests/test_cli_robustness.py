@@ -1,10 +1,11 @@
-"""CLI robustness: on generated input, ``bracket --check-closure``,
-``exotic evaluate`` and every ``verify`` suite end in exit 0, 1 or 2, never
-in an exception, and a refusal (2) is exactly one ``error: …`` line with
+"""CLI robustness: on generated input, ``bracket --check-closure``, every
+``exotic`` action and every ``verify`` suite end in exit 0, 1 or 2, never in
+an exception, and a refusal (2) is exactly one ``error: …`` line with
 nothing on stdout (after argparse's usage, for a flag value it refuses)."""
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -94,16 +95,77 @@ def test_bracket_check_closure_exits_cleanly(lhs, rhs):
     _outcome(["bracket", f"--lhs={lhs}", f"--rhs={rhs}", "--check-closure"])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(spec=_SPECS, as_text=st.sampled_from([False] * 4 + [True]))
-@example(spec=dict(_with_instance(_VALID[0]), monodromies=[[{}], "7x7"]), as_text=False)
-def test_exotic_evaluate_exits_cleanly(spec, as_text):
+def _with_spec_file(spec, as_text, argv):
+    """``_outcome`` of ``argv`` plus ``--spec`` naming a file that holds ``spec``; as_text:
+    the JSON cut short, which is malformed unless it is a scalar."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
-        # as_text: the JSON cut short, which is malformed unless it is a scalar
         text = json.dumps(spec)
         path.write_text(text[: len(text) // 2] if as_text else text)
-        _outcome(["exotic", "evaluate", "--spec", str(path), "--seed", "1"])
+        _outcome(argv + ["--spec", str(path)])
+
+
+_AS_TEXT = st.sampled_from([False] * 4 + [True])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=_SPECS, as_text=_AS_TEXT)
+@example(spec=dict(_with_instance(_VALID[0]), monodromies=[[{}], "7x7"]), as_text=False)
+def test_exotic_evaluate_exits_cleanly(spec, as_text):
+    _with_spec_file(spec, as_text, ["exotic", "evaluate", "--seed", "1"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=_SPECS, as_text=_AS_TEXT)
+def test_exotic_validate_exits_cleanly(spec, as_text):
+    _with_spec_file(spec, as_text, ["exotic", "validate"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=_SPECS, trials=st.integers(0, 3), seed=st.integers(-1, 3))
+@example(spec=_VALID[0], trials=0, seed=0)
+@example(spec=_with_instance(_VALID[-1]), trials=3, seed=-1)  # gauges that move nothing
+def test_exotic_invariance_exits_cleanly(spec, trials, seed):
+    _with_spec_file(spec, False, ["exotic", "invariance", "--trials", str(trials),
+                                  "--seed", str(seed)])
+
+
+def _spec_budget_edges():
+    """The (r, n1, s, n2, t) of the largest count ``enumerate_specs`` admits and of
+    the smallest it refuses, by ``spec_count`` over every valid tuple of entries < 8."""
+    counts = sorted((obs.spec_count(*c), c) for c in itertools.product(range(8), repeat=5)
+                    if not obs._parameter_errors(*c))
+    admitted = max((n, c) for n, c in counts if n <= obs._SPEC_BUDGET)
+    refused = min((n, c) for n, c in counts if n > obs._SPEC_BUDGET)
+    return admitted[1], refused[1]
+
+
+def _enumerate_argv(counts):
+    return ["exotic", "enumerate"] + [x for flag, value in zip(("r", "n1", "s", "n2", "t"), counts)
+                                      for x in (f"--{flag}", str(value))]
+
+
+_ADMITTED, _REFUSED = _spec_budget_edges()
+
+
+@st.composite
+def _enumerate_counts(draw):
+    """(r, n1, s, n2, t), each at or next to an edge of its bound: r and s from -1
+    to one past n1 and n2, t from 0 to one past n1 + 2 n2."""
+    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    r = draw(st.sampled_from([-1, 0, n1, n1 + 1]))
+    s = draw(st.sampled_from([-1, 0, n2, n2 + 1]))
+    t = draw(st.sampled_from([0, 1, n1 + 2 * n2, n1 + 2 * n2 + 1]))
+    return r, n1, s, n2, t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(counts=_enumerate_counts())
+@example(counts=_ADMITTED)  # the largest admitted count, built in about a second
+@example(counts=_REFUSED)
+@example(counts=(0, 0, 0, 0, 1))  # t above n1 + 2 n2
+def test_exotic_enumerate_exits_cleanly(counts):
+    _outcome(_enumerate_argv(counts))
 
 
 _VERIFY_FLAGS = dict({name: flags for name, (_, flags) in VERIFY_SUITES.items()},

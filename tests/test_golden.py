@@ -25,6 +25,7 @@ from pathlib import Path
 from goldmankit import observables as obs
 from goldmankit import symbolic as sym
 from goldmankit.cli import run
+from goldmankit.symbolic import closure
 
 GOLDEN = Path(__file__).parent / "golden"
 VERIFY_ALL = GOLDEN / "verify_all_seed42.jsonl"
@@ -49,13 +50,29 @@ def _specs(weight):
             for spec in obs.enumerate_specs(r, n1, s, n2, t)]
 
 
-def _criterion9_bodies():
-    """The closure bodies of criterion 9's sweep, {tr z, F} for every spec with
+def _criterion9_brackets():
+    """(bracket, seed) of criterion 9's sweep, {tr z, F} for every spec with
     0 < n1 + 2 n2 <= 3, in its order and with its seeds."""
     canon = sym.parse_expr("tr(z)")
-    return [sym.closure_check(sym.bracket(canon, sym.build_f_expression(spec)),
-                              seed=5_000 + k, gauge_trials=2).report.body()
+    return [(sym.bracket(canon, sym.build_f_expression(spec)), 5_000 + k)
             for k, spec in enumerate(_specs(3))]
+
+
+def _criterion9_bodies():
+    """The closure bodies of criterion 9's sweep, 2 gauges each."""
+    return [sym.closure_check(expr, seed=seed, gauge_trials=2).report.body()
+            for expr, seed in _criterion9_brackets()]
+
+
+def _criterion9_drifts():
+    """(bracket, seed, recognized monomials, (drift, relative drift)) per criterion-9 bracket:
+    the per-monomial oracle of ``closure_check``, each recognized monomial contracted
+    under the same draws, the identity and 2 gauges stacked."""
+    for expr, seed in _criterion9_brackets():
+        checked = [m for m in expr.monomials if not m.extended and sym.recognize(m).valid]
+        names, mats, gauges = closure._draw(expr, seed, 2)
+        values = lambda moved: [sym.evaluate_monomial(m, dict(zip(names, moved))) for m in checked]
+        yield expr, seed, checked, obs.gauge_drift(mats, gauges, values)
 
 
 def _prefixed(expr, prefix):

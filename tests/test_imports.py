@@ -1,12 +1,12 @@
 """Module boundaries: no goldmankit module imports another module's private names,
-one module builds the seed substreams, one owns the gauge loop, one renumbers
-index ids, one compares expressions, one decides which families are complex
-and what counts as an integer, only ``cli.cmd_verify`` opens a draw scope, one
-function exponentiates draws, one runner draws and reports every sampled check,
-two build a monomial's wiring, only the brute-force oracle builds word tables
-and nothing calls it, no ``verify`` suite carries cells, none plans with numpy's
-einsum_path, every function the benchmark traces by name exists, and the
-package does not load scipy."""
+one module builds the seed substreams, one owns the gauge loop and the negative
+control, one renumbers index ids, one compares expressions, one decides which
+families are complex and what counts as an integer, only ``cli.cmd_verify``
+opens a draw scope, one function exponentiates draws, one runner draws and
+reports every sampled check, two build a monomial's wiring, only the
+brute-force oracle builds word tables and nothing calls it, no ``verify``
+suite carries cells, none plans with numpy's einsum_path, every function the
+benchmark traces by name exists, and the package does not load scipy."""
 
 import ast
 import importlib
@@ -44,11 +44,16 @@ def test_one_module_builds_seed_substreams():
 
 
 def test_one_module_owns_the_gauge_loop():
-    # observables.gauge_drift is the one gauge-invariance loop: its chunk and control floor
+    # observables.gauge_drift is the one gauge-invariance loop and negative_control the one
+    # control, which the closure check shares: their chunk and control floor
     for name in ("_CONTROL_FLOOR", "_GAUGE_CHUNK"):
         owners = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                   if re.search(rf"^{name} =", path.read_text(), re.M)]
         assert owners == ["observables.py"], name
+    # the control's single tr(M O_i) terms are spelled once
+    spellings = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                 for _ in re.finditer(r"gab,iba->gi", path.read_text())]
+    assert spellings == ["observables.py"]
 
 
 def test_one_module_renumbers_index_ids():

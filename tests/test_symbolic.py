@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from canonical_oracle import encode_by_search, encode_by_walks
 from signature_oracle import recognize_by_search
+from test_golden import _criterion9_drifts
 
-from goldmankit import observables
+from goldmankit import observables, octonions
 from goldmankit import symbolic as sym
 from goldmankit.bases import Family
 from goldmankit.goldman import sample_element, sample_substreams
@@ -690,6 +691,45 @@ def test_closure_fails_when_no_gauge_moves_the_control(monkeypatch):
     assert report.max_rel_err == 0.0
 
 
+def _criterion9_bracket(counts=(1, 1, 0, 1, 2)):
+    return sym.bracket(sym.parse_expr("tr(z)"), sym.build_f_expression(enumerate_specs(*counts)[0]))
+
+
+def test_closure_fails_when_an_operator_is_scaled(monkeypatch):
+    # O_3 x 1.01 in the one table that both contract and the covariance check read
+    e = _criterion9_bracket()
+    assert sym.closure_check(e, seed=7).report.passed
+    scaled = octonions.unit_matrices().copy()
+    scaled[2] *= 1.01
+    for module in (octonions, observables):
+        monkeypatch.setattr(module, "unit_matrices", lambda: scaled)
+    report = sym.closure_check(e, seed=7).report
+    assert not report.passed and report.max_rel_err > 1e-3
+    assert report.params["negative_control"] > 1e-3
+
+
+def test_closure_check_contracts_no_monomial(monkeypatch):
+    calls = []
+    for module in (observables, closure):
+        contract = module.contract
+        monkeypatch.setattr(module, "contract",
+                            lambda *args, contract=contract: calls.append(args) or contract(*args))
+    result = sym.closure_check(_criterion9_bracket(), seed=7)
+    assert calls == []
+    assert result.report.passed and len(result.signatures) > 1
+
+
+def test_closure_params_count_recognized_unrecognized_and_extended():
+    e = _criterion9_bracket()
+    dangling = Monomial(Fraction(1), (TraceAtom(Loop("a"), (0,)), TraceAtom(Loop("b"), (1,))), ())
+    mixed = sym.Expression((*e.monomials[1:], replace(e.monomials[0], extended=True), dangling))
+    result = sym.closure_check(mixed, seed=7)
+    params = result.report.params
+    assert (params["recognized"], params["unrecognized"], params["extended"]) == (
+        len(e.monomials) - 1, 1, 1)
+    assert params["monomials"] == len(mixed.monomials) and not result.report.passed
+
+
 @st.composite
 def _paired_wirings(draw, max_traces=4, max_coeffs=3):
     """A monomial whose ids each fill exactly two slots, anywhere: legal or not."""
@@ -716,7 +756,7 @@ def test_a_monomial_with_every_id_twice_is_gauge_invariant(m):
     assert not signature.recognize(_RETURNING_WORD).valid
     names, mats, gauges = closure._draw(sym.Expression((m,)), seed=3, gauges=3)
     values = lambda moved: [closure.evaluate_monomial(m, dict(zip(names, moved)))]
-    _, _, worst, _ = observables.gauge_drift(mats, gauges, values, closure._CLOSURE_TOL)
+    _, worst = observables.gauge_drift(mats, gauges, values)
     assert worst < closure._CLOSURE_TOL, str(m)
 
 
@@ -750,16 +790,36 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     for k, name in enumerate(syms):
         assert np.array_equal(env[("sym", name)], single((k, 11)))
 
-    # the environment is conjugated by one stack: the identity, then the gauges
+    # the covariance check reads the gauges, one stack of single draws
+    stacks = []
+    residual = closure.conjugation_residual
+    monkeypatch.setattr(closure, "conjugation_residual",
+                        lambda g: stacks.append(g) or residual(g))
+    report = sym.closure_check(e, seed=9, gauge_trials=3).report
+    (gauges,) = stacks
+    assert len(gauges) == 3
+    for k, g in enumerate(gauges):
+        assert np.array_equal(g, single((k, 12)))
+    assert report.max_abs_err == report.max_rel_err == np.max(residual(gauges))
+
+
+def test_every_recognized_criterion9_monomial_is_gauge_invariant(monkeypatch):
+    # the per-monomial oracle of closure_check's one covariance check: each recognized
+    # monomial of criterion 9's 261 brackets drifts under _CLOSURE_TOL, its environment
+    # conjugated by one stack, the identity then the gauges closure_check draws
     stacks = []
     monkeypatch.setattr(observables, "conjugate",
-                        lambda g, mats: stacks.append(g) or conjugate(g, mats))
-    sym.closure_check(e, seed=9, gauge_trials=3)
-    assert len(stacks) == 1 and np.array_equal(stacks[0][0], np.eye(7))
-    gauges = list(stacks[0][1:])
-    assert len(gauges) == 3
-    for k, g in enumerate(gauges[:3]):
-        assert np.array_equal(g, single((k, 12)))
+                        lambda g, mats: stacks.append((g, len(mats))) or conjugate(g, mats))
+    recognized = 0
+    for expr, seed, checked, (_, worst) in _criterion9_drifts():
+        assert worst < closure._CLOSURE_TOL, str(expr)
+        names, _, gauges = closure._draw(expr, seed, 2)
+        ((stack, size),) = stacks
+        assert size == len(names)
+        assert np.array_equal(stack, np.concatenate([np.eye(7)[None], gauges]))
+        stacks.clear()
+        recognized += len(checked)
+    assert recognized == 3744
 
 
 # A stacked contraction sums in another order than a single-environment one.
@@ -776,16 +836,18 @@ def _stacked_env(expr, seed, gauges=5):
     return env, dict(zip(env, conjugate(stack, np.stack(list(env.values())))))
 
 
-def test_closure_check_reports_the_absolute_change_as_max_abs_err():
+def test_gauge_drift_reports_the_absolute_change_apart_from_the_relative():
     # the monomial's value is about 28, so its absolute and relative changes differ
     expr = sym.parse_expr("sum i j: 4 * tr(a; O i O j) * tr(b.~c; O j O i)")
     _, stacked = _stacked_env(expr, 0, gauges=3)
     values = sym.evaluate_monomial(expr.monomials[0], stacked)
     assert abs(values[0]) > 1
     change = np.max(np.abs(values[1:] - values[0]))
-    report = sym.closure_check(expr, seed=0, gauge_trials=3).report
-    assert report.max_abs_err == change > report.max_rel_err
-    assert report.max_rel_err == change / abs(values[0])
+    names, mats, gauges = closure._draw(expr, 0, 3)
+    drift = lambda moved: [sym.evaluate_monomial(expr.monomials[0], dict(zip(names, moved)))]
+    absolute, relative = observables.gauge_drift(mats, gauges, drift)
+    assert absolute == change > relative
+    assert relative == change / abs(values[0])
 
 
 def _row(env, rows):
