@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _command(commands, "verify", help="run a verification suite")
     p_verify.set_defaults(func=cmd_verify)
     suites = p_verify.add_subparsers(dest="what", required=True)
-    # `all` takes --group and --n and ignores them
-    _command(suites, "all", _GROUP_N + _TRIALS_SEED, help="every suite over its full size grid")
+    _command(suites, "all", _TRIALS_SEED, help="every suite over its full size grid")
     for what, (suite, flags) in VERIFY_SUITES.items():
         _command(suites, what, flags, groups=getattr(suite, "groups", None))
 

@@ -13,8 +13,7 @@ must equal the family's resolved-loop form:
 
 Composite monodromies of the two intersection resolutions are realised
 algebraically as AB and AB^-1; only a single transversal intersection is
-modelled (reports carry an ``intersections`` field for a future summation
-hook).  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on [-1, 1]
+modelled.  Elements are drawn as exp(sum_a c_a t_a) with c_a uniform on [-1, 1]
 (on [-0.7, 0.7] in the split harness).  Row t of stream s is read bitwise as
 ``Generator(Philox(SeedSequence(seed, spawn_key=s)))`` (Salmon et al., SC 2011)
 yields it, so no row depends on the batch or the chunk, and ``sample_element``
@@ -317,12 +316,12 @@ def _draw_all(requests) -> list:
     return out
 
 
-class SampledCheck(namedtuple("SampledCheck", "name streams tol relative residuals scale extras",
-                              defaults=(1.0, ()))):
+class SampledCheck(namedtuple("SampledCheck", "name streams tol relative residuals scale",
+                              defaults=(1.0,))):
     """A Monte-Carlo check for ``run_check``: operand k of trial t is row t of ``streams[k]`` at
     ``scale``; ``residuals(family, n, operands)`` maps the (operands, trials, d, d) stack to
     per-trial errors and the rhs they are relative to, or None.  The verdict reads relative
-    error if ``relative``, else absolute, against ``tol``; ``extras`` pairs join the params."""
+    error if ``relative``, else absolute, against ``tol``."""
 
     def draw(self, family, n: int, seed: int, trials: int = 1) -> Draw:
         trials = check_int(trials, "trials", 1)
@@ -331,8 +330,8 @@ class SampledCheck(namedtuple("SampledCheck", "name streams tol relative residua
 
 def run_check(check, family, n: int, seed: int, trials: int = 1) -> VerificationReport:
     """Run ``check`` on ``trials`` trials.  A trial's relative error is err / max(|rhs|,
-    ``_REL_FLOOR``), or 0.0 with no rhs.  Params: ``group``, ``n``, the extras, ``worst_trial``
-    (the trial the verdict reads, row t of each stream) and ``resamples`` (redraws)."""
+    ``_REL_FLOOR``), or 0.0 with no rhs.  Params: ``group``, ``n``, ``worst_trial`` (the
+    trial the verdict reads, row t of each stream) and ``resamples`` (redraws)."""
     family = as_family(family)
     with CheckRun(check.name, seed=seed, trials=trials) as run:
         mats, _, resamples = sample_substreams(*check.draw(family, n, seed, trials))
@@ -343,7 +342,7 @@ def run_check(check, family, n: int, seed: int, trials: int = 1) -> Verification
         worst = int(np.argmax(verdict))
         run.record(passed=bool(verdict[worst] < check.tol), max_abs_err=float(err.max()),
                    max_rel_err=float(rel.max()), params={"group": family.value, "n": n,
-                   **dict(check.extras), "worst_trial": worst, "resamples": resamples})
+                   "worst_trial": worst, "resamples": resamples})
     return run.report
 
 
@@ -388,7 +387,7 @@ def _defect_residuals(family, n, operands):
 
 
 BRACKET_CHECK = SampledCheck("goldman-bracket", ((0,), (1,)), _BRACKET_TOL, True,
-                             _bracket_residuals, extras=(("intersections", 1),))
+                             _bracket_residuals)
 DEFECT_CHECK = SampledCheck("defect-lemma", ((0,), (1,)), _DEFECT_TOL, False, _defect_residuals)
 
 

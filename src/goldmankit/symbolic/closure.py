@@ -27,19 +27,12 @@ from .core import Composite, Expression, Loop, Monomial, TraceAtom, CoeffAtom, s
 from .signature import recognize
 
 
-def _draw(expr: Expression, seed: int, gauges: int = 0):
-    """``instantiate``'s names and matrices (loops from stream (10,), symbols from (11,)),
-    then gauges from stream (12,), in one draw."""
-    loops, syms = symbols(expr)
-    names = [("loop", name) for name in loops] + [("sym", name) for name in syms]
-    streams = [((10,), len(loops)), ((11,), len(syms)), ((12,), gauges)]
-    mats, _, _ = sample_substreams(Family.G2, 1, seed, streams)
-    return names, mats[:len(names)], mats[len(names):]
-
-
 def instantiate(expr: Expression, seed: int = 0):
-    """Random group matrices for every base loop and coefficient symbol."""
-    return dict(zip(*_draw(expr, seed)[:2]))
+    """Random group matrices for every base loop (row k of stream (10,)) and coefficient
+    symbol (row k of stream (11,)), in one draw."""
+    loops, syms = symbols(expr)
+    mats, _, _ = sample_substreams(Family.G2, 1, seed, [((10,), len(loops)), ((11,), len(syms))])
+    return dict(zip([("loop", name) for name in loops] + [("sym", name) for name in syms], mats))
 
 
 def _loop_value(term, env) -> np.ndarray:
@@ -76,10 +69,12 @@ _CLOSURE_TOL = 1e-7  # covariance residual |g O_i g^T - sum_k O_k g_ki| of the O
 def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> ClosureResult:
     """Signature validity of every monomial plus one covariance check of the O_i.
 
-    Fails on an unrecognized monomial, a ``conjugation_residual`` of the drawn
-    gauges over ``_CLOSURE_TOL`` or a ``negative_control`` of the first drawn
-    matrix that fails.  An entry of sum_k O_k g_ki is +-g_ki, so max(1, |rhs|)
-    is 1 and the residual is both ``max_abs_err`` and ``max_rel_err``.
+    One draw: the control, row 0 of stream (10,) (the matrix ``instantiate``
+    gives the first base loop), then the gauges, rows of stream (12,).  Fails
+    on an unrecognized monomial, a ``conjugation_residual`` of the gauges
+    over ``_CLOSURE_TOL`` or a ``negative_control`` of the control that
+    fails.  An entry of sum_k O_k g_ki is +-g_ki, so max(1, |rhs|) is 1 and
+    the residual is both ``max_abs_err`` and ``max_rel_err``.
     ``trials`` counts the (monomial, gauge) pairs that covariance covers.
     Monomials flagged ``extended`` (outputs of the extrapolated long-word
     rule) are quarantined: listed in the failures, neither checked nor
@@ -99,9 +94,9 @@ def closure_check(expr: Expression, seed: int = 0, gauge_trials: int = 3) -> Clo
                     for m, sig in zip(expr.monomials, signatures) if m.extended or not sig.valid]
         extended = sum(m.extended for m in expr.monomials)
         unrecognized = len(failures) - extended
-        _, mats, gauges = _draw(expr, seed, gauge_trials)
-        residual = float(np.max(conjugation_residual(gauges)))
-        moved, control = negative_control(mats[0], gauges)
+        drawn, _, _ = sample_substreams(Family.G2, 1, seed, [((10,), 1), ((12,), gauge_trials)])
+        residual = float(np.max(conjugation_residual(drawn[1:])))
+        moved, control = negative_control(drawn[0], drawn[1:])
         run.record(passed=not unrecognized and residual < _CLOSURE_TOL and moved,
                    max_abs_err=residual, max_rel_err=residual,
                    params={"monomials": len(expr.monomials), "gauge_trials": gauge_trials,

@@ -3,6 +3,7 @@
 an exception, and a refusal (2) is exactly one ``error: …`` line with
 nothing on stdout (after argparse's usage, for a flag value it refuses)."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldmankit import observables as obs
-from goldmankit.cli import FAMILY_CHOICES, VERIFY_SUITES, run
+from goldmankit.cli import FAMILY_CHOICES, build_parser, run
 
 
 def _loopterms(names):
@@ -168,8 +169,16 @@ def test_exotic_enumerate_exits_cleanly(counts):
     _outcome(_enumerate_argv(counts))
 
 
-_VERIFY_FLAGS = dict({name: flags for name, (_, flags) in VERIFY_SUITES.items()},
-                     all=("group", "n", "trials", "seed"))
+def _subcommands(parser):
+    """The parsers of ``parser``'s subcommands, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# each `verify` suite's flags as its parser declares them, --json and --quiet aside
+_VERIFY_FLAGS = {what: tuple(a.dest for a in suite._actions
+                             if a.option_strings and a.dest not in ("help", "json", "quiet"))
+                 for what, suite in _subcommands(_subcommands(build_parser())["verify"]).items()}
 _FLAG_VALUES = {"group": st.sampled_from(FAMILY_CHOICES + ["xx"]), "n": st.integers(-1, 6),
                 "trials": st.integers(0, 3), "seed": st.integers(-1, 3)}
 

@@ -22,10 +22,13 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from goldmankit import observables as obs
 from goldmankit import symbolic as sym
+from goldmankit.bases import Family
 from goldmankit.cli import run
-from goldmankit.symbolic import closure
+from goldmankit.goldman import sample_substreams
 
 GOLDEN = Path(__file__).parent / "golden"
 VERIFY_ALL = GOLDEN / "verify_all_seed42.jsonl"
@@ -64,13 +67,21 @@ def _criterion9_bodies():
             for expr, seed in _criterion9_brackets()]
 
 
+def _drawn(expr, seed, gauges):
+    """(names, matrices, gauges): ``instantiate(expr, seed)`` as its keys and one stack, and
+    ``gauges`` rows of stream (12,), the draws the per-monomial drift conjugates."""
+    env = sym.instantiate(expr, seed)
+    drawn, _, _ = sample_substreams(Family.G2, 1, seed, [((12,), gauges)])
+    return list(env), np.stack(list(env.values())), drawn
+
+
 def _criterion9_drifts():
     """(bracket, seed, recognized monomials, (drift, relative drift)) per criterion-9 bracket:
     the per-monomial oracle of ``closure_check``, each recognized monomial contracted
     under the same draws, the identity and 2 gauges stacked."""
     for expr, seed in _criterion9_brackets():
         checked = [m for m in expr.monomials if not m.extended and sym.recognize(m).valid]
-        names, mats, gauges = closure._draw(expr, seed, 2)
+        names, mats, gauges = _drawn(expr, seed, 2)
         values = lambda moved: [sym.evaluate_monomial(m, dict(zip(names, moved))) for m in checked]
         yield expr, seed, checked, obs.gauge_drift(mats, gauges, values)
 

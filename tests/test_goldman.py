@@ -205,6 +205,24 @@ def test_split_harness(family, n):
     assert report.max_abs_err < 1e-9
 
 
+@pytest.mark.parametrize("family,n,seed", [(Family.G2, 1, 3), (Family.U, 3, 3)])
+def test_split_reports_the_trace_deviation(family, n, seed, monkeypatch):
+    # with the bracket error held at 0, the report reads the trace deviation alone: the
+    # cyclic rearrangement A = T(0, x2) Mtilde T(x1, 0) against T(x1, 0) T(0, x2) Mtilde,
+    # which is round-off here, and not 0
+    from goldmankit import goldman
+
+    stack = goldman._bracket_stack
+    monkeypatch.setattr(goldman, "_bracket_stack", lambda *a: (stack(*a)[1],) * 2)
+    mats, _, _ = sample_substreams(family, n, seed, [((k,), 1) for k in range(6)], scale=0.7)
+    t_x1_0, t_0_x2, mtilde1, t_y1_0, t_0_y2, mtilde2 = mats.reshape(6, 1, *mats.shape[1:])
+    trace = lambda m: np.trace(m, axis1=1, axis2=2)
+    deviation = max(np.abs(trace(t_0_x2 @ mtilde1 @ t_x1_0) - trace(t_x1_0 @ t_0_x2 @ mtilde1)),
+                    np.abs(trace(t_0_y2 @ mtilde2 @ t_y1_0) - trace(t_y1_0 @ t_0_y2 @ mtilde2)))
+    report = split_harness(family, n, seed=seed)
+    assert report.max_abs_err == float(deviation[0]) > 0.0 and report.passed
+
+
 def test_membership_residual_families():
     assert membership_residual(Family.GL, 2, np.eye(2)) == 0.0
     assert membership_residual(Family.SL, 2, 2.0 * np.eye(2)) == 3.0
@@ -490,6 +508,7 @@ def test_redraw_streams_never_repeat_a_first_draw_stream(monkeypatch):
         assert run(["verify", "all", "--seed", "3"]) == 0
     inst = obs.random_instance(obs.enumerate_specs(1, 1, 0, 0, 1)[0], seed=3)
     obs.invariance_test(inst, trials=3, seed=3)
+    sym.instantiate(sym.worked_example_bracket(), seed=3)
     sym.closure_check(sym.worked_example_bracket(), seed=3)
     first = set(opened)
     assert {(), (0,), (1,), (10,), (11,), (12,)} <= first and max(map(len, first)) == 1

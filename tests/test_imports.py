@@ -3,7 +3,8 @@ one module builds the seed substreams, one owns the gauge loop and the negative
 control, one renumbers index ids, one compares expressions, one decides which
 families are complex and what counts as an integer, only ``cli.cmd_verify``
 opens a draw scope, one function exponentiates draws, one runner draws and
-reports every sampled check, two build a monomial's wiring, only the
+reports every sampled check, one draws a whole symbolic expression, two
+build a monomial's wiring, only the
 brute-force oracle builds word tables and nothing calls it, no ``verify``
 suite carries cells, none plans with numpy's einsum_path, every function the
 benchmark traces by name exists, and the package does not load scipy."""
@@ -122,6 +123,13 @@ def test_one_runner_draws_and_reports_every_sampled_check():
 
     assert callers("sample_substreams") == ["goldman.py:run_check"]
     assert callers("CheckRun") == ["cli.py:_octonion", "cli.py:_symbolic", "goldman.py:run_check"]
+
+
+def test_one_function_draws_a_whole_expression():
+    # closure.instantiate draws every base loop and symbol; closure_check draws only its
+    # control row and the gauges, and does not walk the expression for names
+    assert _callers("symbols") == ["symbolic/bracket.py:bracket",
+                                   "symbolic/closure.py:instantiate"]
 
 
 def test_two_functions_build_the_wiring():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from canonical_oracle import encode_by_search, encode_by_walks
 from signature_oracle import recognize_by_search
-from test_golden import _criterion9_drifts
+from test_golden import _criterion9_drifts, _drawn
 
 from goldmankit import observables, octonions
 from goldmankit import symbolic as sym
@@ -754,7 +754,7 @@ def test_a_monomial_with_every_id_twice_is_gauge_invariant(m):
     # g^T O_i g = sum_j g_ij O_j moves every slot as a vector, so an id on two slots
     # contracts to g^T g = I: the drift passes whether recognize accepts the wiring or not
     assert not signature.recognize(_RETURNING_WORD).valid
-    names, mats, gauges = closure._draw(sym.Expression((m,)), seed=3, gauges=3)
+    names, mats, gauges = _drawn(sym.Expression((m,)), seed=3, gauges=3)
     values = lambda moved: [closure.evaluate_monomial(m, dict(zip(names, moved)))]
     _, worst = observables.gauge_drift(mats, gauges, values)
     assert worst < closure._CLOSURE_TOL, str(m)
@@ -803,6 +803,23 @@ def test_batched_symbolic_draws_equal_single_draws(monkeypatch):
     assert report.max_abs_err == report.max_rel_err == np.max(residual(gauges))
 
 
+def test_closure_check_draws_its_control_and_gauges_in_one_call(monkeypatch):
+    # row 0 of stream (10,) is the control, the matrix instantiate gives the first base
+    # loop; the other loops and the symbols are not drawn
+    e = sym.worked_example_bracket()
+    calls, controls = [], []
+    draw, control = closure.sample_substreams, closure.negative_control
+    monkeypatch.setattr(closure, "sample_substreams", lambda *a: calls.append(a) or draw(*a))
+    monkeypatch.setattr(closure, "negative_control",
+                        lambda mat, gauges: controls.append((mat, gauges)) or control(mat, gauges))
+    sym.closure_check(e, seed=9, gauge_trials=4)
+    assert calls == [(Family.G2, 1, 9, [((10,), 1), ((12,), 4)])]
+    ((mat, gauges),) = controls
+    (first, *_), _ = core.symbols(e)
+    assert np.array_equal(mat, sym.instantiate(e, seed=9)[("loop", first)])
+    assert np.array_equal(gauges, sample_substreams(Family.G2, 1, 9, [((12,), 4)])[0])
+
+
 def test_every_recognized_criterion9_monomial_is_gauge_invariant(monkeypatch):
     # the per-monomial oracle of closure_check's one covariance check: each recognized
     # monomial of criterion 9's 261 brackets drifts under _CLOSURE_TOL, its environment
@@ -813,7 +830,7 @@ def test_every_recognized_criterion9_monomial_is_gauge_invariant(monkeypatch):
     recognized = 0
     for expr, seed, checked, (_, worst) in _criterion9_drifts():
         assert worst < closure._CLOSURE_TOL, str(expr)
-        names, _, gauges = closure._draw(expr, seed, 2)
+        names, _, gauges = _drawn(expr, seed, 2)
         ((stack, size),) = stacks
         assert size == len(names)
         assert np.array_equal(stack, np.concatenate([np.eye(7)[None], gauges]))
@@ -843,7 +860,7 @@ def test_gauge_drift_reports_the_absolute_change_apart_from_the_relative():
     values = sym.evaluate_monomial(expr.monomials[0], stacked)
     assert abs(values[0]) > 1
     change = np.max(np.abs(values[1:] - values[0]))
-    names, mats, gauges = closure._draw(expr, 0, 3)
+    names, mats, gauges = _drawn(expr, 0, 3)
     drift = lambda moved: [sym.evaluate_monomial(expr.monomials[0], dict(zip(names, moved)))]
     absolute, relative = observables.gauge_drift(mats, gauges, drift)
     assert absolute == change > relative
